@@ -27,7 +27,6 @@ from .errors import (
     EmptyInput,
     MiniFsError,
     NotFound,
-    UnknownConfigWord,
     ValidationFailed,
 )
 from .extractor import MiniFsView, extract_all, list_files, open_view, read_file
@@ -87,21 +86,19 @@ def _resolve_view(dump: bytes, args) -> MiniFsView:
     force = getattr(args, "force", False)
     if args.base is not None:
         return open_view(dump, args.base, force=force)
-    candidates = []
-    for hit in find_magic(dump):
-        try:
-            candidates.append((hit.offset, open_view(dump, hit.offset, force=force)))
-        except MiniFsError:
-            continue
-    if not candidates:
+    offsets = [
+        hit.offset for hit in find_magic(dump)
+        if hit.summary is not None and (force or not hit.summary.violations)
+    ]
+    if not offsets:
         raise CliError(EXIT_INVALID, "no parseable MiniFS instance found; pass --base")
-    if len(candidates) > 1:
-        offsets = ", ".join(f"0x{off:x}" for off, _ in candidates)
+    if len(offsets) > 1:
+        listed = ", ".join(f"0x{off:x}" for off in offsets)
         raise CliError(
             EXIT_INVALID,
-            f"multiple MiniFS instances found (at {offsets}); pick one with --base",
+            f"multiple MiniFS instances found (at {listed}); pick one with --base",
         )
-    return candidates[0][1]
+    return open_view(dump, offsets[0], force=force)
 
 
 # --- commands -----------------------------------------------------------------
@@ -115,8 +112,7 @@ def cmd_scan(args) -> int:
         empty_byte=args.empty_byte,
     )
     if args.entropy_csv:
-        profile = entropy_profile(dump, args.block_size) if dump else None
-        _emit_entropy_table(profile)
+        _emit_entropy_table(report.profile)
     elif args.format == "machine":
         _emit(report.to_machine())
     else:
@@ -289,13 +285,7 @@ def cmd_verify(args) -> int:
     lines = []
     for i, rec in enumerate(view.chunks):
         try:
-            compressed, expected = view.compressed_chunk(i)
-            version = check_config_word(compressed)
-            if version is not Version.V2:
-                raise UnknownConfigWord(
-                    compressed[:4], f"chunk {i} carries the {version.value} word"
-                )
-            decompress_chunk(compressed, expected)
+            decompress_chunk(*view.compressed_chunk(i))
             status, detail = "ok", f"{rec.compressed_size} -> {rec.decompressed_size} bytes"
         except MiniFsError as exc:
             failures += 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import lzma
 
-from .errors import CorruptStream, EncodeError, SizeMismatch, UnknownConfigWord
+from .errors import ChunkTooLarge, CorruptStream, EncodeError, SizeMismatch, UnknownConfigWord
 
 V2_CONFIG_WORD = bytes.fromhex("5d000080")
 V1_CONFIG_WORD = bytes.fromhex("5a000080")
@@ -32,8 +32,8 @@ _ENCODER_DICT_SIZE = 0x0080_0000
 _STREAM_HEADER_SIZE = 13
 _UNKNOWN_SIZE_FIELD = b"\xff" * 8
 
-# Largest decompressed chunk accepted by default.  Observed real chunks
-# are a few hundred KiB; anything near this cap is hostile or corrupt.
+# Largest decompressed chunk accepted.  Observed real chunks are a few
+# hundred KiB; anything near this cap is hostile or corrupt.
 DEFAULT_OUTPUT_LIMIT = 64 * 1024 * 1024
 
 _MIN_DICT_SIZE = 4096
@@ -84,29 +84,24 @@ def _bounded_dict_size(declared: int, expected_size: int) -> int:
     return min(max(declared, _MIN_DICT_SIZE), needed)
 
 
-def decompress_chunk(
-    chunk: bytes,
-    expected_size: int,
-    *,
-    output_limit: int = DEFAULT_OUTPUT_LIMIT,
-) -> bytes:
+def decompress_chunk(chunk: bytes, expected_size: int) -> bytes:
     """Decompress one v2 chunk to exactly ``expected_size`` bytes.
 
     ``expected_size`` comes from the chunk table and wins over whatever
     the stream's own size field says.  Never produces more than
     ``expected_size`` bytes of output.
 
-    Raises UnknownConfigWord for a non-v2 leading word (including the
-    legacy v1 word, whose chunks this toolkit does not decode),
-    CorruptStream when the decoder rejects the payload, and SizeMismatch
-    when the decoded length differs from ``expected_size``.
+    Raises ChunkTooLarge when ``expected_size`` exceeds
+    DEFAULT_OUTPUT_LIMIT, UnknownConfigWord for a non-v2 leading word
+    (including the legacy v1 word, whose chunks this toolkit does not
+    decode), CorruptStream when the decoder rejects the payload, and
+    SizeMismatch when the decoded length differs from ``expected_size``.
     """
     if expected_size < 0:
         raise ValueError(f"expected_size must be non-negative, got {expected_size}")
-    if expected_size > output_limit:
-        raise ValueError(
-            f"expected_size {expected_size} exceeds the output limit {output_limit}; "
-            "raise output_limit explicitly to allow chunks this large"
+    if expected_size > DEFAULT_OUTPUT_LIMIT:
+        raise ChunkTooLarge(
+            f"expected_size {expected_size} exceeds the output limit {DEFAULT_OUTPUT_LIMIT}"
         )
     version = check_config_word(chunk)
     if version is not Version.V2:

@@ -87,6 +87,10 @@ class SizeMismatch(MiniFsError):
         super().__init__(message or f"decompressed to {actual} bytes, expected {expected}")
 
 
+class ChunkTooLarge(MiniFsError):
+    """A chunk record declares more decompressed bytes than the decoder accepts."""
+
+
 class EncodeError(MiniFsError):
     """The LZMA encoder failed (should not happen for valid inputs)."""
 

@@ -3,23 +3,25 @@
 The flow mirrors how the format is meant to be consumed: parse the
 header, the name pool and both tables, then pull individual files out of
 their decompressed chunks.  A chunk holds several files, so decompressed
-chunks are cached on the view; a full extraction touches each chunk
-exactly once.
+chunks are cached on the view, without a size bound; a full extraction
+touches each chunk exactly once.  Paths are joined once per view, on the
+first listing, lookup or extraction, and that one index serves all of
+them.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter, OrderedDict
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
 from . import structs
 from .codec import decompress_chunk
 from .errors import (
-    BadMagic,
     MiniFsError,
     NotFound,
     AmbiguousPath,
@@ -46,27 +48,23 @@ class MiniFsView:
     files: list[structs.FileRecord]
     chunks: list[structs.ChunkRecord]
     violations: list[structs.Violation] = field(default_factory=list)
-    max_cache_bytes: int | None = None
-    _cache: OrderedDict[int, bytes] = field(default_factory=OrderedDict, repr=False)
+    _cache: dict[int, bytes] = field(default_factory=dict, repr=False)
 
     @property
     def base(self) -> int:
         return self.layout.base
 
     def chunk_data(self, index: int) -> bytes:
-        """Decompressed content of chunk ``index``, cached."""
-        if index in self._cache:
-            self._cache.move_to_end(index)
-            return self._cache[index]
-        if not 0 <= index < len(self.chunks):
-            raise NotFound(f"no chunk {index} (table holds {len(self.chunks)})")
-        data = decompress_chunk(*self.compressed_chunk(index))
-        self._cache[index] = data
-        if self.max_cache_bytes is not None:
-            used = sum(len(v) for v in self._cache.values())
-            while used > self.max_cache_bytes and len(self._cache) > 1:
-                _, evicted = self._cache.popitem(last=False)
-                used -= len(evicted)
+        """Decompressed content of chunk ``index``, cached for the view's lifetime.
+
+        Threads that miss the cache together each decompress the chunk
+        and store equal bytes, so no lock is needed.
+        """
+        data = self._cache.get(index)
+        if data is None:
+            if not 0 <= index < len(self.chunks):
+                raise NotFound(f"no chunk {index} (table holds {len(self.chunks)})")
+            data = self._cache[index] = decompress_chunk(*self.compressed_chunk(index))
         return data
 
     def compressed_chunk(self, index: int) -> tuple[bytes, int]:
@@ -80,6 +78,25 @@ class MiniFsView:
             )
         return self.source[start:end], rec.decompressed_size
 
+    @cached_property
+    def _paths(self) -> list[str | MiniFsError]:
+        """Per record, its joined path or the naming error."""
+        paths: list[str | MiniFsError] = []
+        for rec in self.files:
+            try:
+                paths.append(structs.full_path(self.names, rec))
+            except MiniFsError as exc:
+                paths.append(exc)
+        return paths
+
+    @cached_property
+    def _indices_by_path(self) -> dict[str, list[int]]:
+        """Path → record indices; raises like list_files while a name is broken."""
+        by_path: dict[str, list[int]] = {}
+        for entry in list_files(self):
+            by_path.setdefault(entry.path, []).append(entry.index)
+        return by_path
+
 
 @dataclass(frozen=True)
 class FileEntry:
@@ -92,13 +109,7 @@ class FileEntry:
     file_size: int
 
 
-def open_view(
-    dump: bytes,
-    base: int = 0,
-    *,
-    force: bool = False,
-    max_cache_bytes: int | None = None,
-) -> MiniFsView:
+def open_view(dump: bytes, base: int = 0, *, force: bool = False) -> MiniFsView:
     """Parse and validate the instance whose magic sits at ``base``.
 
     Raises BadMagic or TruncatedImage when the bytes cannot be an
@@ -106,29 +117,7 @@ def open_view(
     broken — unless ``force`` is set, in which case the view is returned
     with its violations attached for best-effort work on damaged dumps.
     """
-    if dump[base:base + len(structs.MAGIC)] != structs.MAGIC:
-        raise BadMagic(f"no {structs.MAGIC!r} at offset {base}")
-    if base + structs.HEADER_SIZE > len(dump):
-        raise TruncatedImage(f"dump ends inside the header at offset {base}")
-    header = structs.parse_header(dump[base:base + structs.HEADER_SIZE])
-
-    probe = structs.compute_layout(header, 0, base)
-    if probe.chunk_table_start > len(dump):
-        raise TruncatedImage(
-            f"name pool or file table extends past the {len(dump)}-byte dump"
-        )
-    names = structs.NameTable(dump[probe.names_start:probe.files_start])
-    files = structs.parse_file_table(
-        dump[probe.files_start:probe.chunk_table_start], header.file_count
-    )
-    chunk_count = structs.infer_chunk_count(files) if files else 0
-    layout = structs.compute_layout(header, chunk_count, base)
-    if layout.data_start > len(dump):
-        raise TruncatedImage(f"chunk table extends past the {len(dump)}-byte dump")
-    chunks = structs.parse_chunk_table(
-        dump[layout.chunk_table_start:layout.data_start], chunk_count
-    )
-
+    header, layout, names, files, chunks = structs.parse_instance(dump, base)
     violations = structs.validate_layout(
         header, files, chunks, len(dump), base=base, names=names
     )
@@ -142,8 +131,15 @@ def open_view(
         files=files,
         chunks=chunks,
         violations=violations,
-        max_cache_bytes=max_cache_bytes,
     )
+
+
+def _entry(view: MiniFsView, index: int) -> FileEntry:
+    path = view._paths[index]
+    if isinstance(path, MiniFsError):
+        raise type(path)(f"file record {index}: {path}") from path
+    rec = view.files[index]
+    return FileEntry(index, path, rec.chunk_index, rec.offset_in_chunk, rec.file_size)
 
 
 def list_files(view: MiniFsView) -> list[FileEntry]:
@@ -152,20 +148,7 @@ def list_files(view: MiniFsView) -> list[FileEntry]:
     Naming failures are re-raised with the offending record index
     prepended, so damaged tables are easy to pinpoint.
     """
-    entries = []
-    for i, rec in enumerate(view.files):
-        try:
-            path = structs.full_path(view.names, rec)
-        except MiniFsError as exc:
-            raise type(exc)(f"file record {i}: {exc}") from exc
-        entries.append(FileEntry(
-            index=i,
-            path=path,
-            chunk_index=rec.chunk_index,
-            offset_in_chunk=rec.offset_in_chunk,
-            file_size=rec.file_size,
-        ))
-    return entries
+    return [_entry(view, i) for i in range(len(view.files))]
 
 
 def _slice_entry(view: MiniFsView, entry: FileEntry) -> bytes:
@@ -188,24 +171,17 @@ def read_file(view: MiniFsView, selector: int | str) -> bytes:
     if isinstance(selector, int):
         if not 0 <= selector < len(view.files):
             raise NotFound(f"no file record {selector} (table holds {len(view.files)})")
-        rec = view.files[selector]
-        entry = FileEntry(
-            index=selector,
-            path=structs.full_path(view.names, rec),
-            chunk_index=rec.chunk_index,
-            offset_in_chunk=rec.offset_in_chunk,
-            file_size=rec.file_size,
-        )
+        index = selector
     else:
-        matches = [e for e in list_files(view) if e.path == selector]
+        matches = view._indices_by_path.get(selector, [])
         if not matches:
             raise NotFound(f"no file named {selector!r}")
         if len(matches) > 1:
             raise AmbiguousPath(
                 f"{len(matches)} entries share the path {selector!r}; select by index"
             )
-        entry = matches[0]
-    return _slice_entry(view, entry)
+        index = matches[0]
+    return _slice_entry(view, _entry(view, index))
 
 
 @dataclass
@@ -328,20 +304,16 @@ def extract_all(
     warnings: list[str] = []
     results: dict[int, FileResult] = {}
     entries: list[FileEntry] = []
-    if force:
-        for i, rec in enumerate(view.files):
-            try:
-                path = structs.full_path(view.names, rec)
-            except MiniFsError as exc:
-                results[i] = FileResult(
-                    index=i, path="", size=rec.file_size,
-                    chunk_index=rec.chunk_index, status="failed",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                continue
-            entries.append(FileEntry(i, path, rec.chunk_index, rec.offset_in_chunk, rec.file_size))
-    else:
-        entries = list_files(view)
+    for i, path in enumerate(view._paths):
+        if force and isinstance(path, MiniFsError):
+            rec = view.files[i]
+            results[i] = FileResult(
+                index=i, path="", size=rec.file_size,
+                chunk_index=rec.chunk_index, status="failed",
+                error=f"{type(path).__name__}: {path}",
+            )
+        else:
+            entries.append(_entry(view, i))  # a naming error aborts before any write
 
     # Decompress each referenced chunk once, keeping failures per chunk.
     needed = sorted({e.chunk_index for e in entries})
@@ -361,6 +333,7 @@ def extract_all(
             fetch(index)
 
     seen_paths: dict[str, int] = {}
+    categories: Counter = Counter()
     for entry in sorted(entries, key=lambda e: (e.chunk_index, e.offset_in_chunk, e.index)):
         target = entry.path
         bump = seen_paths.get(target, 0)
@@ -393,14 +366,10 @@ def extract_all(
             chunk_index=entry.chunk_index, status="ok",
             written_to=str(dest),
         )
+        categories[_classify_one(entry.path, content)] += 1
 
-    ordered = [results[i] for i in sorted(results)]
-    categories = classify_files(
-        (r.path, Path(r.written_to).read_bytes() if r.written_to else None)
-        for r in ordered if r.status == "ok"
-    )
     return ExtractReport(
-        results=ordered,
+        results=[results[i] for i in sorted(results)],
         out_dir=str(out_root),
         chunk_count=len(view.chunks),
         warnings=warnings,

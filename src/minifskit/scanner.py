@@ -3,9 +3,9 @@
 Two complementary techniques:
 
 * magic search — every occurrence of the ASCII string ``MINIFS`` is a
-  candidate instance; a structural parse attempt attaches a version hint
-  so false positives (the string inside some HTML file) are kept apart
-  from real file systems.
+  candidate instance; one structural parse and validation per hit
+  attaches a version hint and a summary, so false positives (the string
+  inside some HTML file) are kept apart from real file systems.
 
 * block entropy — Shannon entropy per fixed-size block segments a dump
   into high-entropy regions (compressed or encrypted data), low-entropy
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import structs
 from .codec import Version, check_config_word
-from .errors import EmptyInput, MiniFsError, TruncatedImage
+from .errors import EmptyInput, MiniFsError
 
 DEFAULT_BLOCK_SIZE = 1024
 DEFAULT_HIGH_THRESHOLD = 7.5
@@ -37,22 +37,31 @@ LABEL_EMPTY = "empty"
 
 
 @dataclass(frozen=True)
-class MagicHit:
-    """One occurrence of the magic string inside a dump."""
-
-    offset: int
-    version_hint: Version
-
-
-@dataclass(frozen=True)
 class MinifsSummary:
-    """Header facts for a validated instance, attached to scan reports."""
+    """Header facts for a parsed instance, attached to hits and scan reports.
+
+    ``violations`` counts what :func:`structs.validate_layout` found; an
+    instance is clean when it is 0.
+    """
 
     base: int
     file_count: int
     name_table_size: int
     chunk_count: int
     version: Version
+    violations: int = 0
+
+
+@dataclass(frozen=True)
+class MagicHit:
+    """One occurrence of the magic string inside a dump.
+
+    ``summary`` is None when the tables at the hit do not parse.
+    """
+
+    offset: int
+    version_hint: Version
+    summary: MinifsSummary | None = None
 
 
 @dataclass
@@ -86,67 +95,39 @@ class SectionProfile:
 def find_magic(dump: bytes) -> list[MagicHit]:
     """Find every ``MINIFS`` occurrence, in ascending offset order.
 
-    Each hit gets a version hint read from the first chunk's
-    configuration word after a structural parse; hits where nothing
-    parses (or there is no chunk to look at) are UNKNOWN.
+    Each hit is parsed and validated once.  Its version hint is read
+    from the first chunk's configuration word; hits where nothing parses
+    (or there is no chunk to look at) are UNKNOWN.
     """
     hits = []
     at = dump.find(structs.MAGIC)
     while at >= 0:
-        hits.append(MagicHit(offset=at, version_hint=_probe_version(dump, at)))
+        hits.append(_parse_hit(dump, at))
         at = dump.find(structs.MAGIC, at + 1)
     return hits
 
 
-def _parse_instance(dump: bytes, base: int):
-    """Structural parse at ``base``; no validation, no name decoding."""
-    header = structs.parse_header(dump[base:base + structs.HEADER_SIZE])
-    layout_probe = structs.compute_layout(header, 0, base)
-    if layout_probe.chunk_table_start > len(dump):
-        raise TruncatedImage(f"tables extend past the {len(dump)}-byte dump")
-    records = structs.parse_file_table(
-        dump[layout_probe.files_start:layout_probe.chunk_table_start], header.file_count
-    )
-    chunk_count = structs.infer_chunk_count(records) if records else 0
-    layout = structs.compute_layout(header, chunk_count, base)
-    if layout.data_start > len(dump):
-        raise TruncatedImage(f"chunk table extends past the {len(dump)}-byte dump")
-    chunks = structs.parse_chunk_table(
-        dump[layout.chunk_table_start:layout.data_start], chunk_count
-    )
-    return header, records, chunks, layout
-
-
-def _probe_version(dump: bytes, base: int) -> Version:
+def _parse_hit(dump: bytes, base: int) -> MagicHit:
     try:
-        header, records, chunks, layout = _parse_instance(dump, base)
-        if not chunks:
-            return Version.UNKNOWN
-        first = chunks[0]
-        start = layout.data_start + first.data_offset
-        return check_config_word(dump[start:start + 4])
-    except (MiniFsError, ValueError):
-        return Version.UNKNOWN
-
-
-def _summarize_instance(dump: bytes, base: int) -> MinifsSummary | None:
-    """Full parse + validation; None unless the instance is clean."""
-    try:
-        header, records, chunks, layout = _parse_instance(dump, base)
-        names = structs.NameTable(dump[layout.names_start:layout.files_start])
-        if structs.validate_layout(
-            header, records, chunks, len(dump), base=base, names=names
-        ):
-            return None
-    except (MiniFsError, ValueError):
-        return None
-    return MinifsSummary(
+        header, layout, names, files, chunks = structs.parse_instance(dump, base)
+    except MiniFsError:
+        return MagicHit(offset=base, version_hint=Version.UNKNOWN)
+    version = Version.UNKNOWN
+    if chunks:
+        start = layout.data_start + chunks[0].data_offset
+        try:
+            version = check_config_word(dump[start:start + 4])
+        except MiniFsError:
+            pass
+    violations = structs.validate_layout(header, files, chunks, len(dump), base=base, names=names)
+    return MagicHit(offset=base, version_hint=version, summary=MinifsSummary(
         base=base,
         file_count=header.file_count,
         name_table_size=header.name_table_size,
         chunk_count=len(chunks),
-        version=_probe_version(dump, base),
-    )
+        version=version,
+        violations=len(violations),
+    ))
 
 
 def entropy_profile(dump: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> SectionProfile:
@@ -186,10 +167,8 @@ def segment_sections(
 
     A block is ``empty`` when it is one repeated byte equal to
     ``empty_byte`` (the erased-flash convention), ``high`` when its
-    entropy reaches ``high_threshold``, otherwise ``low``.  A fourth
-    label, ``mixed``, is reserved for sub-block splitting and never
-    produced at block granularity.  The returned profile's sections
-    tile [0, length) without gaps or overlap.
+    entropy reaches ``high_threshold``, otherwise ``low``.  The returned
+    profile's sections tile [0, length) without gaps or overlap.
     """
     labels = [
         LABEL_EMPTY if constant == empty_byte
@@ -217,13 +196,17 @@ def segment_sections(
 
 @dataclass
 class DumpReport:
-    """Combined magic + section view of one dump."""
+    """Combined magic + section view of one dump.
+
+    ``profile`` is the block entropy profile the sections came from.
+    """
 
     length: int
     block_size: int
     high_threshold: float
     sections: list[Section]
     hits: list[MagicHit]
+    profile: SectionProfile | None = field(default=None, repr=False)
 
     @property
     def instances(self) -> list[MinifsSummary]:
@@ -283,12 +266,11 @@ def dump_report(
     hits = find_magic(dump)
     sections = profile.sections
     for hit in hits:
-        summary = _summarize_instance(dump, hit.offset)
-        if summary is None:
+        if hit.summary is None or hit.summary.violations:
             continue
         for section in sections:
             if section.start <= hit.offset < section.end and section.minifs is None:
-                section.minifs = summary
+                section.minifs = hit.summary
                 break
     return DumpReport(
         length=len(dump),
@@ -296,4 +278,5 @@ def dump_report(
         high_threshold=high_threshold,
         sections=sections,
         hits=hits,
+        profile=profile,
     )

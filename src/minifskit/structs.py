@@ -21,12 +21,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from .codec import DEFAULT_OUTPUT_LIMIT
 from .errors import (
     ArithmeticOverflow,
     BadMagic,
     EmptyFileTable,
     NonAsciiName,
     OffsetOutOfRange,
+    TruncatedImage,
     TruncatedTable,
     UnsafePath,
     UnterminatedString,
@@ -45,6 +47,9 @@ _UNKNOWN_B_OFFSET = 0x18
 _NAME_TABLE_SIZE_OFFSET = 0x1C
 
 _U32_MAX = 0xFFFF_FFFF
+
+# Deleting these from a name leaves only the bytes it may not contain.
+_PRINTABLE = bytes(range(0x20, 0x7F))
 
 _FILE_RECORD = struct.Struct(">IIIII")
 _CHUNK_RECORD = struct.Struct(">III")
@@ -192,9 +197,9 @@ def name_at(table: NameTable, offset: int) -> str:
     if end < 0:
         raise UnterminatedString(f"no NUL terminator after offset {offset}")
     raw = pool[offset:end]
-    for i, b in enumerate(raw):
-        if b < 0x20 or b >= 0x7F:
-            raise NonAsciiName(f"byte {b:#04x} at pool offset {offset + i} is not printable ASCII")
+    if raw.translate(None, _PRINTABLE):
+        i, b = next((i, b) for i, b in enumerate(raw) if b < 0x20 or b >= 0x7F)
+        raise NonAsciiName(f"byte {b:#04x} at pool offset {offset + i} is not printable ASCII")
     return raw.decode("ascii")
 
 
@@ -285,6 +290,35 @@ def compute_layout(header: MiniFsHeader, chunk_count: int, base: int = 0) -> FsL
     )
 
 
+def parse_instance(
+    dump: bytes, base: int = 0
+) -> tuple[MiniFsHeader, FsLayout, NameTable, list[FileRecord], list[ChunkRecord]]:
+    """Parse the header, name pool and both tables of the instance at ``base``.
+
+    Checks only that every region lies inside ``dump``; the cross-checks
+    are :func:`validate_layout`'s job.  Raises BadMagic or TruncatedImage
+    when the bytes cannot hold an instance at all, and only MiniFsError
+    subclasses in every other case.
+    """
+    if base < 0 or dump[base:base + len(MAGIC)] != MAGIC:
+        raise BadMagic(f"no {MAGIC!r} at offset {base}")
+    if base + HEADER_SIZE > len(dump):
+        raise TruncatedImage(f"dump ends inside the header at offset {base}")
+    header = parse_header(dump[base:base + HEADER_SIZE])
+
+    probe = compute_layout(header, 0, base)
+    if probe.chunk_table_start > len(dump):
+        raise TruncatedImage(f"name pool or file table extends past the {len(dump)}-byte dump")
+    names = NameTable(dump[probe.names_start:probe.files_start])
+    files = parse_file_table(dump[probe.files_start:probe.chunk_table_start], header.file_count)
+    chunk_count = infer_chunk_count(files) if files else 0
+    layout = compute_layout(header, chunk_count, base)
+    if layout.data_start > len(dump):
+        raise TruncatedImage(f"chunk table extends past the {len(dump)}-byte dump")
+    chunks = parse_chunk_table(dump[layout.chunk_table_start:layout.data_start], chunk_count)
+    return header, layout, names, files, chunks
+
+
 def validate_layout(
     header: MiniFsHeader,
     records: list[FileRecord],
@@ -318,6 +352,7 @@ def validate_layout(
             f"tables end at {layout.data_start} but image is {image_length} bytes",
         ))
 
+    resolved: set[int] = set()  # records share directory strings; check each once
     for i, rec in enumerate(records):
         for what, off in (("path", rec.path_offset), ("name", rec.name_offset)):
             if off >= header.name_table_size:
@@ -326,9 +361,10 @@ def validate_layout(
                     f"{what} offset {off} outside {header.name_table_size}-byte pool",
                     index=i,
                 ))
-            elif names is not None:
+            elif names is not None and off not in resolved:
                 try:
                     name_at(names, off)
+                    resolved.add(off)
                 except (OffsetOutOfRange, UnterminatedString, NonAsciiName) as exc:
                     add(Violation("bad-name", f"{what} string: {exc}", index=i))
         if rec.chunk_index >= len(chunks):
@@ -352,6 +388,13 @@ def validate_layout(
             add(Violation(
                 "chunk-size",
                 f"compressed size {chunk.compressed_size} below the 5-byte LZMA header minimum",
+                index=i,
+            ))
+        if chunk.decompressed_size > DEFAULT_OUTPUT_LIMIT:
+            add(Violation(
+                "chunk-size",
+                f"decompressed size {chunk.decompressed_size} above the "
+                f"{DEFAULT_OUTPUT_LIMIT}-byte decoder limit",
                 index=i,
             ))
         if layout is not None:

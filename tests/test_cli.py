@@ -240,6 +240,53 @@ class TestBaseSelection:
         assert main(["info", str(path)]) == EXIT_INVALID
 
 
+    def test_auto_detect_opens_one_view(self, tmp_path, monkeypatch, capsys):
+        from minifskit import cli
+        dump = b"MINIFS" + b"\xff" * 250 + build_three_file_image() + b"MINIFS" + b"\xff" * 64
+        path = tmp_path / "decoys.bin"
+        path.write_bytes(dump)
+        bases = []
+        real = cli.open_view
+
+        def counting(dump, base=0, **kwargs):
+            bases.append(base)
+            return real(dump, base, **kwargs)
+
+        monkeypatch.setattr(cli, "open_view", counting)
+        assert main(["cat", str(path), "boot.bin"]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == dict(THREE_FILE_ENTRIES)["boot.bin"]
+        assert bases == [256]
+
+
+class TestOversizedChunkRecord:
+    @pytest.fixture
+    def oversized_path(self, tmp_path):
+        from minifskit import open_view
+        image = bytearray(build_three_file_image())
+        at = open_view(bytes(image)).layout.chunk_table_start + 8
+        image[at:at + 4] = (100 << 20).to_bytes(4, "big")  # chunk 0 declares 100 MiB
+        path = tmp_path / "oversized.img"
+        path.write_bytes(bytes(image))
+        return str(path)
+
+    def test_verify_reports_chunk_size_violation(self, oversized_path, capsys):
+        assert main(["verify", oversized_path]) == EXIT_INVALID
+        assert main(["verify", oversized_path, "--base", "0"]) == EXIT_INVALID
+        assert "table violation: chunk-size: [0]" in capsys.readouterr().out
+
+    def test_verify_force_fails_only_that_chunk(self, oversized_path, capsys):
+        assert main(["verify", oversized_path, "--force", "--format", "machine"]) == EXIT_INVALID
+        out = capsys.readouterr().out
+        assert "chunk.0.error=ChunkTooLarge: " in out
+        assert "chunk.1.status=ok" in out
+
+    def test_cat_exits_5(self, oversized_path, capsys):
+        assert main(["cat", oversized_path, "boot.bin"]) == EXIT_INVALID
+        assert main(["cat", oversized_path, "boot.bin", "--force"]) == EXIT_INVALID
+        assert "ChunkTooLarge" in capsys.readouterr().err
+        assert main(["cat", oversized_path, "fw/mtk/base.css", "--force"]) == EXIT_OK
+
+
 class TestForceMode:
     @pytest.fixture
     def damaged_path(self, tmp_path):

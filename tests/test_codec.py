@@ -14,7 +14,8 @@ from minifskit import (
     compress_chunk,
     decompress_chunk,
 )
-from minifskit.errors import CorruptStream, SizeMismatch, UnknownConfigWord
+from minifskit.codec import DEFAULT_OUTPUT_LIMIT
+from minifskit.errors import ChunkTooLarge, CorruptStream, SizeMismatch, UnknownConfigWord
 
 
 class TestConfigWord:
@@ -84,8 +85,9 @@ class TestSizeEnforcement:
             decompress_chunk(chunk, 512)
 
     def test_expected_size_above_output_limit(self):
-        with pytest.raises(ValueError):
-            decompress_chunk(compress_chunk(b"x"), 1 << 20, output_limit=1 << 10)
+        # The limit is checked before any decoding, so a 1-byte chunk will do.
+        with pytest.raises(ChunkTooLarge):
+            decompress_chunk(compress_chunk(b"x"), DEFAULT_OUTPUT_LIMIT + 1)
 
     def test_negative_expected_size(self):
         with pytest.raises(ValueError):

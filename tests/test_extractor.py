@@ -1,6 +1,10 @@
 """Opening views, reading files, extraction and classification."""
 
 import lzma
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ from minifskit import (
     pack,
     read_file,
 )
-from minifskit import codec
+from minifskit import codec, structs
 from minifskit.errors import (
     AmbiguousPath,
     BadMagic,
@@ -64,6 +68,8 @@ class TestOpenView:
     def test_bad_magic(self, three_file_image):
         with pytest.raises(BadMagic):
             open_view(three_file_image, base=1)
+        with pytest.raises(BadMagic):  # a negative base would slice from the end
+            open_view(three_file_image, base=-len(three_file_image))
 
     def test_validation_failure_carries_violations(self, three_file_image):
         # Cut into the chunk data: tables parse, bounds checks fire.
@@ -225,16 +231,75 @@ class TestExtractAll:
         assert [r.status for r in ra.results] == [r.status for r in rb.results]
 
 
-class TestChunkCache:
-    def test_bounded_cache_still_reads_correctly(self):
-        entries = [(f"f{i}.bin", bytes([i]) * 400) for i in range(6)]
-        image = pack(entries, PackOptions(max_chunk_decompressed=450, sort_entries=False))
-        view = open_view(image, max_cache_bytes=500)
-        for i, (_, content) in enumerate(entries):
-            assert read_file(view, i) == content
-        for i, (_, content) in reversed(list(enumerate(entries))):
-            assert read_file(view, i) == content
-        assert sum(len(v) for v in view._cache.values()) <= 900  # one entry may overhang
+class TestConcurrentReads:
+    def test_threads_read_every_file_by_index_and_path(self):
+        entries = [(f"d{i % 5}/f{i}.bin", bytes([i]) * (40 + 11 * i)) for i in range(40)]
+        image = pack(entries, PackOptions(max_chunk_decompressed=600, sort_entries=False))
+        view = open_view(image)  # fresh view: the threads race on the first index build
+        assert len(view.chunks) > 1
+        start = threading.Barrier(8)
+
+        def reader(k: int) -> None:
+            start.wait(timeout=60)
+            order = list(enumerate(entries))
+            for _ in range(3):
+                for i, (path, content) in order if k % 2 else reversed(order):
+                    assert read_file(view, i) == content
+                    assert read_file(view, path) == content
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the lazy builds too
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert list(pool.map(reader, range(8), timeout=120)) == [None] * 8
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestOneIndexPerView:
+    def test_path_reads_join_each_path_once(self, monkeypatch):
+        entries = [(f"dir{i % 10}/file{i}.txt", b"content %d" % i) for i in range(200)]
+        view = open_view(pack(entries))
+        calls = []
+        real = structs.full_path
+
+        def counting(names, record):
+            calls.append(record)
+            return real(names, record)
+
+        monkeypatch.setattr(structs, "full_path", counting)
+        for path, content in entries[::4]:
+            assert read_file(view, path) == content
+        assert len(calls) <= 200
+
+    def test_extract_never_reads_files_back(self, tmp_path, monkeypatch):
+        reads = []
+        real = Path.read_bytes
+
+        def counting(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        report = extract_all(open_view(build_three_file_image()), tmp_path / "out")
+        assert reads == []
+        assert report.written == 3
+        assert report.categories == {"binary": 1, "css": 1, "js": 1}
+
+
+class TestOversizedChunkRecord:
+    def test_extract_fails_only_that_chunks_files(self, tmp_path):
+        image = bytearray(build_three_file_image())
+        at = open_view(bytes(image)).layout.chunk_table_start + 8
+        image[at:at + 4] = (100 << 20).to_bytes(4, "big")  # chunk 0 declares 100 MiB
+        with pytest.raises(ValidationFailed):
+            open_view(bytes(image))
+        report = extract_all(open_view(bytes(image), force=True), tmp_path / "out", force=True)
+        status = {r.path: r.status for r in report.results}
+        assert status == {"boot.bin": "failed", "fw/mtk/app.js": "failed",
+                          "fw/mtk/base.css": "ok"}
+        assert all(r.error.startswith("ChunkTooLarge") for r in report.results
+                   if r.status == "failed")
 
 
 class TestClassifyFiles:

@@ -14,6 +14,7 @@ from minifskit import (
     find_magic,
     segment_sections,
 )
+from minifskit import structs
 from minifskit.errors import EmptyInput
 from helpers import build_three_file_image
 
@@ -154,6 +155,22 @@ class TestFindMagic:
 
 
 class TestDumpReport:
+    def test_parses_each_hit_once(self, monkeypatch):
+        dump = (b"\xff" * 64 + b"MINIFS" + b"\xff" * 58 + build_three_file_image()
+                + b"<p>MINIFS</p>" + bytes(64))
+        calls = []
+        real = structs.parse_header
+
+        def counting(buf):
+            calls.append(buf)
+            return real(buf)
+
+        monkeypatch.setattr(structs, "parse_header", counting)
+        report = dump_report(dump)
+        assert len(report.hits) == 3
+        assert len(calls) == 3
+        assert [m.base for m in report.instances] == [128]
+
     def test_five_region_dump(self):
         # padding | high-entropy blob | image | padding | config text
         rng = random.Random(99)

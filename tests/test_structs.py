@@ -18,6 +18,7 @@ from minifskit import (
     parse_header,
     validate_layout,
 )
+from minifskit.codec import DEFAULT_OUTPUT_LIMIT
 from minifskit.errors import (
     ArithmeticOverflow,
     BadMagic,
@@ -346,3 +347,9 @@ class TestValidateLayout:
         names = NameTable(b"abcd")  # no terminator anywhere
         violations = validate_layout(header, records, chunks, 1 << 20, names=names)
         assert any(v.kind == "bad-name" for v in violations)
+
+    def test_decompressed_size_above_decoder_limit(self):
+        header = MiniFsHeader(file_count=0, name_table_size=0)
+        chunks = [ChunkRecord(0, 100, DEFAULT_OUTPUT_LIMIT + 1)]
+        violations = validate_layout(header, [], chunks, image_length=1 << 20)
+        assert [(v.kind, v.index) for v in violations] == [("chunk-size", 0)]
