@@ -17,11 +17,10 @@ timestamps, so identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
-from .codec import check_config_word, decompress_chunk, Version
+from .codec import decompress_chunk
 from .errors import (
     AmbiguousPath,
     EmptyInput,
@@ -38,7 +37,7 @@ from .scanner import (
     DEFAULT_HIGH_THRESHOLD,
     dump_report,
     entropy_profile,
-    find_magic,
+    iter_views,
 )
 
 EXIT_OK = 0
@@ -47,8 +46,6 @@ EXIT_NO_MINIFS = 3
 EXIT_NOT_FOUND = 4
 EXIT_INVALID = 5
 
-BLOCK_SIZE_ENV = "MINIFS_BLOCK_SIZE"
-
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -56,18 +53,23 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _int_arg(text: str) -> int:
-    return int(text, 0)
+def _int_type(rule: str, ok=lambda value: True):
+    """An argparse type: an integer, any base prefix allowed, that satisfies ``ok``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text, 0)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+    return parse
 
 
-def _default_block_size() -> int:
-    raw = os.environ.get(BLOCK_SIZE_ENV)
-    if raw is None:
-        return DEFAULT_BLOCK_SIZE
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise CliError(EXIT_IO, f"bad {BLOCK_SIZE_ENV} value {raw!r}")
+_int_arg = _int_type("an integer")
+_block_size_arg = _int_type("a power of two >= 16", lambda v: v >= 16 and not v & (v - 1))
+_positive_arg = _int_type("a positive integer", lambda v: v > 0)
+_u32_arg = _int_type("an unsigned 32-bit value", lambda v: 0 <= v <= 0xFFFF_FFFF)
 
 
 def _read_input(path: str) -> bytes:
@@ -82,15 +84,18 @@ def _emit(text: str) -> None:
 
 
 def _resolve_view(dump: bytes, args) -> MiniFsView:
-    """Open the instance selected by --base, or auto-detect one."""
+    """Open the instance selected by --base, or keep the one view auto-detection finds."""
     force = getattr(args, "force", False)
     if args.base is not None:
         return open_view(dump, args.base, force=force)
-    offsets = [
-        hit.offset for hit in find_magic(dump)
-        if hit.summary is not None and (force or not hit.summary.violations)
-    ]
-    if not offsets:
+    chosen, offsets = None, []
+    for offset, view in iter_views(dump):
+        if view is None or (view.violations and not force):
+            continue
+        if chosen is None:
+            chosen = view
+        offsets.append(offset)
+    if chosen is None:
         raise CliError(EXIT_INVALID, "no parseable MiniFS instance found; pass --base")
     if len(offsets) > 1:
         listed = ", ".join(f"0x{off:x}" for off in offsets)
@@ -98,7 +103,7 @@ def _resolve_view(dump: bytes, args) -> MiniFsView:
             EXIT_INVALID,
             f"multiple MiniFS instances found (at {listed}); pick one with --base",
         )
-    return open_view(dump, offsets[0], force=force)
+    return chosen
 
 
 # --- commands -----------------------------------------------------------------
@@ -163,13 +168,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_info(args) -> int:
     view = _resolve_view(_read_input(args.image), args)
-    header, layout = view.header, view.layout
-    version = Version.UNKNOWN
-    if view.chunks:
-        try:
-            version = check_config_word(view.compressed_chunk(0)[0])
-        except MiniFsError:
-            pass
+    header, layout, version = view.header, view.layout, view.version
     if args.format == "machine":
         lines = [
             f"base={layout.base}",
@@ -348,9 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="entropy sections + MiniFS magic hits of a dump")
     p.add_argument("dump", help="raw flash dump")
-    p.add_argument("--block-size", type=_int_arg, default=None,
-                   help=f"entropy block size (default {DEFAULT_BLOCK_SIZE}, "
-                        f"or ${BLOCK_SIZE_ENV})")
+    p.add_argument("--block-size", type=_block_size_arg, default=DEFAULT_BLOCK_SIZE,
+                   help=f"entropy block size, a power of two >= 16 (default {DEFAULT_BLOCK_SIZE})")
     p.add_argument("--threshold", type=float, default=DEFAULT_HIGH_THRESHOLD,
                    help="bits/byte above which a block counts as high entropy")
     p.add_argument("--empty-byte", type=_int_arg, default=DEFAULT_EMPTY_BYTE,
@@ -362,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="per-block entropy table for plotting")
     p.add_argument("dump")
-    p.add_argument("--block-size", type=_int_arg, default=None)
+    p.add_argument("--block-size", type=_block_size_arg, default=DEFAULT_BLOCK_SIZE)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("info", help="decoded header and layout of an instance")
@@ -395,15 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="build an image from a directory tree")
     p.add_argument("tree")
     p.add_argument("out_image")
-    p.add_argument("--cap", type=_int_arg, default=PackOptions.max_chunk_decompressed,
+    p.add_argument("--cap", type=_positive_arg, default=PackOptions.max_chunk_decompressed,
                    help="max decompressed bytes per chunk")
     p.add_argument("--keep-order", action="store_true",
                    help="keep directory-walk order instead of sorting by path")
     p.add_argument("--mimic-vendor", action="store_true",
                    help="write the first file's size into the unknown header word @0x18")
-    p.add_argument("--unknown-a", type=_int_arg, default=0,
+    p.add_argument("--unknown-a", type=_u32_arg, default=0,
                    help="hex override for the header word @0x10")
-    p.add_argument("--unknown-b", type=_int_arg, default=None,
+    p.add_argument("--unknown-b", type=_u32_arg, default=None,
                    help="hex override for the header word @0x18")
     p.add_argument("--jobs", type=int, default=1, help="parallel chunk compression")
     _add_format(p)
@@ -433,8 +431,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return EXIT_IO
     try:
-        if hasattr(args, "block_size") and args.block_size is None:
-            args.block_size = _default_block_size()
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

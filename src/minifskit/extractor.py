@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import structs
-from .codec import decompress_chunk
+from .codec import Version, check_config_word, decompress_chunk
 from .errors import (
     MiniFsError,
     NotFound,
@@ -79,6 +79,17 @@ class MiniFsView:
         return self.source[start:end], rec.decompressed_size
 
     @cached_property
+    def version(self) -> Version:
+        """Chunk 0's configuration word; UNKNOWN without a chunk or a known word."""
+        if not self.chunks:
+            return Version.UNKNOWN
+        start = self.layout.data_start + self.chunks[0].data_offset
+        try:
+            return check_config_word(self.source[start:start + 4])
+        except MiniFsError:
+            return Version.UNKNOWN
+
+    @cached_property
     def _paths(self) -> list[str | MiniFsError]:
         """Per record, its joined path or the naming error."""
         paths: list[str | MiniFsError] = []
@@ -91,10 +102,11 @@ class MiniFsView:
 
     @cached_property
     def _indices_by_path(self) -> dict[str, list[int]]:
-        """Path → record indices; raises like list_files while a name is broken."""
+        """Path → record indices; records whose names do not join are left out."""
         by_path: dict[str, list[int]] = {}
-        for entry in list_files(self):
-            by_path.setdefault(entry.path, []).append(entry.index)
+        for index, path in enumerate(self._paths):
+            if not isinstance(path, MiniFsError):
+                by_path.setdefault(path, []).append(index)
         return by_path
 
 
@@ -165,8 +177,8 @@ def _slice_entry(view: MiniFsView, entry: FileEntry) -> bytes:
 def read_file(view: MiniFsView, selector: int | str) -> bytes:
     """File content by table index or by exact joined path.
 
-    Path selection on an instance holding duplicate paths raises
-    AmbiguousPath; pick by index instead.
+    Path selection never matches a record whose name does not join, and
+    raises AmbiguousPath on duplicate paths; pick by index instead.
     """
     if isinstance(selector, int):
         if not 0 <= selector < len(view.files):
@@ -342,31 +354,22 @@ def extract_all(
             target = f"{target}.dup{bump}"
             warnings.append(f"duplicate path {entry.path!r}; record {entry.index} written as {target!r}")
 
-        if entry.chunk_index in chunk_errors:
-            results[entry.index] = FileResult(
-                index=entry.index, path=entry.path, size=entry.file_size,
-                chunk_index=entry.chunk_index, status="failed",
-                error=chunk_errors[entry.chunk_index],
-            )
-            continue
-        try:
-            content = _slice_entry(view, entry)
-            dest = _safe_destination(out_root, target)
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            dest.write_bytes(content)
-        except (MiniFsError, OSError) as exc:
-            results[entry.index] = FileResult(
-                index=entry.index, path=entry.path, size=entry.file_size,
-                chunk_index=entry.chunk_index, status="failed",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            continue
+        error = chunk_errors.get(entry.chunk_index)
+        if error is None:
+            try:
+                content = _slice_entry(view, entry)
+                dest = _safe_destination(out_root, target)
+                dest.parent.mkdir(parents=True, exist_ok=True)
+                dest.write_bytes(content)
+            except (MiniFsError, OSError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            else:
+                categories[_classify_one(entry.path, content)] += 1
         results[entry.index] = FileResult(
             index=entry.index, path=entry.path, size=entry.file_size,
-            chunk_index=entry.chunk_index, status="ok",
-            written_to=str(dest),
+            chunk_index=entry.chunk_index, status="failed" if error else "ok",
+            error=error, written_to=None if error else str(dest),
         )
-        categories[_classify_one(entry.path, content)] += 1
 
     return ExtractReport(
         results=[results[i] for i in sorted(results)],

@@ -3,8 +3,8 @@
 Two complementary techniques:
 
 * magic search — every occurrence of the ASCII string ``MINIFS`` is a
-  candidate instance; one structural parse and validation per hit
-  attaches a version hint and a summary, so false positives (the string
+  candidate instance, opened once (:func:`iter_views`); the view gives
+  the hit a version hint and a summary, so false positives (the string
   inside some HTML file) are kept apart from real file systems.
 
 * block entropy — Shannon entropy per fixed-size block segments a dump
@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from . import structs
-from .codec import Version, check_config_word
+from .codec import Version
 from .errors import EmptyInput, MiniFsError
+from .extractor import MiniFsView, open_view
 
 DEFAULT_BLOCK_SIZE = 1024
 DEFAULT_HIGH_THRESHOLD = 7.5
@@ -92,42 +94,40 @@ class SectionProfile:
     sections: list[Section] = field(default_factory=list)
 
 
+def iter_views(dump: bytes) -> Iterator[tuple[int, MiniFsView | None]]:
+    """Each ``MINIFS`` offset, ascending, with its view opened in force mode.
+
+    The view is None when the tables at the offset do not parse.  Views
+    are made one at a time, so memory holds one hit's tables unless the
+    caller keeps them.
+    """
+    at = dump.find(structs.MAGIC)
+    while at >= 0:
+        try:
+            view = open_view(dump, at, force=True)
+        except MiniFsError:
+            view = None
+        yield at, view
+        at = dump.find(structs.MAGIC, at + 1)
+
+
 def find_magic(dump: bytes) -> list[MagicHit]:
     """Find every ``MINIFS`` occurrence, in ascending offset order.
 
-    Each hit is parsed and validated once.  Its version hint is read
-    from the first chunk's configuration word; hits where nothing parses
-    (or there is no chunk to look at) are UNKNOWN.
+    Each hit is opened once.  Its version hint is the view's version;
+    hits where nothing parses are UNKNOWN.
     """
     hits = []
-    at = dump.find(structs.MAGIC)
-    while at >= 0:
-        hits.append(_parse_hit(dump, at))
-        at = dump.find(structs.MAGIC, at + 1)
+    for offset, view in iter_views(dump):
+        if view is None:
+            hits.append(MagicHit(offset=offset, version_hint=Version.UNKNOWN))
+            continue
+        hits.append(MagicHit(offset=offset, version_hint=view.version, summary=MinifsSummary(
+            base=offset, file_count=view.header.file_count,
+            name_table_size=view.header.name_table_size, chunk_count=len(view.chunks),
+            version=view.version, violations=len(view.violations),
+        )))
     return hits
-
-
-def _parse_hit(dump: bytes, base: int) -> MagicHit:
-    try:
-        header, layout, names, files, chunks = structs.parse_instance(dump, base)
-    except MiniFsError:
-        return MagicHit(offset=base, version_hint=Version.UNKNOWN)
-    version = Version.UNKNOWN
-    if chunks:
-        start = layout.data_start + chunks[0].data_offset
-        try:
-            version = check_config_word(dump[start:start + 4])
-        except MiniFsError:
-            pass
-    violations = structs.validate_layout(header, files, chunks, len(dump), base=base, names=names)
-    return MagicHit(offset=base, version_hint=version, summary=MinifsSummary(
-        base=base,
-        file_count=header.file_count,
-        name_table_size=header.name_table_size,
-        chunk_count=len(chunks),
-        version=version,
-        violations=len(violations),
-    ))
 
 
 def entropy_profile(dump: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> SectionProfile:

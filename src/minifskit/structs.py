@@ -167,10 +167,10 @@ def parse_header(buf: bytes) -> MiniFsHeader:
     """Decode a 32-byte header, preserving the unidentified fields.
 
     Raises BadMagic if the buffer does not start with ``MINIFS``, and
-    ValueError if it is not exactly 32 bytes.
+    TruncatedImage if it is not exactly 32 bytes.
     """
     if len(buf) != HEADER_SIZE:
-        raise ValueError(f"header must be exactly {HEADER_SIZE} bytes, got {len(buf)}")
+        raise TruncatedImage(f"header must be exactly {HEADER_SIZE} bytes, got {len(buf)}")
     if buf[:6] != MAGIC:
         raise BadMagic(f"expected magic {MAGIC!r}, found {bytes(buf[:6])!r}")
     return MiniFsHeader(

@@ -6,11 +6,16 @@ is either an observed-format constant or computed by an oracle living in
 this file, never by the code path under test.
 """
 
+import contextlib
+import io
 import random
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minifskit import (
     ChunkRecord,
@@ -24,6 +29,7 @@ from minifskit import (
     compress_chunk,
     compute_layout,
     decompress_chunk,
+    dump_report,
     entropy_profile,
     extract_all,
     find_magic,
@@ -37,11 +43,12 @@ from minifskit import (
     parse_chunk_table,
     parse_file_table,
     parse_header,
+    read_file,
     segment_sections,
 )
 from minifskit.cli import EXIT_INVALID, main
-from minifskit.errors import SizeMismatch, UnknownConfigWord, UnsafePath
-from helpers import read_tree, write_tree
+from minifskit.errors import MiniFsError, SizeMismatch, UnknownConfigWord, UnsafePath
+from helpers import build_three_file_image, read_tree, write_tree
 
 
 def ok(number: int, detail: str) -> None:
@@ -331,3 +338,82 @@ def test_criterion_11_fault_tolerance(tmp_path):
         assert content == truth[path]
     ok(11, f"one flipped byte fails exactly chunk {target_chunk}'s files "
            f"({sorted(failed)}); all others byte-correct")
+
+
+FUZZ_IMAGES = [
+    build_three_file_image(),
+    pack([]),
+    make_fixture(FixtureSpec(seed=1, shape="minimal"))[0],
+    make_fixture(FixtureSpec(seed=1, shape="multi-chunk"))[0],
+]
+
+
+@st.composite
+def mutated_dumps(draw) -> bytes:
+    """A packed image after 1-4 byte flips, truncations and splices."""
+    data = bytearray(draw(st.sampled_from(FUZZ_IMAGES)))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("flip", "truncate", "splice")))
+        if kind == "flip" and data:
+            at = draw(st.integers(0, len(data) - 1))
+            data[at] ^= draw(st.integers(1, 255))
+        elif kind == "truncate":
+            del data[draw(st.integers(0, len(data))):]
+        elif kind == "splice":
+            donor = draw(st.sampled_from(FUZZ_IMAGES + [b"\xff" * 256]))
+            start = draw(st.integers(0, len(donor)))
+            piece = donor[start:draw(st.integers(start, len(donor)))]
+            at = draw(st.integers(0, len(data)))
+            data[at:draw(st.integers(at, len(data)))] = piece
+    return bytes(data)
+
+
+def attempt(fn, *args, **kwargs):
+    """Call ``fn``; a MiniFsError is an allowed outcome, anything else propagates."""
+    try:
+        return fn(*args, **kwargs)
+    except MiniFsError:
+        return None
+
+
+def run_cli(argv: list[str]) -> int:
+    stdout, stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        return main(argv)
+
+
+def test_criterion_12_mutation_fuzz():
+    seen = {"dumps": 0, "views": 0, "reads": 0}
+
+    @settings(derandomize=True, deadline=None, max_examples=120, database=None)
+    @given(dump=mutated_dumps(), force=st.booleans())
+    def check(dump, force):
+        seen["dumps"] += 1
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            dump_report(dump)
+            base = dump.find(b"MINIFS")
+            while base >= 0:
+                view = attempt(open_view, dump, base, force=True)
+                if view is not None:
+                    seen["views"] += 1
+                    for i, record in enumerate(view.files):
+                        seen["reads"] += 1
+                        attempt(read_file, view, i)
+                        path = attempt(full_path, view.names, record)
+                        if path is not None:
+                            attempt(read_file, view, path)
+                    attempt(extract_all, view, work / f"lib-{base}", force=True)
+                base = dump.find(b"MINIFS", base + 1)
+
+            image = work / "dump.bin"
+            image.write_bytes(dump)
+            flags = ["--force"] if force else []
+            for argv in (["verify", str(image)], ["info", str(image)],
+                         ["cat", str(image), "--index", "0"], ["cat", str(image), "boot.bin"],
+                         ["extract", str(image), str(work / "cli")]):
+                assert run_cli(argv + flags) in (0, 3, 4, 5), argv
+
+    check()
+    ok(12, f"{seen['dumps']} mutated images, {seen['views']} views, {seen['reads']} records: "
+           "only MiniFsError raised, every command exited 0/3/4/5")

@@ -66,10 +66,31 @@ class TestScan:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["scan", str(tmp_path / "absent.bin")]) == EXIT_IO
 
-    def test_block_size_env_var(self, dump_path, capsys, monkeypatch):
-        monkeypatch.setenv("MINIFS_BLOCK_SIZE", "2048")
-        main(["scan", dump_path, "--format", "machine"])
+    def test_block_size_flag(self, dump_path, capsys):
+        main(["scan", dump_path, "--format", "machine", "--block-size", "0x800"])
         assert "block_size=2048" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, rule", [
+    (["scan", "{dump}", "--block-size", "1000"], "a power of two >= 16"),
+    (["entropy", "{dump}", "--block-size", "3"], "a power of two >= 16"),
+    (["pack", "{tree}", "{out}", "--cap", "0"], "a positive integer"),
+    (["pack", "{tree}", "{out}", "--unknown-a", "0x1ffffffff"], "an unsigned 32-bit value"),
+    (["pack", "{tree}", "{out}", "--unknown-b", "-1"], "an unsigned 32-bit value"),
+])
+def test_bad_numeric_flag_is_a_usage_error(argv, rule, dump_path, tmp_path, capsys):
+    write_tree(tmp_path / "tree", THREE_FILE_ENTRIES)
+    out = tmp_path / "out.img"
+    names = {"dump": dump_path, "tree": str(tmp_path / "tree"), "out": str(out)}
+    with pytest.raises(SystemExit) as exited:
+        main([arg.format(**names) for arg in argv])
+    assert exited.value.code == EXIT_IO
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"minifs {argv[0]}: error: argument {argv[-2]}: {argv[-1]!r} is not {rule}"
+    ]
+    assert not out.exists()
 
 
 class TestEntropy:
@@ -95,6 +116,25 @@ class TestInfo:
         assert "files=3" in out
         assert "version=v2" in out
         assert "violations=0" in out
+
+    @pytest.mark.parametrize("damage", ["truncated", "short-chunk"])
+    def test_version_agrees_with_scan(self, tmp_path, capsys, damage):
+        from minifskit import open_view
+        image = bytearray(build_three_file_image())
+        layout = open_view(bytes(image)).layout
+        if damage == "truncated":
+            del image[layout.data_start + 10:]  # chunk 0 runs past the dump
+        else:
+            at = layout.chunk_table_start + 4
+            image[at:at + 4] = (2).to_bytes(4, "big")  # chunk 0 holds 2 bytes
+        path = tmp_path / "damaged.img"
+        path.write_bytes(bytes(image))
+        main(["scan", str(path), "--format", "machine"])
+        assert "hit.0.version=v2" in capsys.readouterr().out
+        assert main(["info", str(path), "--force", "--format", "machine"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "version=v2" in out
+        assert "violations=0" not in out
 
     def test_large_file_count_reported(self, tmp_path, capsys):
         # Same file count as the real router image this format came from.
@@ -134,6 +174,18 @@ class TestCat:
 
     def test_not_found_exits_4(self, image_path):
         assert main(["cat", image_path, "no/such/file"]) == EXIT_NOT_FOUND
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_path_read_ignores_other_bad_names(self, tmp_path, capsys, force):
+        from minifskit import pack
+        image = pack([("dd/bad.txt", b"x"), ("ok.txt", b"hello")])
+        assert image.count(b"dd\x00") == 1
+        path = tmp_path / "bad-neighbour.img"
+        path.write_bytes(image.replace(b"dd\x00", b"..\x00"))  # record 0's directory
+        assert main(["cat", str(path), "ok.txt", *force]) == EXIT_OK
+        assert capsys.readouterr().out == "hello"
+        assert main(["ls", str(path), *force]) == EXIT_INVALID
+        assert "UnsafePath: file record 0: " in capsys.readouterr().err
 
     def test_selector_required(self, image_path):
         assert main(["cat", image_path]) == EXIT_IO
@@ -240,22 +292,28 @@ class TestBaseSelection:
         assert main(["info", str(path)]) == EXIT_INVALID
 
 
-    def test_auto_detect_opens_one_view(self, tmp_path, monkeypatch, capsys):
-        from minifskit import cli
-        dump = b"MINIFS" + b"\xff" * 250 + build_three_file_image() + b"MINIFS" + b"\xff" * 64
+    def test_auto_detect_parses_each_hit_once(self, tmp_path, monkeypatch, capsys):
+        from minifskit import open_view, structs
+        image = build_three_file_image()
+        damaged = bytearray(image)
+        at = open_view(image).layout.chunk_table_start + 8
+        damaged[at:at + 4] = (100 << 20).to_bytes(4, "big")  # parses, fails validation
+        dump = bytes(damaged) + b"\xff" * 250 + image + bytes(damaged)
         path = tmp_path / "decoys.bin"
         path.write_bytes(dump)
-        bases = []
-        real = cli.open_view
+        calls = {"parse_instance": 0, "validate_layout": 0}
+        for name in calls:
+            real = getattr(structs, name)
 
-        def counting(dump, base=0, **kwargs):
-            bases.append(base)
-            return real(dump, base, **kwargs)
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "open_view", counting)
+            monkeypatch.setattr(structs, name, counting)
         assert main(["cat", str(path), "boot.bin"]) == EXIT_OK
         assert capsys.readouterr().out.encode() == dict(THREE_FILE_ENTRIES)["boot.bin"]
-        assert bases == [256]
+        assert dump.count(b"MINIFS") == 3
+        assert calls == {"parse_instance": 3, "validate_layout": 3}
 
 
 class TestOversizedChunkRecord:

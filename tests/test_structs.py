@@ -25,6 +25,7 @@ from minifskit.errors import (
     EmptyFileTable,
     NonAsciiName,
     OffsetOutOfRange,
+    TruncatedImage,
     TruncatedTable,
     UnsafePath,
     UnterminatedString,
@@ -57,8 +58,10 @@ class TestHeader:
             parse_header(make_header_bytes(magic=b"MINIFX"))
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TruncatedImage):
             parse_header(make_header_bytes()[:31])
+        with pytest.raises(TruncatedImage):
+            parse_header(make_header_bytes() + b"\x00")
 
     def test_big_endian_not_little(self):
         raw = make_header_bytes(file_count=0x0000014F)
