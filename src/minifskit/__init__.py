@@ -25,7 +25,6 @@ from .extractor import (
     FileEntry,
     FileResult,
     MiniFsView,
-    classify_files,
     extract_all,
     list_files,
     open_view,
@@ -73,7 +72,7 @@ __all__ = [
     "MagicHit", "MinifsSummary", "Section", "SectionProfile", "DumpReport",
     "find_magic", "entropy_profile", "segment_sections", "dump_report",
     "MiniFsView", "FileEntry", "FileResult", "ExtractReport",
-    "open_view", "list_files", "read_file", "extract_all", "classify_files",
+    "open_view", "list_files", "read_file", "extract_all",
     "PackOptions", "ChunkPlan", "build_name_pool", "plan_chunks", "pack",
     "FixtureSpec", "FixtureManifest", "XorShift64Star", "make_fixture",
     "__version__",

@@ -378,14 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cat", help="write one file's bytes to stdout")
     p.add_argument("image")
     p.add_argument("path", nargs="?", default=None, help="exact joined path")
-    p.add_argument("--index", type=int, default=None, help="file table index")
+    p.add_argument("--index", type=_int_arg, default=None, help="file table index")
     _add_base(p)
     p.set_defaults(func=cmd_cat)
 
     p = sub.add_parser("extract", help="materialize the whole tree on disk")
     p.add_argument("image")
     p.add_argument("out_dir")
-    p.add_argument("--jobs", type=int, default=1, help="parallel chunk decompression")
+    p.add_argument("--jobs", type=_positive_arg, default=1, help="parallel chunk decompression")
     _add_base(p)
     _add_format(p)
     p.set_defaults(func=cmd_extract)
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hex override for the header word @0x10")
     p.add_argument("--unknown-b", type=_u32_arg, default=None,
                    help="hex override for the header word @0x18")
-    p.add_argument("--jobs", type=int, default=1, help="parallel chunk compression")
+    p.add_argument("--jobs", type=_positive_arg, default=1, help="parallel chunk compression")
     _add_format(p)
     p.set_defaults(func=cmd_pack)
 

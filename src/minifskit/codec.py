@@ -138,14 +138,14 @@ def decompress_chunk(chunk: bytes, expected_size: int) -> bytes:
     return out
 
 
-def compress_chunk(data: bytes, *, preset: int = 6) -> bytes:
+def compress_chunk(data: bytes) -> bytes:
     """Compress ``data`` into a v2 chunk.
 
     The output starts with the v2 configuration word and uses the
     unknown-size stream variant, exactly what
     :func:`decompress_chunk` (and stock LZMA tools) accept.
     """
-    filters = [{"id": lzma.FILTER_LZMA1, "preset": preset, "dict_size": _ENCODER_DICT_SIZE}]
+    filters = [{"id": lzma.FILTER_LZMA1, "preset": 6, "dict_size": _ENCODER_DICT_SIZE}]
     try:
         out = lzma.compress(data, format=lzma.FORMAT_ALONE, filters=filters)
     except lzma.LZMAError as exc:

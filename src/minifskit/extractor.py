@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
 
 from . import structs
 from .codec import Version, check_config_word, decompress_chunk
@@ -130,9 +129,7 @@ def open_view(dump: bytes, base: int = 0, *, force: bool = False) -> MiniFsView:
     with its violations attached for best-effort work on damaged dumps.
     """
     header, layout, names, files, chunks = structs.parse_instance(dump, base)
-    violations = structs.validate_layout(
-        header, files, chunks, len(dump), base=base, names=names
-    )
+    violations = structs.validate_layout(layout, names, files, chunks, len(dump))
     if violations and not force:
         raise ValidationFailed(violations)
     return MiniFsView(
@@ -254,19 +251,6 @@ class ExtractReport:
         return "\n".join(lines) + "\n"
 
 
-def classify_files(items: Iterable[tuple[str, bytes | None]]) -> Counter:
-    """Bucket files into coarse content categories.
-
-    Recognition is by extension plus a leading-bytes sniff for PEM
-    material; content may be None when only names are known.  Only
-    nonzero categories appear in the result.
-    """
-    counts: Counter = Counter()
-    for name, content in items:
-        counts[_classify_one(name, content)] += 1
-    return counts
-
-
 _EXTENSION_CATEGORIES = {
     "css": "css",
     "html": "html", "htm": "html",
@@ -276,15 +260,16 @@ _EXTENSION_CATEGORIES = {
 }
 
 
-def _classify_one(name: str, content: bytes | None) -> str:
-    if content is not None and content.startswith(b"-----BEGIN"):
+def _classify_one(name: str, content: bytes) -> str:
+    """Coarse content category: a PEM sniff, else the file extension."""
+    if content.startswith(b"-----BEGIN"):
         return "keys"
     ext = name.rsplit(".", 1)[-1].lower() if "." in name.rsplit("/", 1)[-1] else ""
     return _EXTENSION_CATEGORIES.get(ext, "binary")
 
 
 def _safe_destination(out_root: Path, relative: str) -> Path:
-    # full_path() already rejected traversal; this is the belt-and-braces
+    # check_entry_path() already rejected traversal; this is the belt-and-braces
     # check that nothing resolves outside the output root anyway.
     dest = (out_root / relative).resolve()
     if not dest.is_relative_to(out_root):

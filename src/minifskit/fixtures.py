@@ -132,7 +132,7 @@ def make_fixture(spec: FixtureSpec) -> tuple[bytes, FixtureManifest]:
 
     * ``minimal`` — a bare image holding one small text file.
     * ``multi-chunk`` — a bare image whose files straddle a small chunk
-      cap, so chunk-count inference has something to infer.
+      cap, so chunk count inference has something to infer.
     * ``five-region`` — padding, high-entropy blob, embedded image,
       erased run, config text: the anatomy real flash dumps segment
       into.

@@ -21,14 +21,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .codec import compress_chunk
-from .errors import (
-    ArithmeticOverflow,
-    FileTooLarge,
-    NamePoolTooLarge,
-    NonAsciiName,
-    UnsafePath,
-)
-from .structs import ChunkRecord, FileRecord, MiniFsHeader
+from .errors import ArithmeticOverflow, FileTooLarge, NamePoolTooLarge, UnsafePath
+from .structs import ChunkRecord, FileRecord, MiniFsHeader, check_entry_path
 
 DEFAULT_CHUNK_CAP = 0x60000
 
@@ -41,7 +35,7 @@ class PackOptions:
 
     ``unknown_b=None`` writes zero, or the first file's size when
     ``mimic_vendor`` is set (real headers have been seen carrying that
-    value there).
+    value there).  The ten reserved header bytes are always zero.
     """
 
     max_chunk_decompressed: int = DEFAULT_CHUNK_CAP
@@ -49,40 +43,19 @@ class PackOptions:
     mimic_vendor: bool = False
     unknown_a: int = 0
     unknown_b: int | None = None
-    reserved: bytes = b"\x00" * 10
     jobs: int = 1
-
-
-def _check_component(text: str, what: str) -> str:
-    for ch in text:
-        code = ord(ch)
-        if code < 0x20 or code >= 0x7F:
-            raise NonAsciiName(f"{what} {text!r} contains non-printable byte {code:#04x}")
-    return text
 
 
 def split_entry_path(path: str) -> tuple[str, str]:
     """Split a relative POSIX path into (directory, file name).
 
-    The same safety rules extraction enforces apply here, so a packed
-    image can always be extracted: no absolute paths, no ``..`` or empty
-    components, non-empty ASCII name.
+    The pair must pass :func:`structs.check_entry_path`, the rule
+    extraction enforces, so a packed image can always be extracted.
     """
     if path.startswith("/"):
         raise UnsafePath(f"absolute path {path!r}")
     directory, _, name = path.rpartition("/")
-    if not name:
-        raise UnsafePath(f"path {path!r} has no file name")
-    if name == "..":
-        raise UnsafePath("file name is '..'")
-    if directory:
-        parts = directory.split("/")
-        if "" in parts:
-            raise UnsafePath(f"path {path!r} has an empty component")
-        if ".." in parts:
-            raise UnsafePath(f"path {path!r} contains a '..' component")
-    _check_component(directory, "directory")
-    _check_component(name, "file name")
+    check_entry_path(directory, name)
     return directory, name
 
 
@@ -116,10 +89,7 @@ def build_name_pool(
         return offsets[text]
 
     for directory, name in paths:
-        _check_component(directory, "directory")
-        if "/" in name:
-            raise UnsafePath(f"file name {name!r} contains a path separator")
-        _check_component(name, "file name")
+        check_entry_path(directory, name)
 
     pairs = []
     for directory, _ in paths:
@@ -148,7 +118,7 @@ def plan_chunks(sizes: Sequence[int], max_chunk_decompressed: int) -> ChunkPlan:
 
     A new chunk starts whenever adding the next file would exceed the
     cap, so the last entry always lands in the highest-numbered chunk —
-    which is what keeps the format's chunk-count inference rule true.
+    which is what keeps the format's chunk count inference rule true.
     """
     if max_chunk_decompressed <= 0:
         raise ValueError(f"chunk cap must be positive, got {max_chunk_decompressed}")
@@ -254,7 +224,6 @@ def pack(
         name_table_size=len(pool),
         unknown_a=opts.unknown_a,
         unknown_b=unknown_b,
-        reserved=opts.reserved,
     )
 
     return b"".join([

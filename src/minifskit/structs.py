@@ -203,26 +203,45 @@ def name_at(table: NameTable, offset: int) -> str:
     return raw.decode("ascii")
 
 
-def full_path(table: NameTable, record: FileRecord) -> str:
-    """Join a record's directory string and file name into one path.
+def check_entry_path(directory: str, name: str) -> None:
+    """The one path rule, shared by reading (:func:`full_path`) and packing.
 
-    An empty directory string means the file sits in the root and the
-    name is returned alone.  Anything that could climb out of an
-    extraction root is rejected: absolute paths, ``..`` components, a
-    separator inside the name, or an empty name.
+    Both strings must be printable ASCII.  The name must be non-empty,
+    hold no separator, and not be ``.`` or ``..``; the directory must not
+    be absolute nor have an empty or ``..`` component.  Raises
+    UnsafePath, or NonAsciiName for a non-printable character.
     """
-    directory = name_at(table, record.path_offset)
-    name = name_at(table, record.name_offset)
     if not name:
         raise UnsafePath("empty file name")
     if "/" in name:
         raise UnsafePath(f"file name {name!r} contains a path separator")
-    if name == "..":
-        raise UnsafePath("file name is '..'")
+    if name in (".", ".."):
+        raise UnsafePath(f"file name is {name!r}")
     if directory.startswith("/"):
         raise UnsafePath(f"absolute directory path {directory!r}")
-    if directory and ".." in directory.split("/"):
-        raise UnsafePath(f"directory path {directory!r} contains a '..' component")
+    if directory:
+        parts = directory.split("/")
+        if ".." in parts:
+            raise UnsafePath(f"directory path {directory!r} contains a '..' component")
+        if "" in parts:
+            raise UnsafePath(f"directory path {directory!r} has an empty component")
+    joined = directory + name
+    if not (joined.isascii() and joined.isprintable()):
+        at = next(i for i, ch in enumerate(joined) if not " " <= ch <= "~")
+        what, text = ("directory", directory) if at < len(directory) else ("file name", name)
+        raise NonAsciiName(f"{what} {text!r} contains non-printable byte {ord(joined[at]):#04x}")
+
+
+def full_path(table: NameTable, record: FileRecord) -> str:
+    """Join a record's directory string and file name into one path.
+
+    An empty directory string means the file sits in the root and the
+    name is returned alone.  The pair must pass :func:`check_entry_path`,
+    so nothing joined here can climb out of an extraction root.
+    """
+    directory = name_at(table, record.path_offset)
+    name = name_at(table, record.name_offset)
+    check_entry_path(directory, name)
     return f"{directory}/{name}" if directory else name
 
 
@@ -320,52 +339,44 @@ def parse_instance(
 
 
 def validate_layout(
-    header: MiniFsHeader,
+    layout: FsLayout,
+    names: NameTable,
     records: list[FileRecord],
     chunks: list[ChunkRecord],
     image_length: int,
-    *,
-    base: int = 0,
-    names: NameTable | None = None,
 ) -> list[Violation]:
     """Cross-check parsed structures and report every broken invariant.
 
+    Precondition: the arguments are what :func:`parse_instance` returned
+    for a dump of ``image_length`` bytes, so the regions up to
+    ``layout.data_start`` already lie inside the dump and ``chunks``
+    holds ``layout.chunk_count`` records; those bounds are not checked
+    again here.
+
     Returns an empty list for a well-formed instance.  Violations are
     data, not failures: callers decide whether to stop (default) or to
-    continue best-effort (force mode).  When ``names`` is given, each
-    record's strings are also resolved through the pool.
-
-    Path *safety* (traversal and separator rules) is deliberately not
-    checked here; it is enforced when paths are joined for extraction.
+    continue best-effort (force mode).  Each record's strings are
+    resolved through the pool; path *safety* is :func:`check_entry_path`'s
+    job when paths are joined.
     """
     violations: list[Violation] = []
     add = violations.append
 
-    layout = None
-    try:
-        layout = compute_layout(header, len(chunks), base)
-    except ArithmeticOverflow as exc:
-        add(Violation("region-bounds", str(exc)))
-    if layout is not None and layout.data_start > image_length:
-        add(Violation(
-            "region-bounds",
-            f"tables end at {layout.data_start} but image is {image_length} bytes",
-        ))
-
+    pool_size = len(names)
     resolved: set[int] = set()  # records share directory strings; check each once
     for i, rec in enumerate(records):
         for what, off in (("path", rec.path_offset), ("name", rec.name_offset)):
-            if off >= header.name_table_size:
+            if off >= pool_size:
                 add(Violation(
                     "name-offset",
-                    f"{what} offset {off} outside {header.name_table_size}-byte pool",
+                    f"{what} offset {off} outside {pool_size}-byte pool",
                     index=i,
                 ))
-            elif names is not None and off not in resolved:
+            elif off not in resolved:
                 try:
                     name_at(names, off)
                     resolved.add(off)
-                except (OffsetOutOfRange, UnterminatedString, NonAsciiName) as exc:
+                except (UnterminatedString, NonAsciiName) as exc:
                     add(Violation("bad-name", f"{what} string: {exc}", index=i))
         if rec.chunk_index >= len(chunks):
             add(Violation(
@@ -397,14 +408,13 @@ def validate_layout(
                 f"{DEFAULT_OUTPUT_LIMIT}-byte decoder limit",
                 index=i,
             ))
-        if layout is not None:
-            end = layout.data_start + chunk.data_offset + chunk.compressed_size
-            if end > image_length:
-                add(Violation(
-                    "chunk-bounds",
-                    f"chunk data ends at {end} but image is {image_length} bytes",
-                    index=i,
-                ))
+        end = layout.data_start + chunk.data_offset + chunk.compressed_size
+        if end > image_length:
+            add(Violation(
+                "chunk-bounds",
+                f"chunk data ends at {end} but image is {image_length} bytes",
+                index=i,
+            ))
 
     if records:
         last = records[-1].chunk_index
@@ -413,11 +423,6 @@ def validate_layout(
             add(Violation(
                 "chunk-inference",
                 f"last record names chunk {last} but chunk {highest} is referenced earlier",
-            ))
-        if len(chunks) != last + 1:
-            add(Violation(
-                "chunk-count",
-                f"last record implies {last + 1} chunks, table holds {len(chunks)}",
             ))
 
     return violations

@@ -368,6 +368,11 @@ def mutated_dumps(draw) -> bytes:
     return bytes(data)
 
 
+# Every kind of violation open_view can report (the README lists them).
+VIOLATION_KINDS = {"name-offset", "bad-name", "chunk-index", "file-span",
+                   "chunk-size", "chunk-bounds", "chunk-inference"}
+
+
 def attempt(fn, *args, **kwargs):
     """Call ``fn``; a MiniFsError is an allowed outcome, anything else propagates."""
     try:
@@ -397,6 +402,7 @@ def test_criterion_12_mutation_fuzz():
                 view = attempt(open_view, dump, base, force=True)
                 if view is not None:
                     seen["views"] += 1
+                    assert {v.kind for v in view.violations} <= VIOLATION_KINDS
                     for i, record in enumerate(view.files):
                         seen["reads"] += 1
                         attempt(read_file, view, i)

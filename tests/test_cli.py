@@ -77,6 +77,10 @@ class TestScan:
     (["pack", "{tree}", "{out}", "--cap", "0"], "a positive integer"),
     (["pack", "{tree}", "{out}", "--unknown-a", "0x1ffffffff"], "an unsigned 32-bit value"),
     (["pack", "{tree}", "{out}", "--unknown-b", "-1"], "an unsigned 32-bit value"),
+    (["pack", "{tree}", "{out}", "--jobs", "0"], "a positive integer"),
+    (["pack", "{tree}", "{out}", "--jobs", "-1"], "a positive integer"),
+    (["extract", "{dump}", "{out}", "--jobs", "0"], "a positive integer"),
+    (["extract", "{dump}", "{out}", "--jobs", "-1"], "a positive integer"),
 ])
 def test_bad_numeric_flag_is_a_usage_error(argv, rule, dump_path, tmp_path, capsys):
     write_tree(tmp_path / "tree", THREE_FILE_ENTRIES)
@@ -172,6 +176,10 @@ class TestCat:
         assert main(["cat", image_path, "--index", "0"]) == EXIT_OK
         assert capsys.readouterr().out.encode() == dict(THREE_FILE_ENTRIES)["boot.bin"]
 
+    def test_hex_index(self, image_path, capsys):
+        assert main(["cat", image_path, "--index", "0x1"]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == dict(THREE_FILE_ENTRIES)["fw/mtk/app.js"]
+
     def test_not_found_exits_4(self, image_path):
         assert main(["cat", image_path, "no/such/file"]) == EXIT_NOT_FOUND
 
@@ -189,6 +197,38 @@ class TestCat:
 
     def test_selector_required(self, image_path):
         assert main(["cat", image_path]) == EXIT_IO
+
+
+class TestEmptyDirectoryComponent:
+    """An image whose record 0 has the directory string ``a//b``."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        from minifskit import pack
+        image = pack([("aa/b/bad.txt", b"x"), ("ok.txt", b"hello")])
+        assert image.count(b"aa/b\x00") == 1
+        path = tmp_path / "empty-component.img"
+        path.write_bytes(image.replace(b"aa/b\x00", b"a//b\x00"))
+        return str(path)
+
+    def test_ls_names_the_record(self, path, capsys):
+        assert main(["ls", path]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "error: UnsafePath: file record 0: directory path 'a//b' has an empty component\n"
+        )
+
+    def test_extract_force_fails_only_that_record(self, path, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        argv = ["extract", path, str(out_dir), "--force", "--format", "machine"]
+        assert main(argv) == EXIT_INVALID
+        out = capsys.readouterr().out
+        assert "file.0.status=failed" in out
+        assert "file.1.status=ok" in out
+        assert read_tree(out_dir) == {"ok.txt": b"hello"}
+
+    def test_cat_other_path(self, path, capsys):
+        assert main(["cat", path, "ok.txt"]) == EXIT_OK
+        assert capsys.readouterr().out == "hello"
 
 
 class TestExtract:
@@ -251,6 +291,15 @@ class TestPackCommand:
         second = tmp_path / "second"
         assert main(["extract", str(repacked), str(second)]) == EXIT_OK
         assert read_tree(first) == read_tree(second)
+
+    @pytest.mark.parametrize("entry", ["a/.", "."])
+    def test_dot_name_writes_nothing(self, tmp_path, capsys, monkeypatch, entry):
+        from minifskit import packer
+        monkeypatch.setattr(packer, "_collect_tree", lambda tree: [(entry, b"x")])
+        image = tmp_path / "out.img"
+        assert main(["pack", str(tmp_path), str(image)]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: UnsafePath: file name is '.'\n"
+        assert not image.exists()
 
     def test_header_word_options(self, tmp_path, capsys):
         source = tmp_path / "tree"

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minifskit import (
+    FileRecord,
     NameTable,
     PackOptions,
     build_name_pool,
     compute_layout,
     extract_all,
+    full_path,
     list_files,
     name_at,
     open_view,
@@ -18,10 +20,12 @@ from minifskit import (
 )
 from minifskit.errors import (
     FileTooLarge,
+    MiniFsError,
     NamePoolTooLarge,
     NonAsciiName,
     UnsafePath,
 )
+from minifskit.packer import split_entry_path
 from helpers import THREE_FILE_ENTRIES, read_tree, write_tree
 
 
@@ -66,6 +70,45 @@ class TestBuildNamePool:
     def test_pool_size_limit(self):
         with pytest.raises(NamePoolTooLarge):
             build_name_pool([("dirname", "filename")], limit=10)
+
+    @pytest.mark.parametrize("pair", [("a", ".."), ("/abs", "x"), ("a", ""), ("a", "."),
+                                      ("a//b", "x"), ("a/", "x")])
+    def test_pairs_the_reader_refuses(self, pair):
+        with pytest.raises(UnsafePath):
+            build_name_pool([pair])
+
+
+def accepts(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except MiniFsError:
+        return False
+    return True
+
+
+def reader_accepts(directory: str, name: str) -> bool:
+    """Whether ``full_path`` joins the pair from a pool holding both strings."""
+    pool = NameTable(b"".join(text.encode("latin-1") + b"\x00" for text in (directory, name)))
+    return accepts(full_path, pool, FileRecord(0, len(directory) + 1, 0, 0, 0))
+
+
+# "\x01" is a control byte and "\xe9" a non-ASCII character; neither is NUL,
+# so each survives as one string in a hand-built pool.
+path_text = st.text(alphabet=["a", ".", "/", "\x01", "\xe9"], max_size=6)
+
+
+class TestOnePathRule:
+    """Reading and packing accept exactly the same (directory, name) pairs."""
+
+    @given(directory=path_text, name=path_text)
+    def test_name_pool_agrees_with_full_path(self, directory, name):
+        assert accepts(build_name_pool, [(directory, name)]) == reader_accepts(directory, name)
+
+    @given(path=path_text)
+    def test_split_entry_path_agrees(self, path):
+        directory, _, name = path.rpartition("/")
+        expected = not path.startswith("/") and reader_accepts(directory, name)
+        assert accepts(split_entry_path, path) == expected
 
 
 class TestPlanChunks:
@@ -171,7 +214,7 @@ class TestPack:
         assert pack(entries, opts_serial) == pack(entries, opts_parallel)
 
     def test_unsafe_entries_rejected(self):
-        for path in ("/abs.txt", "../up.txt", "a/../b.txt", "a//b.txt", "dir/"):
+        for path in ("/abs.txt", "../up.txt", "a/../b.txt", "a//b.txt", "dir/", "a/.", "."):
             with pytest.raises(UnsafePath):
                 pack([(path, b"x")])
 

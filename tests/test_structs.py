@@ -35,6 +35,18 @@ from helpers import build_three_file_image
 u32 = st.integers(min_value=0, max_value=0xFFFF_FFFF)
 
 
+def validate_tables(header, records, chunks, image_length, names=None):
+    """``validate_layout`` on tables laid out from ``header`` at base 0.
+
+    Without ``names`` the pool is ``name_table_size`` NUL bytes, so every
+    in-range offset resolves to the empty string.
+    """
+    layout = compute_layout(header, len(chunks))
+    if names is None:
+        names = NameTable(b"\x00" * header.name_table_size)
+    return validate_layout(layout, names, records, chunks, image_length)
+
+
 def make_header_bytes(file_count=0, name_table_size=0, unknown_a=0, unknown_b=0,
                       reserved=b"\x00" * 10, magic=b"MINIFS"):
     return (magic + reserved + unknown_a.to_bytes(4, "big") + file_count.to_bytes(4, "big")
@@ -155,7 +167,8 @@ class TestFullPath:
     @given(
         path=st.lists(st.text(alphabet="abcdef", min_size=1, max_size=4),
                       min_size=0, max_size=3).map("/".join),
-        name=st.text(alphabet="abcdef.", min_size=1, max_size=8).filter(lambda n: n != ".."),
+        name=st.text(alphabet="abcdef.", min_size=1, max_size=8)
+        .filter(lambda n: n not in (".", "..")),
     )
     def test_separator_count(self, path, name):
         pool = NameTable(path.encode() + b"\x00" + name.encode() + b"\x00")
@@ -213,7 +226,7 @@ class TestChunkTable:
         (rec,) = parse_chunk_table(ChunkRecord(0, 3, 10).encode(), 1)
         assert rec.compressed_size == 3
         header = MiniFsHeader(file_count=0, name_table_size=0)
-        violations = validate_layout(header, [], [rec], image_length=1 << 20)
+        violations = validate_tables(header, [], [rec], image_length=1 << 20)
         assert any(v.kind == "chunk-size" for v in violations)
 
     @given(u32, u32, u32)
@@ -252,7 +265,7 @@ class TestChunkInference:
         assert max(r.chunk_index for r in records) + 1 == 8  # the max-based oracle
         header = MiniFsHeader(file_count=2, name_table_size=0)
         chunks = [ChunkRecord(0, 5, 0)] * 6
-        violations = validate_layout(header, records, chunks, image_length=1 << 20)
+        violations = validate_tables(header, records, chunks, image_length=1 << 20)
         assert any(v.kind == "chunk-inference" for v in violations)
         assert any(v.kind == "chunk-index" for v in violations)
 
@@ -313,34 +326,34 @@ class TestValidateLayout:
         image = build_three_file_image()
         view = open_view(image)
         assert view.violations == []
-        assert validate_layout(view.header, view.files, view.chunks,
-                               len(image), names=view.names) == []
+        assert validate_layout(view.layout, view.names, view.files, view.chunks,
+                               len(image)) == []
 
     def test_chunk_index_off_by_one(self):
         header = MiniFsHeader(file_count=1, name_table_size=4)
         records = [FileRecord(0, 2, 42, 0, 0)]
         chunks = [ChunkRecord(0, 5, 0)] * 42
-        violations = validate_layout(header, records, chunks, image_length=1 << 20)
+        violations = validate_tables(header, records, chunks, image_length=1 << 20)
         assert [v.kind for v in violations].count("chunk-index") == 1
 
     def test_file_span_exceeds_chunk(self):
         header = MiniFsHeader(file_count=1, name_table_size=4)
         records = [FileRecord(0, 2, 0, 395000, 100)]
         chunks = [ChunkRecord(0, 195953, 395008)]
-        violations = validate_layout(header, records, chunks, image_length=1 << 20)
+        violations = validate_tables(header, records, chunks, image_length=1 << 20)
         assert [v.kind for v in violations] == ["file-span"]
 
     def test_name_offset_outside_pool(self):
         header = MiniFsHeader(file_count=1, name_table_size=4)
         records = [FileRecord(4, 0, 0, 0, 0)]
         chunks = [ChunkRecord(0, 5, 0)]
-        violations = validate_layout(header, records, chunks, image_length=1 << 20)
+        violations = validate_tables(header, records, chunks, image_length=1 << 20)
         assert any(v.kind == "name-offset" for v in violations)
 
     def test_chunk_data_beyond_image(self):
         header = MiniFsHeader(file_count=0, name_table_size=0)
         chunks = [ChunkRecord(0, 1000, 100)]
-        violations = validate_layout(header, [], chunks, image_length=50)
+        violations = validate_tables(header, [], chunks, image_length=50)
         assert any(v.kind == "chunk-bounds" for v in violations)
 
     def test_unresolvable_name_with_pool(self):
@@ -348,11 +361,11 @@ class TestValidateLayout:
         records = [FileRecord(0, 0, 0, 0, 0)]
         chunks = [ChunkRecord(0, 5, 0)]
         names = NameTable(b"abcd")  # no terminator anywhere
-        violations = validate_layout(header, records, chunks, 1 << 20, names=names)
+        violations = validate_tables(header, records, chunks, 1 << 20, names=names)
         assert any(v.kind == "bad-name" for v in violations)
 
     def test_decompressed_size_above_decoder_limit(self):
         header = MiniFsHeader(file_count=0, name_table_size=0)
         chunks = [ChunkRecord(0, 100, DEFAULT_OUTPUT_LIMIT + 1)]
-        violations = validate_layout(header, [], chunks, image_length=1 << 20)
+        violations = validate_tables(header, [], chunks, image_length=1 << 20)
         assert [(v.kind, v.index) for v in violations] == [("chunk-size", 0)]
