@@ -31,7 +31,7 @@ from .extractor import (
     read_file,
 )
 from .fixtures import FixtureManifest, FixtureSpec, XorShift64Star, make_fixture
-from .packer import ChunkPlan, PackOptions, build_name_pool, pack, plan_chunks
+from .packer import PackOptions, pack
 from .scanner import (
     DumpReport,
     MagicHit,
@@ -43,22 +43,7 @@ from .scanner import (
     find_magic,
     segment_sections,
 )
-from .structs import (
-    ChunkRecord,
-    FileRecord,
-    FsLayout,
-    MiniFsHeader,
-    NameTable,
-    Violation,
-    compute_layout,
-    full_path,
-    infer_chunk_count,
-    name_at,
-    parse_chunk_table,
-    parse_file_table,
-    parse_header,
-    validate_layout,
-)
+from .structs import MiniFsHeader, Violation
 
 __version__ = "0.1.0"
 
@@ -66,14 +51,12 @@ __all__ = [
     "errors",
     "Version", "V1_CONFIG_WORD", "V2_CONFIG_WORD",
     "check_config_word", "compress_chunk", "decompress_chunk",
-    "MiniFsHeader", "NameTable", "FileRecord", "ChunkRecord", "FsLayout", "Violation",
-    "parse_header", "parse_file_table", "parse_chunk_table",
-    "infer_chunk_count", "compute_layout", "name_at", "full_path", "validate_layout",
+    "MiniFsHeader", "Violation",
     "MagicHit", "MinifsSummary", "Section", "SectionProfile", "DumpReport",
     "find_magic", "entropy_profile", "segment_sections", "dump_report",
     "MiniFsView", "FileEntry", "FileResult", "ExtractReport",
     "open_view", "list_files", "read_file", "extract_all",
-    "PackOptions", "ChunkPlan", "build_name_pool", "plan_chunks", "pack",
+    "PackOptions", "pack",
     "FixtureSpec", "FixtureManifest", "XorShift64Star", "make_fixture",
     "__version__",
 ]

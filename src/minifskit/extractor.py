@@ -61,13 +61,13 @@ class MiniFsView:
         """
         data = self._cache.get(index)
         if data is None:
-            if not 0 <= index < len(self.chunks):
-                raise NotFound(f"no chunk {index} (table holds {len(self.chunks)})")
             data = self._cache[index] = decompress_chunk(*self.compressed_chunk(index))
         return data
 
     def compressed_chunk(self, index: int) -> tuple[bytes, int]:
         """Raw compressed bytes of chunk ``index`` plus its expected size."""
+        if not 0 <= index < len(self.chunks):
+            raise NotFound(f"no chunk {index} (table holds {len(self.chunks)})")
         rec = self.chunks[index]
         start = self.layout.data_start + rec.data_offset
         end = start + rec.compressed_size
@@ -269,7 +269,7 @@ def _classify_one(name: str, content: bytes) -> str:
 
 
 def _safe_destination(out_root: Path, relative: str) -> Path:
-    # check_entry_path() already rejected traversal; this is the belt-and-braces
+    # full_path() already rejected traversal; this is the belt-and-braces
     # check that nothing resolves outside the output root anyway.
     dest = (out_root / relative).resolve()
     if not dest.is_relative_to(out_root):

@@ -18,11 +18,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .codec import compress_chunk
 from .errors import ArithmeticOverflow, FileTooLarge, NamePoolTooLarge, UnsafePath
-from .structs import ChunkRecord, FileRecord, MiniFsHeader, check_entry_path
+from .structs import ChunkRecord, FileRecord, MiniFsHeader, check_directory, check_name
 
 DEFAULT_CHUNK_CAP = 0x60000
 
@@ -47,20 +47,15 @@ class PackOptions:
 
 
 def split_entry_path(path: str) -> tuple[str, str]:
-    """Split a relative POSIX path into (directory, file name).
-
-    The pair must pass :func:`structs.check_entry_path`, the rule
-    extraction enforces, so a packed image can always be extracted.
-    """
+    """Split a relative POSIX path into (directory, file name) for :func:`build_name_pool`."""
     if path.startswith("/"):
         raise UnsafePath(f"absolute path {path!r}")
     directory, _, name = path.rpartition("/")
-    check_entry_path(directory, name)
     return directory, name
 
 
 def build_name_pool(
-    paths: Sequence[tuple[str, str]],
+    paths: Iterable[tuple[str, str]],
     *,
     limit: int = _U32_MAX,
 ) -> tuple[bytes, list[tuple[int, int]]]:
@@ -68,7 +63,9 @@ def build_name_pool(
 
     Each distinct string is stored once: directory strings first in
     first-use order, then file names, matching the layout seen in real
-    images.  Returns the pool plus per-entry (path_offset, name_offset).
+    images.  Each distinct string is checked once against the path rule
+    extraction enforces, so a packed image can always be extracted.
+    Returns the pool plus per-entry (path_offset, name_offset).
     """
     offsets: dict[str, int] = {}
     pieces: list[bytes] = []
@@ -80,22 +77,24 @@ def build_name_pool(
             return offsets[text]
         encoded = text.encode("ascii") + b"\x00"
         if size + len(encoded) > limit:
-            raise NamePoolTooLarge(
-                f"name pool would exceed {limit} bytes at string {text!r}"
-            )
+            raise NamePoolTooLarge(f"name pool would exceed {limit} bytes at string {text!r}")
         offsets[text] = size
         pieces.append(encoded)
         size += len(encoded)
         return offsets[text]
 
+    directories: dict[str, int] = {}
+    names: set[str] = set()
+    pending = []
     for directory, name in paths:
-        check_entry_path(directory, name)
-
-    pairs = []
-    for directory, _ in paths:
-        intern(directory)
-    for directory, name in paths:
-        pairs.append((offsets[directory], intern(name)))
+        if name not in names:
+            check_name(name)
+            names.add(name)
+        if directory not in directories:
+            check_directory(directory)
+            directories[directory] = intern(directory)
+        pending.append((directories[directory], name))
+    pairs = [(path_offset, intern(name)) for path_offset, name in pending]
     return b"".join(pieces), pairs
 
 
@@ -174,8 +173,8 @@ def pack(
     if opts.sort_entries:
         entries.sort(key=lambda e: e[0])
 
-    split = [split_entry_path(path) for path, _ in entries]
-    pool, name_offsets = build_name_pool(split)
+    # Split lazily, so that entries are refused in order, whichever rule they break.
+    pool, name_offsets = build_name_pool(split_entry_path(path) for path, _ in entries)
     plan = plan_chunks([len(content) for _, content in entries], opts.max_chunk_decompressed)
 
     blobs = [
@@ -191,29 +190,16 @@ def pack(
     chunk_records = []
     data_offset = 0
     for blob, decompressed in zip(compressed, plan.chunk_sizes):
-        chunk_records.append(ChunkRecord(
-            data_offset=data_offset,
-            compressed_size=len(blob),
-            decompressed_size=decompressed,
-        ))
+        chunk_records.append(ChunkRecord(data_offset, len(blob), decompressed))
         data_offset += len(blob)
     if data_offset > _U32_MAX:
         raise ArithmeticOverflow(f"chunk data region of {data_offset} bytes exceeds 32-bit offsets")
 
-    chunk_of_entry = [0] * len(entries)
-    for ci, group in enumerate(plan.groups):
-        for i in group:
-            chunk_of_entry[i] = ci
-
+    # Groups hold consecutive entries, so this walks the entries in order.
     file_records = [
-        FileRecord(
-            path_offset=name_offsets[i][0],
-            name_offset=name_offsets[i][1],
-            chunk_index=chunk_of_entry[i],
-            offset_in_chunk=plan.offsets[i],
-            file_size=len(entries[i][1]),
-        )
-        for i in range(len(entries))
+        FileRecord(*name_offsets[i], chunk, plan.offsets[i], len(entries[i][1]))
+        for chunk, group in enumerate(plan.groups)
+        for i in group
     ]
 
     unknown_b = opts.unknown_b

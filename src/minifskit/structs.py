@@ -13,19 +13,21 @@ All multi-byte fields are unsigned 32-bit big-endian.  The header carries
 two words and ten bytes whose meaning is unknown; they are preserved
 verbatim so that decode/encode round-trips are byte-exact.
 
-Everything in this module is a pure function over immutable inputs.
+Everything in this module is a pure function over immutable inputs; a
+:class:`NameTable` only remembers what it has already decoded.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .codec import DEFAULT_OUTPUT_LIMIT
 from .errors import (
     ArithmeticOverflow,
     BadMagic,
     EmptyFileTable,
+    MiniFsError,
     NonAsciiName,
     OffsetOutOfRange,
     TruncatedImage,
@@ -90,9 +92,15 @@ class MiniFsHeader:
 
 @dataclass(frozen=True)
 class NameTable:
-    """NUL-delimited ASCII string pool, addressed by byte offset."""
+    """NUL-delimited ASCII string pool, addressed by byte offset.
+
+    Records share strings, so the table remembers, per offset, the
+    decoded string and the directory check (:func:`full_path`).
+    """
 
     pool: bytes
+    _strings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _directories: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.pool)
@@ -203,13 +211,11 @@ def name_at(table: NameTable, offset: int) -> str:
     return raw.decode("ascii")
 
 
-def check_entry_path(directory: str, name: str) -> None:
-    """The one path rule, shared by reading (:func:`full_path`) and packing.
+def check_name(name: str) -> None:
+    """The file-name half of the one path rule, shared by reading and packing.
 
-    Both strings must be printable ASCII.  The name must be non-empty,
-    hold no separator, and not be ``.`` or ``..``; the directory must not
-    be absolute nor have an empty or ``..`` component.  Raises
-    UnsafePath, or NonAsciiName for a non-printable character.
+    The name must be printable ASCII, non-empty, hold no separator, and
+    not be ``.`` or ``..``.  Raises UnsafePath, or NonAsciiName.
     """
     if not name:
         raise UnsafePath("empty file name")
@@ -217,6 +223,12 @@ def check_entry_path(directory: str, name: str) -> None:
         raise UnsafePath(f"file name {name!r} contains a path separator")
     if name in (".", ".."):
         raise UnsafePath(f"file name is {name!r}")
+    _check_printable("file name", name)
+
+
+def check_directory(directory: str) -> None:
+    """The directory half of the path rule: printable ASCII, not absolute,
+    no empty or ``..`` component; the empty string is the root."""
     if directory.startswith("/"):
         raise UnsafePath(f"absolute directory path {directory!r}")
     if directory:
@@ -225,23 +237,46 @@ def check_entry_path(directory: str, name: str) -> None:
             raise UnsafePath(f"directory path {directory!r} contains a '..' component")
         if "" in parts:
             raise UnsafePath(f"directory path {directory!r} has an empty component")
-    joined = directory + name
-    if not (joined.isascii() and joined.isprintable()):
-        at = next(i for i, ch in enumerate(joined) if not " " <= ch <= "~")
-        what, text = ("directory", directory) if at < len(directory) else ("file name", name)
-        raise NonAsciiName(f"{what} {text!r} contains non-printable byte {ord(joined[at]):#04x}")
+    _check_printable("directory", directory)
+
+
+def _check_printable(what: str, text: str) -> None:
+    if not (text.isascii() and text.isprintable()):
+        ch = next(ch for ch in text if not " " <= ch <= "~")
+        raise NonAsciiName(f"{what} {text!r} contains non-printable byte {ord(ch):#04x}")
+
+
+def _remembered(memo: dict, key: int, compute, *args):
+    """``compute(*args)``, run once per ``key``; a refusal is remembered as
+    its type and message and raised afresh on each lookup, so threads never
+    share one exception.  Threads that miss together store equal results."""
+    if key not in memo:
+        try:
+            memo[key] = compute(*args)
+        except MiniFsError as exc:
+            memo[key] = (type(exc), str(exc))
+    found = memo[key]
+    if type(found) is tuple:
+        raise found[0](found[1])
+    return found
+
+
+def _string_at(table: NameTable, offset: int) -> str:
+    return _remembered(table._strings, offset, name_at, table, offset)
 
 
 def full_path(table: NameTable, record: FileRecord) -> str:
     """Join a record's directory string and file name into one path.
 
     An empty directory string means the file sits in the root and the
-    name is returned alone.  The pair must pass :func:`check_entry_path`,
-    so nothing joined here can climb out of an extraction root.
+    name is returned alone.  The pair must pass the path rule, so nothing
+    joined here can climb out of an extraction root.  Each offset is
+    decoded, and each directory checked, once per table.
     """
-    directory = name_at(table, record.path_offset)
-    name = name_at(table, record.name_offset)
-    check_entry_path(directory, name)
+    directory = _string_at(table, record.path_offset)
+    name = _string_at(table, record.name_offset)
+    check_name(name)
+    _remembered(table._directories, record.path_offset, check_directory, directory)
     return f"{directory}/{name}" if directory else name
 
 
@@ -299,14 +334,7 @@ def compute_layout(header: MiniFsHeader, chunk_count: int, base: int = 0) -> FsL
         raise ArithmeticOverflow(
             f"table regions span {data_start - base} bytes from base, beyond 32-bit addressing"
         )
-    return FsLayout(
-        base=base,
-        names_start=names_start,
-        files_start=files_start,
-        chunk_table_start=chunk_table_start,
-        data_start=data_start,
-        chunk_count=chunk_count,
-    )
+    return FsLayout(base, names_start, files_start, chunk_table_start, data_start, chunk_count)
 
 
 def parse_instance(
@@ -356,14 +384,15 @@ def validate_layout(
     Returns an empty list for a well-formed instance.  Violations are
     data, not failures: callers decide whether to stop (default) or to
     continue best-effort (force mode).  Each record's strings are
-    resolved through the pool; path *safety* is :func:`check_entry_path`'s
-    job when paths are joined.
+    resolved through ``names``, which decodes each distinct offset once
+    and remembers the result, refusals included, for the path joins
+    that follow; path *safety* is checked when paths are joined
+    (:func:`full_path`).
     """
     violations: list[Violation] = []
     add = violations.append
 
     pool_size = len(names)
-    resolved: set[int] = set()  # records share directory strings; check each once
     for i, rec in enumerate(records):
         for what, off in (("path", rec.path_offset), ("name", rec.name_offset)):
             if off >= pool_size:
@@ -372,10 +401,9 @@ def validate_layout(
                     f"{what} offset {off} outside {pool_size}-byte pool",
                     index=i,
                 ))
-            elif off not in resolved:
+            else:
                 try:
-                    name_at(names, off)
-                    resolved.add(off)
+                    _string_at(names, off)
                 except (UnterminatedString, NonAsciiName) as exc:
                     add(Violation("bad-name", f"{what} string: {exc}", index=i))
         if rec.chunk_index >= len(chunks):

@@ -18,33 +18,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minifskit import (
-    ChunkRecord,
-    FileRecord,
     FixtureSpec,
     MiniFsHeader,
-    NameTable,
     PackOptions,
     Version,
     check_config_word,
     compress_chunk,
-    compute_layout,
     decompress_chunk,
     dump_report,
     entropy_profile,
     extract_all,
     find_magic,
-    full_path,
-    infer_chunk_count,
     list_files,
     make_fixture,
-    name_at,
     open_view,
     pack,
+    read_file,
+    segment_sections,
+)
+from minifskit.structs import (
+    ChunkRecord,
+    FileRecord,
+    NameTable,
+    compute_layout,
+    full_path,
+    infer_chunk_count,
+    name_at,
     parse_chunk_table,
     parse_file_table,
     parse_header,
-    read_file,
-    segment_sections,
 )
 from minifskit.cli import EXIT_INVALID, main
 from minifskit.errors import MiniFsError, SizeMismatch, UnknownConfigWord, UnsafePath

@@ -22,9 +22,12 @@ from minifskit import codec, structs
 from minifskit.errors import (
     AmbiguousPath,
     BadMagic,
+    NonAsciiName,
     NotFound,
+    OffsetOutOfRange,
     TruncatedImage,
     UnsafePath,
+    UnterminatedString,
     ValidationFailed,
 )
 from minifskit.structs import ChunkRecord, FileRecord
@@ -138,6 +141,12 @@ class TestReadFile:
             read_file(view, "dup.txt")
         assert read_file(view, 0) == b"one"
         assert read_file(view, 1) == b"two"
+
+    @pytest.mark.parametrize("method", ["chunk_data", "compressed_chunk"])
+    def test_chunk_index_out_of_range(self, three_file_view, method):
+        for index in (-1, len(three_file_view.chunks)):
+            with pytest.raises(NotFound):
+                getattr(three_file_view, method)(index)
 
     def test_slice_matches_reference_decompression(self, three_file_view):
         # Oracle: decode each whole chunk with stock lzma, slice by record.
@@ -270,6 +279,63 @@ class TestOneIndexPerView:
         for path, content in entries[::4]:
             assert read_file(view, path) == content
         assert len(calls) <= 200
+
+    def test_listing_checks_each_directory_once(self, tmp_path, monkeypatch):
+        entries = [(f"dir{i % 10}/file{i}.txt", b"content %d" % i) for i in range(200)]
+        view = open_view(pack(entries))
+        checked = []
+        real = structs.check_directory
+
+        def counting(directory):
+            checked.append(directory)
+            return real(directory)
+
+        monkeypatch.setattr(structs, "check_directory", counting)
+        list_files(view)
+        for path, content in entries[::4]:
+            assert read_file(view, path) == content
+        assert extract_all(view, tmp_path / "out").written == 200
+        assert sorted(checked) == [f"dir{i}" for i in range(10)]
+
+    @pytest.mark.parametrize("damage, error", [
+        ("unterminated", UnterminatedString),
+        ("outside", OffsetOutOfRange),
+        ("non-ascii", NonAsciiName),
+    ])
+    def test_shared_bad_offset_decoded_once(self, tmp_path, monkeypatch, damage, error):
+        image = bytearray(pack([(f"d/f{i}", b"x") for i in range(50)]))
+        layout = open_view(bytes(image)).layout
+        pool = image[layout.names_start:layout.files_start]
+        if damage == "unterminated":
+            bad = pool.rindex(b"\x00", 0, len(pool) - 1) + 1  # the last string
+            image[layout.files_start - 1] = ord("x")
+        elif damage == "outside":
+            bad = len(pool) + 7
+        else:
+            bad = 0
+            image[layout.names_start] = 0x01
+        for i in range(50):  # every record's directory and name point at it
+            at = layout.files_start + 20 * i
+            image[at:at + 8] = bad.to_bytes(4, "big") * 2
+        decoded = []
+        real = structs.name_at
+
+        def counting(table, offset):
+            decoded.append(offset)
+            return real(table, offset)
+
+        monkeypatch.setattr(structs, "name_at", counting)
+        view = open_view(bytes(image), force=True)
+        with pytest.raises(error):
+            list_files(view)
+        with pytest.raises(NotFound):
+            read_file(view, "d/f0")
+        report = extract_all(view, tmp_path / "out", force=True)
+        assert report.failed == 50
+        assert decoded == [bad]
+        # Each record holds its own error, built fresh from the remembered refusal.
+        assert view._paths[0] is not view._paths[1]
+        assert str(view._paths[0]) == str(view._paths[1])
 
     def test_extract_never_reads_files_back(self, tmp_path, monkeypatch):
         reads = []

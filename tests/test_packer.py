@@ -4,20 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minifskit import (
-    FileRecord,
-    NameTable,
     PackOptions,
-    build_name_pool,
-    compute_layout,
     extract_all,
-    full_path,
     list_files,
-    name_at,
     open_view,
     pack,
-    plan_chunks,
     read_file,
 )
+from minifskit import packer
 from minifskit.errors import (
     FileTooLarge,
     MiniFsError,
@@ -25,7 +19,14 @@ from minifskit.errors import (
     NonAsciiName,
     UnsafePath,
 )
-from minifskit.packer import split_entry_path
+from minifskit.packer import build_name_pool, plan_chunks
+from minifskit.structs import (
+    FileRecord,
+    NameTable,
+    compute_layout,
+    full_path,
+    name_at,
+)
 from helpers import THREE_FILE_ENTRIES, read_tree, write_tree
 
 
@@ -105,10 +106,27 @@ class TestOnePathRule:
         assert accepts(build_name_pool, [(directory, name)]) == reader_accepts(directory, name)
 
     @given(path=path_text)
-    def test_split_entry_path_agrees(self, path):
+    def test_pack_agrees(self, path):
         directory, _, name = path.rpartition("/")
         expected = not path.startswith("/") and reader_accepts(directory, name)
-        assert accepts(split_entry_path, path) == expected
+        assert accepts(pack, [(path, b"")]) == expected
+
+
+class TestOneCheckPerString:
+    def test_pack_checks_each_distinct_string_once(self, monkeypatch):
+        checked = {"directory": [], "name": []}
+        for half in ("directory", "name"):
+            real = getattr(packer, f"check_{half}")
+
+            def counting(text, half=half, real=real):
+                checked[half].append(text)
+                return real(text)
+
+            monkeypatch.setattr(packer, f"check_{half}", counting)
+        entries = [(f"www/{d}/file{i}.css", b"x") for d in ("css", "js") for i in range(100)]
+        assert len(open_view(pack(entries)).files) == 200
+        assert checked["directory"] == ["www/css", "www/js"]
+        assert sorted(checked["name"]) == sorted(f"file{i}.css" for i in range(100))
 
 
 class TestPlanChunks:

@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from minifskit import (
+    MiniFsHeader,
+    open_view,
+)
+from minifskit.structs import (
     ChunkRecord,
     FileRecord,
-    MiniFsHeader,
     NameTable,
     compute_layout,
     full_path,
     infer_chunk_count,
     name_at,
-    open_view,
     parse_chunk_table,
     parse_file_table,
     parse_header,
