@@ -152,8 +152,8 @@ def _print_scan_report(report) -> None:
 def _emit_entropy_table(profile) -> None:
     if profile is None:
         return
-    for i, e in enumerate(profile.entropies):
-        _emit(f"{i * profile.block_size}\t{e:.6f}")
+    step = profile.block_size
+    _emit("".join(f"{i * step}\t{e:.6f}\n" for i, e in enumerate(profile.entropies)))
 
 
 def cmd_entropy(args) -> int:

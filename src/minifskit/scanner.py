@@ -18,6 +18,7 @@ the format; everything is tunable.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -134,7 +135,10 @@ def entropy_profile(dump: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> Sectio
     """Per-block Shannon entropy over the whole dump.
 
     The final partial block, if any, is measured over its actual length.
-    ``block_size`` must be a power of two, at least 16.
+    ``block_size`` must be a power of two, at least 16.  Blocks are
+    measured in batches of about 32 KiB, and each entropy is bit-identical
+    to ``-(p * np.log2(p)).sum()`` over that block's nonzero byte
+    frequencies ``p`` in ascending byte order.
     """
     if len(dump) == 0:
         raise EmptyInput("cannot profile an empty dump")
@@ -143,18 +147,85 @@ def entropy_profile(dump: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> Sectio
 
     entropies: list[float] = []
     constants: list[int | None] = []
-    view = memoryview(dump)
-    for start in range(0, len(dump), block_size):
-        block = view[start:start + block_size]
-        counts = np.bincount(np.frombuffer(block, dtype=np.uint8), minlength=256)
-        p = counts[counts > 0] / len(block)
-        entropies.append(min(float(-(p * np.log2(p)).sum()) + 0.0, 8.0))
-        constants.append(block[0] if counts[block[0]] == len(block) else None)
+    data = np.frombuffer(dump, dtype=np.uint8)
+    full = len(dump) // block_size * block_size
+    if full:
+        blocks = data[:full].reshape(-1, block_size)
+        plogp = _plogp_table(block_size)
+        step = max(1, _BATCH_BYTES // block_size)
+        for i in range(0, len(blocks), step):
+            _profile_rows(blocks[i:i + step], plogp, entropies, constants)
+    if full < len(dump):
+        tail = data[full:]
+        _profile_rows(tail.reshape(1, -1), _plogp_table(tail.size), entropies, constants)
     return SectionProfile(
         block_size=block_size,
         length=len(dump),
         entropies=entropies,
         constant_bytes=constants,
+    )
+
+
+# Input bytes per batch.  The intermediates of a batch take up to about
+# 27 bytes per input byte (intp run starts, run lengths and terms when
+# every byte of a block differs), so this keeps them under 1 MiB.  A
+# larger block is a batch of its own at about 3 bytes per byte, since it
+# has at most 256 runs.
+_BATCH_BYTES = 32 * 1024
+
+
+def _plogp_table(n: int) -> np.ndarray:
+    """``p * log2(p)`` for ``p = c / n``, indexed by the count ``c`` (entry 0 is unused)."""
+    p = np.arange(n + 1) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return p * np.log2(p)
+
+
+def _profile_rows(
+    rows: np.ndarray,
+    plogp: np.ndarray,
+    entropies: list[float],
+    constants: list[int | None],
+) -> None:
+    """Append the entropy and constant byte of each row of ``rows``.
+
+    A sorted row's run lengths are its nonzero byte counts in ascending
+    byte order, the order ``counts[counts > 0]`` has.  Rows are summed in
+    groups with equal ``k`` (distinct bytes) as C-contiguous ``(rows, k)``
+    arrays, so numpy adds each row's terms with the same pairwise
+    summation as a 1-D ``sum`` of those ``k`` terms.
+    """
+    ordered = np.sort(rows, axis=1, kind="stable")
+    flat = ordered.ravel()
+    new_run = np.empty(flat.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
+    new_run[::rows.shape[1]] = True
+    new_run = new_run.reshape(rows.shape)
+    distinct = new_run.sum(axis=1, dtype=np.uint16)  # k <= 256
+    # Take the rows' runs in ascending k order, so each group is one slice.
+    order = np.argsort(distinct, kind="stable")
+    run_starts = np.flatnonzero(new_run[order])
+    run_lengths = np.empty_like(run_starts)
+    np.subtract(run_starts[1:], run_starts[:-1], out=run_lengths[:-1])
+    run_lengths[-1] = flat.size - run_starts[-1]
+    terms = plogp[run_lengths]
+
+    widths = distinct[order]
+    edges = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(rows)]
+    sums = np.empty(len(rows))
+    at = 0
+    for a, b in zip(edges, edges[1:]):
+        width = int(widths[a])
+        group = terms[at:at + (b - a) * width].reshape(b - a, width)
+        group.sum(axis=1, out=sums[a:b])
+        at += group.size
+    unsorted = np.empty_like(sums)
+    unsorted[order] = sums
+    entropies.extend(np.minimum(-unsorted + 0.0, 8.0).tolist())
+    constants.extend(
+        byte if k == 1 else None
+        for k, byte in zip(distinct.tolist(), ordered[:, 0].tolist())
     )
 
 
@@ -265,13 +336,15 @@ def dump_report(
     )
     hits = find_magic(dump)
     sections = profile.sections
+    starts = [section.start for section in sections]
     for hit in hits:
         if hit.summary is None or hit.summary.violations:
             continue
-        for section in sections:
-            if section.start <= hit.offset < section.end and section.minifs is None:
-                section.minifs = hit.summary
-                break
+        # Sections tile [0, length), so the last one starting at or before
+        # the hit holds it.
+        section = sections[bisect.bisect_right(starts, hit.offset) - 1]
+        if section.minifs is None:
+            section.minifs = hit.summary
     return DumpReport(
         length=len(dump),
         block_size=block_size,

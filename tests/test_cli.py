@@ -12,7 +12,9 @@ from minifskit.cli import (
     EXIT_OK,
     main,
 )
+from minifskit.fixtures import FixtureSpec, make_fixture
 from helpers import THREE_FILE_ENTRIES, build_three_file_image, read_tree, write_tree
+from test_scanner import entropy_reference
 
 
 @pytest.fixture
@@ -104,6 +106,23 @@ class TestEntropy:
         assert len(lines) == 3  # 4096 + ~700 + 4096 bytes -> 3 blocks
         offsets = [int(line.split("\t")[0]) for line in lines]
         assert offsets == [0, 4096, 8192]
+
+    def test_table_text_matches_per_block_reference(self, tmp_path, capsys):
+        dump, _ = make_fixture(FixtureSpec(seed=1, shape="five-region"))
+        path = tmp_path / "fixture.bin"
+        path.write_bytes(dump)
+        entropies, _ = entropy_reference(dump, 1024)
+        expected = "".join(f"{i * 1024}\t{e:.6f}\n" for i, e in enumerate(entropies))
+        assert main(["entropy", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        assert main(["scan", str(path), "--entropy-csv"]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    def test_block_size_beyond_the_file(self, tmp_path, capsys):
+        path = tmp_path / "small.bin"
+        path.write_bytes(b"ab" * 8)
+        assert main(["entropy", str(path), "--block-size", "0x10000000000"]) == EXIT_OK
+        assert capsys.readouterr().out == "0\t1.000000\n"
 
 
 class TestInfo:

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +26,46 @@ def entropy_oracle(block: bytes) -> float:
     return -sum(
         (n / len(block)) * math.log2(n / len(block)) for n in counts.values()
     )
+
+
+def entropy_reference(dump: bytes, block_size: int) -> tuple[list[float], list[int | None]]:
+    """One block at a time: the floats ``entropy_profile`` must reproduce exactly.
+
+    Returns the entropies and the constant bytes.  Each block's nonzero
+    byte frequencies, in ascending byte order, go through ``p * log2(p)``
+    and one 1-D ``sum``.
+    """
+    entropies: list[float] = []
+    constants: list[int | None] = []
+    view = memoryview(dump)
+    for start in range(0, len(dump), block_size):
+        block = view[start:start + block_size]
+        counts = np.bincount(np.frombuffer(block, dtype=np.uint8), minlength=256)
+        p = counts[counts > 0] / len(block)
+        entropies.append(min(float(-(p * np.log2(p)).sum()) + 0.0, 8.0))
+        constants.append(block[0] if counts[block[0]] == len(block) else None)
+    return entropies, constants
+
+
+@st.composite
+def profiled_dumps(draw) -> tuple[bytes, int]:
+    """Whole blocks plus an optional partial tail, each over its own alphabet.
+
+    Alphabets of 1 to 256 byte values put the distinct-byte count of a
+    block on both sides of numpy's 128-element pairwise-summation block,
+    and a few alphabet sizes shared by many blocks make equal counts.
+    """
+    block_size = draw(st.sampled_from([16, 64, 256, 1024]))
+    sizes = draw(st.lists(st.integers(1, 256), min_size=1, max_size=4))
+    blocks = draw(st.integers(0, 12))
+    tail = draw(st.integers(0 if blocks else 1, block_size - 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dump = bytearray()
+    for length in [block_size] * blocks + [tail]:
+        alphabet = rng.sample(range(256), rng.choice(sizes))
+        weights = [rng.expovariate(1.0) for _ in alphabet]
+        dump += bytes(rng.choices(alphabet, weights, k=length))
+    return bytes(dump), block_size
 
 
 def naive_find(dump: bytes, needle: bytes = b"MINIFS") -> list[int]:
@@ -64,6 +105,36 @@ class TestEntropyProfile:
         for bad in (0, 8, 100, 1000):
             with pytest.raises(ValueError):
                 entropy_profile(b"x" * 64, bad)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(profiled_dumps())
+    def test_bit_identical_to_per_block_reference(self, case):
+        dump, block_size = case
+        entropies, constants = entropy_reference(dump, block_size)
+        profile = entropy_profile(dump, block_size)
+        # float.hex also tells -0.0 from 0.0, which print differently.
+        assert list(map(float.hex, profile.entropies)) == list(map(float.hex, entropies))
+        assert profile.constant_bytes == constants
+
+    def test_exact_threshold_block_is_high(self):
+        # 128 values x4 and 64 values x8: exactly 4 + 3.5 bits per byte.
+        block = bytes(range(128)) * 4 + bytes(range(128, 192)) * 8
+        dump = block + block[:100]
+        profile = entropy_profile(dump, 1024)
+        assert (profile.entropies, profile.constant_bytes) == entropy_reference(dump, 1024)
+        assert profile.entropies[0] == 7.5
+        assert segment_sections(profile).sections[0].label == "high"
+
+    def test_block_size_beyond_the_dump(self):
+        profile = entropy_profile(b"ab" * 8, 1 << 40)
+        assert (profile.entropies, profile.constant_bytes) == ([1.0], [None])
+        assert entropy_reference(b"ab" * 8, 1 << 40) == ([1.0], [None])
+
+    def test_result_holds_python_scalars(self):
+        profile = entropy_profile(b"\xff" * 32 + bytes(range(32)), 16)
+        assert [type(e) for e in profile.entropies] == [float] * 4
+        assert profile.constant_bytes == [0xFF, 0xFF, None, None]
+        assert type(profile.constant_bytes[0]) is int
 
     @given(st.binary(min_size=1, max_size=2048))
     def test_bounds(self, data):
@@ -212,6 +283,24 @@ class TestDumpReport:
     def test_machine_rendering_is_stable(self):
         dump = b"\xff" * 2048 + build_three_file_image()
         assert dump_report(dump).to_machine() == dump_report(dump).to_machine()
+
+    def test_hits_attach_like_a_linear_search(self):
+        # Image, random bytes, erased flash, repeated: some sections hold
+        # several clean hits, and only the first of them is attached.
+        rng = random.Random(5)
+        image = build_three_file_image()
+        dump = b"".join(image + rng.randbytes(1024) + b"\xff" * 1024 for _ in range(40))
+        report = dump_report(dump)
+        expected = [None] * len(report.sections)
+        for hit in report.hits:
+            if hit.summary is None or hit.summary.violations:
+                continue
+            for i, section in enumerate(report.sections):
+                if section.start <= hit.offset < section.end and expected[i] is None:
+                    expected[i] = hit.summary
+                    break
+        assert [s.minifs for s in report.sections] == expected
+        assert 0 < len(report.instances) < len(report.hits) == 40
 
     def test_unparseable_hit_reported_but_not_annotated(self):
         dump = b"\x00" * 512 + b"MINIFS then nothing sensible" + b"\x00" * 512
