@@ -385,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="materialize the whole tree on disk")
     p.add_argument("image")
     p.add_argument("out_dir")
-    p.add_argument("--jobs", type=_positive_arg, default=1, help="parallel chunk decompression")
+    p.add_argument("--jobs", type=_positive_arg, default=1,
+                   help="threads decoding chunks ahead of the writes; about JOBS + 1 chunks are held")
     _add_base(p)
     _add_format(p)
     p.set_defaults(func=cmd_extract)

@@ -1,4 +1,4 @@
-"""LZMA chunk compression and decompression.
+"""LZMA chunk compression and decompression, and the ordered thread map that runs them.
 
 Chunks are legacy-LZMA ("alone") streams: a 13-byte header (1 properties
 byte, 4-byte little-endian dictionary size, 8-byte little-endian
@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import enum
 import lzma
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, Iterator
 
 from .errors import ChunkTooLarge, CorruptStream, EncodeError, SizeMismatch, UnknownConfigWord
 
@@ -153,3 +156,18 @@ def compress_chunk(data: bytes) -> bytes:
     if out[:4] != V2_CONFIG_WORD:
         raise EncodeError(f"encoder produced unexpected leading word {out[:4].hex()}")
     return out
+
+
+def _map_in_order(fn: Callable, items: Iterable, jobs: int) -> Iterator:
+    """Yield ``fn(item)`` per item, in order; ``jobs`` > 1 threads keep at most ``jobs`` waiting."""
+    if jobs <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        window: deque = deque()
+        for item in items:
+            if len(window) == jobs:
+                yield window.popleft().result()
+            window.append(pool.submit(fn, item))
+        while window:
+            yield window.popleft().result()

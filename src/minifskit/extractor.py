@@ -2,24 +2,23 @@
 
 The flow mirrors how the format is meant to be consumed: parse the
 header, the name pool and both tables, then pull individual files out of
-their decompressed chunks.  A chunk holds several files, so decompressed
-chunks are cached on the view, without a size bound; a full extraction
-touches each chunk exactly once.  Paths are joined once per view, on the
-first listing, lookup or extraction, and that one index serves all of
-them.
+their decompressed chunks.  A chunk holds several files, so reads keep
+each decompressed chunk on the view; extraction instead decodes each
+chunk once, writes its files and drops it, outside that cache.  Paths
+are joined once per view, on the first listing, lookup or extraction,
+and that one index serves all of them.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 from . import structs
-from .codec import Version, check_config_word, decompress_chunk
+from .codec import Version, _map_in_order, check_config_word, decompress_chunk
 from .errors import (
     MiniFsError,
     NotFound,
@@ -54,7 +53,7 @@ class MiniFsView:
         return self.layout.base
 
     def chunk_data(self, index: int) -> bytes:
-        """Decompressed content of chunk ``index``, cached for the view's lifetime.
+        """Decompressed content of chunk ``index``, cached for the view's reads.
 
         Threads that miss the cache together each decompress the chunk
         and store equal bytes, so no lock is needed.
@@ -160,8 +159,7 @@ def list_files(view: MiniFsView) -> list[FileEntry]:
     return [_entry(view, i) for i in range(len(view.files))]
 
 
-def _slice_entry(view: MiniFsView, entry: FileEntry) -> bytes:
-    data = view.chunk_data(entry.chunk_index)
+def _slice_entry(data: bytes | memoryview, entry: FileEntry) -> bytes | memoryview:
     end = entry.offset_in_chunk + entry.file_size
     if end > len(data):
         raise OffsetOutOfRange(
@@ -190,7 +188,8 @@ def read_file(view: MiniFsView, selector: int | str) -> bytes:
                 f"{len(matches)} entries share the path {selector!r}; select by index"
             )
         index = matches[0]
-    return _slice_entry(view, _entry(view, index))
+    entry = _entry(view, index)
+    return _slice_entry(view.chunk_data(entry.chunk_index), entry)
 
 
 @dataclass
@@ -260,9 +259,9 @@ _EXTENSION_CATEGORIES = {
 }
 
 
-def _classify_one(name: str, content: bytes) -> str:
+def _classify_one(name: str, content: bytes | memoryview) -> str:
     """Coarse content category: a PEM sniff, else the file extension."""
-    if content.startswith(b"-----BEGIN"):
+    if bytes(content[:10]) == b"-----BEGIN":
         return "keys"
     ext = name.rsplit(".", 1)[-1].lower() if "." in name.rsplit("/", 1)[-1] else ""
     return _EXTENSION_CATEGORIES.get(ext, "binary")
@@ -286,14 +285,16 @@ def extract_all(
 ) -> ExtractReport:
     """Write every file of the instance under ``out_dir``.
 
-    Each referenced chunk is decompressed exactly once; with ``jobs`` > 1
-    chunks are decompressed in parallel (writes stay ordered).  Per-file
-    problems are recorded in the report instead of aborting the run; only
-    an unusable output directory is fatal.  In force mode records with
-    broken names are reported as failed and skipped instead of raising.
+    One in-order pass, outside the view's cache, decompresses each chunk
+    once, writes its files and drops it once the next is decoded, so
+    about ``jobs + 1`` chunks are held; ``jobs`` > 1 decodes ahead on
+    threads while writes stay ordered.  Per-file problems are recorded
+    in the report instead of aborting the run; only an unusable output
+    directory is fatal.  In force mode records with broken names are
+    reported as failed and skipped instead of raising.
 
-    Duplicate joined paths never overwrite each other: later copies get a
-    ``.dupN`` suffix and a warning.
+    Duplicate joined paths never overwrite each other: later copies get
+    the lowest ``.dupN`` suffix that no record's path or earlier copy uses.
     """
     out_root = Path(out_dir).resolve()
     out_root.mkdir(parents=True, exist_ok=True)
@@ -311,50 +312,45 @@ def extract_all(
             )
         else:
             entries.append(_entry(view, i))  # a naming error aborts before any write
-
-    # Decompress each referenced chunk once, keeping failures per chunk.
-    needed = sorted({e.chunk_index for e in entries})
-    chunk_errors: dict[int, str] = {}
-
-    def fetch(index: int) -> None:
-        try:
-            view.chunk_data(index)
-        except MiniFsError as exc:
-            chunk_errors[index] = f"{type(exc).__name__}: {exc}"
-
-    if jobs > 1 and len(needed) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fetch, needed))
-    else:
-        for index in needed:
-            fetch(index)
-
-    seen_paths: dict[str, int] = {}
-    categories: Counter = Counter()
+    groups: dict[int, list[FileEntry]] = {}  # chunk index -> its entries, in write order
     for entry in sorted(entries, key=lambda e: (e.chunk_index, e.offset_in_chunk, e.index)):
-        target = entry.path
-        bump = seen_paths.get(target, 0)
-        seen_paths[target] = bump + 1
-        if bump:
-            target = f"{target}.dup{bump}"
-            warnings.append(f"duplicate path {entry.path!r}; record {entry.index} written as {target!r}")
+        groups.setdefault(entry.chunk_index, []).append(entry)
 
-        error = chunk_errors.get(entry.chunk_index)
-        if error is None:
-            try:
-                content = _slice_entry(view, entry)
-                dest = _safe_destination(out_root, target)
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                dest.write_bytes(content)
-            except (MiniFsError, OSError) as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            else:
-                categories[_classify_one(entry.path, content)] += 1
-        results[entry.index] = FileResult(
-            index=entry.index, path=entry.path, size=entry.file_size,
-            chunk_index=entry.chunk_index, status="failed" if error else "ok",
-            error=error, written_to=None if error else str(dest),
-        )
+    def decode(index: int) -> memoryview | str:
+        try:
+            return memoryview(decompress_chunk(*view.compressed_chunk(index)))
+        except MiniFsError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    last_dup = {e.path: -1 for e in entries}  # path -> last .dupN given; 0: the path itself
+    categories: Counter = Counter()
+    for data, group in zip(_map_in_order(decode, groups, jobs), groups.values()):
+        for entry in group:
+            target = entry.path
+            bump = last_dup[target] + 1
+            while bump and f"{target}.dup{bump}" in last_dup:
+                bump += 1
+            last_dup[target] = bump
+            if bump:
+                target = f"{target}.dup{bump}"
+                warnings.append(f"duplicate path {entry.path!r}; record {entry.index} written as {target!r}")
+
+            error = data if isinstance(data, str) else None
+            if error is None:
+                try:
+                    content = _slice_entry(data, entry)
+                    dest = _safe_destination(out_root, target)
+                    dest.parent.mkdir(parents=True, exist_ok=True)
+                    dest.write_bytes(content)
+                except (MiniFsError, OSError) as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                else:
+                    categories[_classify_one(entry.path, content)] += 1
+            results[entry.index] = FileResult(
+                index=entry.index, path=entry.path, size=entry.file_size,
+                chunk_index=entry.chunk_index, status="failed" if error else "ok",
+                error=error, written_to=None if error else str(dest),
+            )
 
     return ExtractReport(
         results=[results[i] for i in sorted(results)],

@@ -15,12 +15,11 @@ near the chunk sizes observed in real images.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .codec import compress_chunk
+from .codec import _map_in_order, compress_chunk
 from .errors import ArithmeticOverflow, FileTooLarge, NamePoolTooLarge, UnsafePath
 from .structs import ChunkRecord, FileRecord, MiniFsHeader, check_directory, check_name
 
@@ -181,11 +180,7 @@ def pack(
         b"".join(entries[i][1] for i in group)
         for group in plan.groups
     ]
-    if opts.jobs > 1 and len(blobs) > 1:
-        with ThreadPoolExecutor(max_workers=opts.jobs) as pool_exec:
-            compressed = list(pool_exec.map(compress_chunk, blobs))
-    else:
-        compressed = [compress_chunk(blob) for blob in blobs]
+    compressed = list(_map_in_order(compress_chunk, blobs, opts.jobs))
 
     chunk_records = []
     data_offset = 0

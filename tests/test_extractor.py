@@ -3,6 +3,7 @@
 import lzma
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -213,6 +214,14 @@ class TestExtractAll:
         assert len(report.warnings) == 1
         tree = read_tree(tmp_path / "out")
         assert sorted(tree) == ["dup.txt", "dup.txt.dup1"]
+        # A record named like a suffixed copy keeps its own path; the copy
+        # takes the next free suffix instead of being overwritten.
+        image = pack([("a", b"first"), ("a", b"second"), ("a.dup1", b"real")],
+                     PackOptions(sort_entries=False))
+        report = extract_all(open_view(image), tmp_path / "clash")
+        assert report.written == 3
+        assert read_tree(tmp_path / "clash") == {"a": b"first", "a.dup2": b"second", "a.dup1": b"real"}
+        assert report.warnings == ["duplicate path 'a'; record 1 written as 'a.dup2'"]
 
     def test_unsafe_name_aborts_before_writing(self, tmp_path):
         image = build_image_with_names(b"..", b"evil")
@@ -231,12 +240,51 @@ class TestExtractAll:
         assert report.failed == 1 and report.written == 0
 
     def test_parallel_jobs_equal_serial(self, tmp_path):
-        view_a = open_view(build_three_file_image())
-        view_b = open_view(build_three_file_image())
-        ra = extract_all(view_a, tmp_path / "a", jobs=1)
-        rb = extract_all(view_b, tmp_path / "b", jobs=4)
-        assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
-        assert [r.status for r in ra.results] == [r.status for r in rb.results]
+        # Duplicates, a file that is also a directory ("a" vs "a/b") in
+        # another chunk, and one corrupt chunk: the report and the tree
+        # must not depend on thread timing.
+        entries = [(f"d{i % 3}/f{i % 7}.txt", b"%d " % i * (30 + i)) for i in range(40)]
+        entries[5:5] = [("a", b"file")]
+        entries.append(("a/b", b"under a"))
+        damaged = bytearray(pack(entries, PackOptions(max_chunk_decompressed=400, sort_entries=False)))
+        view = open_view(bytes(damaged))
+        damaged[view.layout.data_start + view.chunks[2].data_offset + 20] ^= 0xFF
+        for name, image in [("three", build_three_file_image()), ("damaged", bytes(damaged))]:
+            outcomes = []
+            for jobs in (1, 2, 4):
+                out = tmp_path / f"{name}-{jobs}"
+                report = extract_all(open_view(image), out, jobs=jobs)
+                # Errors may name the output directory, which differs per run.
+                outcomes.append((report.to_machine().replace(report.out_dir, "<out>"), read_tree(out)))
+            assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        assert report.warnings and report.failed > 1
+        assert report.results[-1].status == "failed"  # "a/b" under the file "a"
+
+
+class TestBoundedExtraction:
+    CHUNK = 4 << 20
+
+    def image(self, chunks: int) -> bytes:
+        entries = [(f"zero{i}", bytes(self.CHUNK)) for i in range(chunks)]
+        return pack(entries, PackOptions(max_chunk_decompressed=self.CHUNK))
+
+    @staticmethod
+    def traced_peak(view, out, jobs: int) -> int:
+        tracemalloc.start()
+        try:
+            extract_all(view, out, jobs=jobs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_extraction_holds_about_jobs_plus_one_chunks(self, tmp_path):
+        one = self.traced_peak(open_view(self.image(1)), tmp_path / "one", 1)
+        view = open_view(self.image(8))
+        assert len(view.chunks) == 8
+        assert self.traced_peak(view, tmp_path / "serial", 1) <= one + 1.5 * self.CHUNK
+        assert self.traced_peak(view, tmp_path / "jobs2", 2) <= one + (2 + 1.5) * self.CHUNK
+        assert view._cache == {}  # extraction leaves the read cache alone
+        assert read_file(view, "zero3") == bytes(self.CHUNK)
 
 
 class TestConcurrentReads:
