@@ -70,6 +70,7 @@ _int_arg = _int_type("an integer")
 _block_size_arg = _int_type("a power of two >= 16", lambda v: v >= 16 and not v & (v - 1))
 _positive_arg = _int_type("a positive integer", lambda v: v > 0)
 _u32_arg = _int_type("an unsigned 32-bit value", lambda v: 0 <= v <= 0xFFFF_FFFF)
+_byte_arg = _int_type("a byte value 0..255", lambda v: 0 <= v <= 0xFF)
 
 
 def _read_input(path: str) -> bytes:
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"entropy block size, a power of two >= 16 (default {DEFAULT_BLOCK_SIZE})")
     p.add_argument("--threshold", type=float, default=DEFAULT_HIGH_THRESHOLD,
                    help="bits/byte above which a block counts as high entropy")
-    p.add_argument("--empty-byte", type=_int_arg, default=DEFAULT_EMPTY_BYTE,
+    p.add_argument("--empty-byte", type=_byte_arg, default=DEFAULT_EMPTY_BYTE,
                    help="byte value of erased flash (default 0xFF)")
     p.add_argument("--entropy-csv", action="store_true",
                    help="emit an offset/entropy table instead of the report")

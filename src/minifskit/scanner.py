@@ -3,9 +3,11 @@
 Two complementary techniques:
 
 * magic search — every occurrence of the ASCII string ``MINIFS`` is a
-  candidate instance, opened once (:func:`iter_views`); the view gives
-  the hit a version hint and a summary, so false positives (the string
-  inside some HTML file) are kept apart from real file systems.
+  candidate instance, opened at most once (:func:`iter_views`); hits
+  whose declared tables cannot fit are refused from their header words.
+  The view gives the hit a version hint and a summary, so false
+  positives (the string inside some HTML file) are kept apart from real
+  file systems.
 
 * block entropy — Shannon entropy per fixed-size block segments a dump
   into high-entropy regions (compressed or encrypted data), low-entropy
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import logging
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Iterator
 
 import numpy as np
@@ -37,6 +41,8 @@ DEFAULT_EMPTY_BYTE = 0xFF
 LABEL_LOW = "low"
 LABEL_HIGH = "high"
 LABEL_EMPTY = "empty"
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -98,25 +104,68 @@ class SectionProfile:
 def iter_views(dump: bytes) -> Iterator[tuple[int, MiniFsView | None]]:
     """Each ``MINIFS`` offset, ascending, with its view opened in force mode.
 
-    The view is None when the tables at the offset do not parse.  Views
-    are made one at a time, so memory holds one hit's tables unless the
-    caller keeps them.
+    Each hit is opened at most once; hits whose declared tables cannot
+    fit are refused from their header words.  The view is None when the
+    hit is refused or its tables do not parse, and each such hit logs one
+    debug record with the reason.  The dump is searched in windows of
+    256 KiB, so memory holds one window's offsets and one hit's tables
+    unless the caller keeps them.
     """
-    at = dump.find(structs.MAGIC)
-    while at >= 0:
-        try:
-            view = open_view(dump, at, force=True)
-        except MiniFsError:
+    data = np.frombuffer(dump, dtype=np.uint8)
+    size = len(data)
+    first_bytes = np.empty(min(size, _WINDOW), dtype=bool)
+    for start in range(0, size, _WINDOW):
+        window = data[start:start + _WINDOW + len(structs.MAGIC) - 1]
+        offsets = start + _magic_offsets(window, first_bytes)
+        whole = offsets[offsets + structs.HEADER_SIZE <= size]
+        ends = structs.tables_end(data, whole).tolist()
+        for at, end in zip_longest(offsets.tolist(), ends):
             view = None
-        yield at, view
-        at = dump.find(structs.MAGIC, at + 1)
+            if end is None:
+                _log.debug("MINIFS hit at %d refused: the %d-byte dump ends inside its header",
+                           at, size)
+            elif end > size:
+                _log.debug("MINIFS hit at %d refused: declared tables end at %d, "
+                           "past the %d-byte dump", at, end, size)
+            else:
+                try:
+                    view = open_view(dump, at, force=True)
+                except MiniFsError as exc:
+                    _log.debug("MINIFS hit at %d refused: %s", at, exc)
+            yield at, view
+
+
+# Bytes searched per window of :func:`iter_views`; a window also reads the
+# five bytes after it, so a magic across its edge is found in it.  At
+# 256 KiB the window's bool buffer comes from the heap even where the
+# allocator maps every block of 1 MiB or more afresh (glibc with
+# MALLOC_MMAP_THRESHOLD_=1048576), where the page faults of a fresh
+# 1 MiB buffer cost about as much as searching 1 MiB.  Smaller windows
+# add per-window overhead on large dumps.
+_WINDOW = 1 << 18
+
+
+def _magic_offsets(window: np.ndarray, first_bytes: np.ndarray) -> np.ndarray:
+    """Ascending offsets where ``MINIFS`` starts in ``window``'s first ``len(first_bytes)`` bytes.
+
+    ``first_bytes`` is a bool buffer that every window of one search
+    reuses, so that no window allocates its own.
+    """
+    magic = structs.MAGIC
+    starts = max(0, min(len(first_bytes), len(window) - len(magic) + 1))
+    found = np.flatnonzero(np.equal(window[:starts], magic[0], out=first_bytes[:starts]))
+    for k in range(1, len(magic)):
+        found = found[window[found + k] == magic[k]]
+    return found
 
 
 def find_magic(dump: bytes) -> list[MagicHit]:
     """Find every ``MINIFS`` occurrence, in ascending offset order.
 
-    Each hit is opened once.  Its version hint is the view's version;
-    hits where nothing parses are UNKNOWN.
+    Each hit is opened at most once; hits whose declared tables cannot
+    fit are refused from their header words.  Its version hint is the
+    view's version; refused hits and hits where nothing parses are
+    UNKNOWN.
     """
     hits = []
     for offset, view in iter_views(dump):

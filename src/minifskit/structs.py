@@ -22,6 +22,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .codec import DEFAULT_OUTPUT_LIMIT
 from .errors import (
     ArithmeticOverflow,
@@ -52,6 +54,9 @@ _U32_MAX = 0xFFFF_FFFF
 
 # Deleting these from a name leaves only the bytes it may not contain.
 _PRINTABLE = bytes(range(0x20, 0x7F))
+
+# Byte positions of one header word, for gathering it at many bases.
+_WORD_BYTES = np.arange(4)
 
 _FILE_RECORD = struct.Struct(">IIIII")
 _CHUNK_RECORD = struct.Struct(">III")
@@ -335,6 +340,23 @@ def compute_layout(header: MiniFsHeader, chunk_count: int, base: int = 0) -> FsL
             f"table regions span {data_start - base} bytes from base, beyond 32-bit addressing"
         )
     return FsLayout(base, names_start, files_start, chunk_table_start, data_start, chunk_count)
+
+
+def tables_end(data: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Where the name pool and file table of the header at each base end.
+
+    The vector form of ``compute_layout(header, 0, base).chunk_table_start``,
+    read straight from the ``file_count`` and ``name_table_size`` words of
+    the headers at ``bases`` (int64) in the uint8 array ``data``.  Every
+    header must lie inside ``data``.  An end past the dump is the
+    TruncatedImage (or ArithmeticOverflow) :func:`parse_instance` raises
+    before it reads a table.
+    """
+    def word(at: int) -> np.ndarray:
+        return data[(bases + at)[:, None] + _WORD_BYTES].view(">u4")[:, 0].astype(np.int64)
+
+    return (bases + HEADER_SIZE + word(_NAME_TABLE_SIZE_OFFSET)
+            + FILE_RECORD_SIZE * word(_FILE_COUNT_OFFSET))
 
 
 def parse_instance(

@@ -83,6 +83,8 @@ class TestScan:
     (["pack", "{tree}", "{out}", "--jobs", "-1"], "a positive integer"),
     (["extract", "{dump}", "{out}", "--jobs", "0"], "a positive integer"),
     (["extract", "{dump}", "{out}", "--jobs", "-1"], "a positive integer"),
+    (["scan", "{dump}", "--empty-byte", "300"], "a byte value 0..255"),
+    (["scan", "{dump}", "--empty-byte", "-1"], "a byte value 0..255"),
 ])
 def test_bad_numeric_flag_is_a_usage_error(argv, rule, dump_path, tmp_path, capsys):
     write_tree(tmp_path / "tree", THREE_FILE_ENTRIES)
@@ -91,7 +93,8 @@ def test_bad_numeric_flag_is_a_usage_error(argv, rule, dump_path, tmp_path, caps
     with pytest.raises(SystemExit) as exited:
         main([arg.format(**names) for arg in argv])
     assert exited.value.code == EXIT_IO
-    err = capsys.readouterr().err
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [
         f"minifs {argv[0]}: error: argument {argv[-2]}: {argv[-1]!r} is not {rule}"

@@ -1,12 +1,13 @@
 """Entropy profiling, section segmentation and magic search."""
 
+import logging
 import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minifskit import (
     Version,
@@ -15,8 +16,11 @@ from minifskit import (
     find_magic,
     segment_sections,
 )
-from minifskit import structs
-from minifskit.errors import EmptyInput
+from minifskit import scanner, structs
+from minifskit.cli import main
+from minifskit.errors import EmptyInput, MiniFsError
+from minifskit.extractor import open_view
+from minifskit.scanner import iter_views
 from helpers import build_three_file_image
 
 
@@ -225,6 +229,136 @@ class TestFindMagic:
         assert [h.offset for h in find_magic(dump)] == naive_find(dump)
 
 
+def views_by_find_loop(dump: bytes) -> list:
+    """The reference search: a ``bytes.find`` loop that opens every hit in force mode."""
+    views = []
+    at = dump.find(structs.MAGIC)
+    while at >= 0:
+        try:
+            view = open_view(dump, at, force=True)
+        except MiniFsError:
+            view = None
+        views.append((at, view))
+        at = dump.find(structs.MAGIC, at + 1)
+    return views
+
+
+def view_keys(views) -> list:
+    return [
+        (at, view is None, None if view is None else (view.header, view.violations))
+        for at, view in views
+    ]
+
+
+_WORDS = st.one_of(
+    st.integers(0, 8),
+    st.integers(0xFFFF_FFF0, 0xFFFF_FFFF),
+    st.integers(0, 0xFFFF_FFFF),
+)
+
+
+@st.composite
+def hit_dumps(draw) -> bytes:
+    """Filler with headers planted anywhere, back to back, or cut off at the end.
+
+    Some headers' tables are sized to end exactly at the dump's end, or
+    one byte past it; one may be a real image.
+    """
+    dump = bytearray(draw(st.binary(max_size=400)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(dump)))
+        dump[at:at] = build_three_file_image()
+    previous = None
+    for _ in range(draw(st.integers(0, 5))):
+        if len(dump) < len(structs.MAGIC):
+            break
+        last = len(dump) - len(structs.MAGIC)
+        at = draw(st.one_of(
+            st.integers(0, last),
+            st.integers(max(0, len(dump) - 31), last),
+            st.just(min(last, previous + len(structs.MAGIC)) if previous is not None else 0),
+        ))
+        file_count = draw(_WORDS)
+        end = draw(st.sampled_from(["any", "exact", "one-past"]))
+        tables = at + structs.HEADER_SIZE + structs.FILE_RECORD_SIZE * file_count
+        name_table_size = {"exact": len(dump), "one-past": len(dump) + 1}.get(end, 0) - tables
+        if not 0 <= name_table_size <= 0xFFFF_FFFF:
+            name_table_size = draw(_WORDS)
+        header = (structs.MAGIC + draw(st.binary(min_size=14, max_size=14))
+                  + file_count.to_bytes(4, "big") + bytes(4)
+                  + name_table_size.to_bytes(4, "big"))[:len(dump) - at]
+        dump[at:at + len(header)] = header
+        previous = at
+    return bytes(dump)
+
+
+class TestIterViews:
+    @settings(max_examples=300, deadline=None)
+    @given(hit_dumps())
+    @example(bytes(64) + structs.MAGIC + bytes(26))  # a whole header that ends the dump
+    @example(bytes(64) + structs.MAGIC + bytes(25))
+    @example(bytes(64) + structs.MAGIC[:5])
+    def test_same_views_as_a_find_loop(self, dump):
+        assert view_keys(iter_views(dump)) == view_keys(views_by_find_loop(dump))
+
+    @pytest.mark.parametrize("planted", [(-6, 0), (-5,), (-3, 3), (-1,)])
+    def test_magic_across_the_window_edge(self, planted):
+        # Hits that end at, straddle or start at a window edge 1 MiB or
+        # more into the dump, with tables that fit, and a clean image after
+        # them.
+        edge = -(-(1 << 20) // scanner._WINDOW) * scanner._WINDOW
+        dump = bytearray(edge + 4096)
+        for at in planted:
+            dump[edge + at:edge + at + 6] = structs.MAGIC
+        image = build_three_file_image()
+        dump[edge + 64:edge + 64 + len(image)] = image
+        dump = bytes(dump)
+        views = list(iter_views(dump))
+        assert [at for at, _ in views] == [edge + at for at in planted] + [edge + 64]
+        assert view_keys(views) == view_keys(views_by_find_loop(dump))
+        assert views[-1][1].violations == []
+
+    def test_each_refused_hit_logs_its_reason(self, caplog):
+        dump = bytearray(b"\xff" * 512)
+        dump[0:32] = structs.MAGIC + bytes(26)  # fits: an empty file table
+        dump[100:132] = structs.MAGIC + bytes(26)
+        dump[100 + 0x14:100 + 0x18] = (1).to_bytes(4, "big")
+        dump[132:152] = bytes(8) + (0xFFFF).to_bytes(4, "big") + bytes(8)  # chunk 65535
+        dump[200:206] = structs.MAGIC  # FF words: tables far past the dump
+        dump[500:506] = structs.MAGIC  # header cut off
+        dump = bytes(dump)
+        with caplog.at_level(logging.DEBUG, logger="minifskit.scanner"):
+            views = list(iter_views(dump))
+        assert [(at, view is None) for at, view in views] == [
+            (0, False), (100, True), (200, True), (500, True),
+        ]
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
+        assert [r.getMessage() for r in caplog.records] == [
+            "MINIFS hit at 100 refused: chunk table extends past the 512-byte dump",
+            f"MINIFS hit at 200 refused: declared tables end at "
+            f"{200 + 32 + 0xFFFF_FFFF + 20 * 0xFFFF_FFFF}, past the 512-byte dump",
+            "MINIFS hit at 500 refused: the 512-byte dump ends inside its header",
+        ]
+
+    def test_debug_logging_leaves_scan_output_identical(self, tmp_path, capsys, caplog):
+        image = build_three_file_image()
+        dump = (b"\xff" * 64 + b"MINIFS" + b"\xff" * 58 + image
+                + b"<p>MINIFS</p>" + bytes(64) + b"MINIFS")
+        path = tmp_path / "flash.bin"
+        path.write_bytes(dump)
+        argv = ["scan", str(path), "--format", "machine"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        with caplog.at_level(logging.DEBUG, logger="minifskit.scanner"):
+            assert main(argv) == 0
+        assert capsys.readouterr() == quiet
+        assert "hit.0.offset=64\nhit.0.version=unknown\n" in quiet.out
+        assert f"hit.3.offset={len(dump) - 6}\nhit.3.version=unknown\n" in quiet.out
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "MINIFS hit at 64 refused", f"MINIFS hit at {len(dump) - 6} refused",
+        ]
+
+
 class TestDumpReport:
     def test_parses_each_hit_once(self, monkeypatch):
         dump = (b"\xff" * 64 + b"MINIFS" + b"\xff" * 58 + build_three_file_image()
@@ -239,7 +373,12 @@ class TestDumpReport:
         monkeypatch.setattr(structs, "parse_header", counting)
         report = dump_report(dump)
         assert len(report.hits) == 3
-        assert len(calls) == 3
+        # The first hit's FF words declare tables past the dump, so it is
+        # refused from its header words without being parsed.
+        assert len(calls) == 2
+        assert report.hits[0].offset == 64
+        assert report.hits[0].version_hint is Version.UNKNOWN
+        assert report.hits[0].summary is None
         assert [m.base for m in report.instances] == [128]
 
     def test_five_region_dump(self):
