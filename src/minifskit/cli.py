@@ -12,11 +12,19 @@ scanner, ``info``/``ls``/``cat``/``extract``/``verify`` the extractor,
 
 ``--format machine`` emits stable line-oriented key=value text with no
 timestamps, so identical inputs produce byte-identical reports.
+
+A regular, non-empty input file is mapped read-only, never copied; if
+another process truncates it while a command runs, the command dies
+with SIGBUS.  Pipes, devices and empty files are read instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
+import mmap
+import os
+import stat
 import sys
 
 from . import __version__
@@ -39,12 +47,15 @@ from .scanner import (
     entropy_profile,
     iter_views,
 )
+from .structs import Dump
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_NO_MINIFS = 3
 EXIT_NOT_FOUND = 4
 EXIT_INVALID = 5
+
+_log = logging.getLogger(__name__)
 
 
 class CliError(Exception):
@@ -73,8 +84,21 @@ _u32_arg = _int_type("an unsigned 32-bit value", lambda v: 0 <= v <= 0xFFFF_FFFF
 _byte_arg = _int_type("a byte value 0..255", lambda v: 0 <= v <= 0xFF)
 
 
-def _read_input(path: str) -> bytes:
+def _read_input(path: str) -> Dump:
+    """The dump at ``path``: a read-only map of a regular non-empty file, else its bytes.
+
+    The map is released when the last reference to it goes; it is not
+    closed here, because numpy arrays over it may still export its
+    buffer.  Pipes, devices, procfs files (``st_size`` 0), empty files
+    and file systems that refuse ``mmap`` are read into memory.
+    """
     with open(path, "rb") as handle:
+        info = os.fstat(handle.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size > 0:
+            try:
+                return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+            except (OSError, ValueError):  # ValueError: emptied since the fstat
+                pass
         return handle.read()
 
 
@@ -84,14 +108,21 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _resolve_view(dump: bytes, args) -> MiniFsView:
-    """Open the instance selected by --base, or keep the one view auto-detection finds."""
+def _resolve_view(dump: Dump, args) -> MiniFsView:
+    """Open the instance selected by --base, or keep the one view auto-detection finds.
+
+    Each hit passed over for its violations logs one debug record.
+    """
     force = getattr(args, "force", False)
     if args.base is not None:
         return open_view(dump, args.base, force=force)
     chosen, offsets = None, []
     for offset, view in iter_views(dump):
-        if view is None or (view.violations and not force):
+        if view is None:
+            continue
+        if view.violations and not force:
+            _log.debug("MINIFS hit at %d passed over: %d violations, first: %s",
+                       offset, len(view.violations), view.violations[0])
             continue
         if chosen is None:
             chosen = view

@@ -35,11 +35,12 @@ class MiniFsView:
     """A parsed instance inside (or equal to) a dump.
 
     ``violations`` is empty unless the view was opened in force mode.
-    The view never copies chunk data out of ``source`` until a read
-    needs it.
+    ``source`` is the whole dump, ``bytes`` or a read-only ``mmap``
+    (:data:`structs.Dump`).  The view never copies chunk data out of
+    ``source`` until a read needs it.
     """
 
-    source: bytes
+    source: structs.Dump
     header: structs.MiniFsHeader
     layout: structs.FsLayout
     names: structs.NameTable
@@ -119,8 +120,11 @@ class FileEntry:
     file_size: int
 
 
-def open_view(dump: bytes, base: int = 0, *, force: bool = False) -> MiniFsView:
+def open_view(dump: structs.Dump, base: int = 0, *, force: bool = False) -> MiniFsView:
     """Parse and validate the instance whose magic sits at ``base``.
+
+    ``dump`` is ``bytes`` or a read-only ``mmap``; the view keeps it as
+    ``source`` and copies out only the regions it parses.
 
     Raises BadMagic or TruncatedImage when the bytes cannot be an
     instance at all, and ValidationFailed when structural invariants are
@@ -159,7 +163,9 @@ def list_files(view: MiniFsView) -> list[FileEntry]:
     return [_entry(view, i) for i in range(len(view.files))]
 
 
-def _slice_entry(data: bytes | memoryview, entry: FileEntry) -> bytes | memoryview:
+def _slice_entry(
+    data: bytes | memoryview, entry: FileEntry | structs.FileRecord
+) -> bytes | memoryview:
     end = entry.offset_in_chunk + entry.file_size
     if end > len(data):
         raise OffsetOutOfRange(
@@ -172,8 +178,10 @@ def _slice_entry(data: bytes | memoryview, entry: FileEntry) -> bytes | memoryvi
 def read_file(view: MiniFsView, selector: int | str) -> bytes:
     """File content by table index or by exact joined path.
 
-    Path selection never matches a record whose name does not join, and
-    raises AmbiguousPath on duplicate paths; pick by index instead.
+    Index selection slices by the record's chunk, offset and size, so it
+    reads a record whose name does not join.  Path selection never
+    matches such a record, and raises AmbiguousPath on duplicate paths;
+    pick by index instead.
     """
     if isinstance(selector, int):
         if not 0 <= selector < len(view.files):
@@ -188,8 +196,8 @@ def read_file(view: MiniFsView, selector: int | str) -> bytes:
                 f"{len(matches)} entries share the path {selector!r}; select by index"
             )
         index = matches[0]
-    entry = _entry(view, index)
-    return _slice_entry(view.chunk_data(entry.chunk_index), entry)
+    record = view.files[index]
+    return _slice_entry(view.chunk_data(record.chunk_index), record)
 
 
 @dataclass

@@ -101,8 +101,10 @@ class SectionProfile:
     sections: list[Section] = field(default_factory=list)
 
 
-def iter_views(dump: bytes) -> Iterator[tuple[int, MiniFsView | None]]:
+def iter_views(dump: structs.Dump) -> Iterator[tuple[int, MiniFsView | None]]:
     """Each ``MINIFS`` offset, ascending, with its view opened in force mode.
+
+    ``dump`` is ``bytes`` or a read-only ``mmap``; it is searched in place.
 
     Each hit is opened at most once; hits whose declared tables cannot
     fit are refused from their header words.  The view is None when the
@@ -159,8 +161,8 @@ def _magic_offsets(window: np.ndarray, first_bytes: np.ndarray) -> np.ndarray:
     return found
 
 
-def find_magic(dump: bytes) -> list[MagicHit]:
-    """Find every ``MINIFS`` occurrence, in ascending offset order.
+def find_magic(dump: structs.Dump) -> list[MagicHit]:
+    """Find every ``MINIFS`` occurrence in ``bytes`` or a read-only ``mmap``, ascending.
 
     Each hit is opened at most once; hits whose declared tables cannot
     fit are refused from their header words.  Its version hint is the
@@ -180,8 +182,8 @@ def find_magic(dump: bytes) -> list[MagicHit]:
     return hits
 
 
-def entropy_profile(dump: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> SectionProfile:
-    """Per-block Shannon entropy over the whole dump.
+def entropy_profile(dump: structs.Dump, block_size: int = DEFAULT_BLOCK_SIZE) -> SectionProfile:
+    """Per-block Shannon entropy over the whole dump, ``bytes`` or a read-only ``mmap``.
 
     The final partial block, if any, is measured over its actual length.
     ``block_size`` must be a power of two, at least 16.  Blocks are
@@ -360,13 +362,13 @@ class DumpReport:
 
 
 def dump_report(
-    dump: bytes,
+    dump: structs.Dump,
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     high_threshold: float = DEFAULT_HIGH_THRESHOLD,
     empty_byte: int = DEFAULT_EMPTY_BYTE,
 ) -> DumpReport:
-    """Scan a dump: entropy sections plus magic hits, merged.
+    """Scan a dump (``bytes`` or a read-only ``mmap``): entropy sections plus magic hits.
 
     A section containing a hit that parses and validates cleanly gets
     that instance's summary attached.  Never raises on odd input; an

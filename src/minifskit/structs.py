@@ -14,11 +14,13 @@ two words and ten bytes whose meaning is unknown; they are preserved
 verbatim so that decode/encode round-trips are byte-exact.
 
 Everything in this module is a pure function over immutable inputs; a
-:class:`NameTable` only remembers what it has already decoded.
+:class:`NameTable` only remembers what it has already decoded.  A dump
+is ``bytes`` or a read-only ``mmap`` of a dump file (:data:`Dump`).
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass, field
 
@@ -37,6 +39,11 @@ from .errors import (
     UnsafePath,
     UnterminatedString,
 )
+
+# A whole dump as the parsers read it: any read-only buffer whose slices
+# are ``bytes``, such as ``bytes`` or a read-only ``mmap``.  Every region
+# that is kept is sliced out, so nothing keeps more than its own bytes.
+Dump = bytes | mmap.mmap
 
 MAGIC = b"MINIFS"
 HEADER_SIZE = 32
@@ -360,7 +367,7 @@ def tables_end(data: np.ndarray, bases: np.ndarray) -> np.ndarray:
 
 
 def parse_instance(
-    dump: bytes, base: int = 0
+    dump: Dump, base: int = 0
 ) -> tuple[MiniFsHeader, FsLayout, NameTable, list[FileRecord], list[ChunkRecord]]:
     """Parse the header, name pool and both tables of the instance at ``base``.
 

@@ -1,6 +1,7 @@
 """End-to-end command tests: arguments, output formats, exit codes."""
 
 import hashlib
+import logging
 
 import pytest
 
@@ -252,6 +253,11 @@ class TestEmptyDirectoryComponent:
         assert main(["cat", path, "ok.txt"]) == EXIT_OK
         assert capsys.readouterr().out == "hello"
 
+    def test_cat_by_index(self, path, capsys):
+        assert main(["cat", path, "--index", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == "x"
+        assert main(["cat", path, "a//b/bad.txt"]) == EXIT_NOT_FOUND
+
 
 class TestExtract:
     def test_materializes_tree(self, image_path, tmp_path, capsys):
@@ -385,6 +391,31 @@ class TestBaseSelection:
         assert capsys.readouterr().out.encode() == dict(THREE_FILE_ENTRIES)["boot.bin"]
         assert dump.count(b"MINIFS") == 3
         assert calls == {"parse_instance": 3, "validate_layout": 3}
+
+    def test_each_unclean_hit_passed_over_logs_why(self, tmp_path, capsys, caplog):
+        from minifskit import open_view
+        image = build_three_file_image()
+        damaged = bytearray(image)
+        at = open_view(image).layout.chunk_table_start + 8
+        damaged[at:at + 4] = (100 << 20).to_bytes(4, "big")  # parses, fails validation
+        damaged = bytes(damaged)
+        dump = damaged + b"\xff" * 250 + image + damaged
+        path = tmp_path / "decoys.bin"
+        path.write_bytes(dump)
+        argv = ["info", str(path), "--format", "machine"]
+        assert main(argv) == EXIT_OK
+        quiet = capsys.readouterr()
+        with caplog.at_level(logging.DEBUG, logger="minifskit"):
+            assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == quiet
+        violations = open_view(damaged, force=True).violations
+        cli_records = [r for r in caplog.records if r.name == "minifskit.cli"]
+        assert [r.levelno for r in cli_records] == [logging.DEBUG] * 2
+        assert [r.getMessage() for r in cli_records] == [
+            f"MINIFS hit at {base} passed over: {len(violations)} violations, "
+            f"first: {violations[0]}"
+            for base in (0, len(damaged) + 250 + len(image))
+        ]
 
 
 class TestOversizedChunkRecord:

@@ -124,6 +124,16 @@ class TestReadFile:
             expected = dict(THREE_FILE_ENTRIES)[entry.path]
             assert read_file(three_file_view, entry.index) == expected
 
+    def test_by_index_needs_no_joinable_name(self):
+        image = pack([("aa/b/bad.txt", b"x"), ("ok.txt", b"hello")])
+        view = open_view(image.replace(b"aa/b\x00", b"a//b\x00"))
+        assert view.violations == []
+        assert read_file(view, 0) == b"x"
+        with pytest.raises(NotFound):
+            read_file(view, "a//b/bad.txt")
+        with pytest.raises(UnsafePath, match="file record 0"):
+            list_files(view)
+
     def test_zero_size_file(self):
         view = open_view(pack([("empty.dat", b""), ("full.dat", b"x" * 64)]))
         assert read_file(view, "empty.dat") == b""
