@@ -55,6 +55,8 @@ EXIT_NO_MINIFS = 3
 EXIT_NOT_FOUND = 4
 EXIT_INVALID = 5
 
+_TABLE_BATCH_ROWS = 32 * 1024  # rows per write of the entropy table; about 2 MiB of strings
+
 _log = logging.getLogger(__name__)
 
 
@@ -185,7 +187,9 @@ def _emit_entropy_table(profile) -> None:
     if profile is None:
         return
     step = profile.block_size
-    _emit("".join(f"{i * step}\t{e:.6f}\n" for i, e in enumerate(profile.entropies)))
+    for first in range(0, len(profile.entropies), _TABLE_BATCH_ROWS):
+        batch = profile.entropies[first:first + _TABLE_BATCH_ROWS].tolist()
+        sys.stdout.write("".join(f"{i * step}\t{e:.6f}\n" for i, e in enumerate(batch, first)))
 
 
 def cmd_entropy(args) -> int:

@@ -32,7 +32,8 @@ V1_CONFIG_WORD = bytes.fromhex("5a000080")
 # which together with the 0x5D properties byte yields the v2 config word.
 _ENCODER_DICT_SIZE = 0x0080_0000
 
-_STREAM_HEADER_SIZE = 13
+# The smallest chunk the decoder accepts: a stream header with no payload.
+STREAM_HEADER_SIZE = 13
 _UNKNOWN_SIZE_FIELD = b"\xff" * 8
 
 # Largest decompressed chunk accepted.  Observed real chunks are a few
@@ -112,9 +113,9 @@ def decompress_chunk(chunk: bytes, expected_size: int) -> bytes:
             bytes(chunk[:4]),
             f"chunk carries the legacy v1 word {V1_CONFIG_WORD.hex()}; only v2 is decodable",
         )
-    if len(chunk) < _STREAM_HEADER_SIZE:
+    if len(chunk) < STREAM_HEADER_SIZE:
         raise CorruptStream(
-            f"chunk of {len(chunk)} bytes is shorter than the {_STREAM_HEADER_SIZE}-byte "
+            f"chunk of {len(chunk)} bytes is shorter than the {STREAM_HEADER_SIZE}-byte "
             "LZMA stream header"
         )
 
@@ -122,7 +123,7 @@ def decompress_chunk(chunk: bytes, expected_size: int) -> bytes:
     filters = _lzma1_filter_from_props(chunk[0], _bounded_dict_size(declared_dict, expected_size))
     decoder = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=filters)
     try:
-        out = decoder.decompress(chunk[_STREAM_HEADER_SIZE:], max_length=expected_size)
+        out = decoder.decompress(chunk[STREAM_HEADER_SIZE:], max_length=expected_size)
         overrun = b""
         if len(out) == expected_size and not decoder.eof:
             # One probe byte tells apart "stream complete" from "stream

@@ -11,6 +11,7 @@ and that one index serves all of them.
 
 from __future__ import annotations
 
+import logging
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -28,6 +29,8 @@ from .errors import (
     UnsafePath,
     ValidationFailed,
 )
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -299,7 +302,8 @@ def extract_all(
     threads while writes stay ordered.  Per-file problems are recorded
     in the report instead of aborting the run; only an unusable output
     directory is fatal.  In force mode records with broken names are
-    reported as failed and skipped instead of raising.
+    reported as failed and skipped instead of raising.  Each such record,
+    and each chunk that fails to decode, logs one debug record.
 
     Duplicate joined paths never overwrite each other: later copies get
     the lowest ``.dupN`` suffix that no record's path or earlier copy uses.
@@ -312,6 +316,7 @@ def extract_all(
     entries: list[FileEntry] = []
     for i, path in enumerate(view._paths):
         if force and isinstance(path, MiniFsError):
+            _log.debug("file record %d failed: its name does not join: %s", i, path)
             rec = view.files[i]
             results[i] = FileResult(
                 index=i, path="", size=rec.file_size,
@@ -332,7 +337,9 @@ def extract_all(
 
     last_dup = {e.path: -1 for e in entries}  # path -> last .dupN given; 0: the path itself
     categories: Counter = Counter()
-    for data, group in zip(_map_in_order(decode, groups, jobs), groups.values()):
+    for data, (index, group) in zip(_map_in_order(decode, groups, jobs), groups.items()):
+        if isinstance(data, str):
+            _log.debug("chunk %d failed to decode, failing its %d files: %s", index, len(group), data)
         for entry in group:
             target = entry.path
             bump = last_dup[target] + 1

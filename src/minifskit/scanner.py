@@ -42,6 +42,9 @@ LABEL_LOW = "low"
 LABEL_HIGH = "high"
 LABEL_EMPTY = "empty"
 
+# Block labels by code: ``entropy >= threshold`` gives 0 or 1, and 2 is empty.
+_LABELS = (LABEL_LOW, LABEL_HIGH, LABEL_EMPTY)
+
 _log = logging.getLogger(__name__)
 
 
@@ -88,16 +91,18 @@ class Section:
 class SectionProfile:
     """Per-block entropy of a dump plus the derived section list.
 
-    ``entropies`` are bits per byte in [0, 8].  ``constant_bytes[i]`` is
-    the byte value when block ``i`` is one repeated byte (how erased
-    flash is told apart from other zero-entropy content), else None.
-    Sections are empty until :func:`segment_sections` fills them.
+    ``entropies`` is a float64 array of bits per byte in [0, 8], one
+    entry per block.  ``constant_bytes`` is an int16 array: entry ``i``
+    is the byte value when block ``i`` is one repeated byte (how erased
+    flash is told apart from other zero-entropy content), else -1.
+    Sections are empty until :func:`segment_sections` fills them.  Since
+    the fields are arrays, comparing two profiles with ``==`` raises.
     """
 
     block_size: int
     length: int
-    entropies: list[float]
-    constant_bytes: list[int | None]
+    entropies: np.ndarray
+    constant_bytes: np.ndarray
     sections: list[Section] = field(default_factory=list)
 
 
@@ -196,8 +201,8 @@ def entropy_profile(dump: structs.Dump, block_size: int = DEFAULT_BLOCK_SIZE) ->
     if block_size < 16 or block_size & (block_size - 1):
         raise ValueError(f"block_size must be a power of two >= 16, got {block_size}")
 
-    entropies: list[float] = []
-    constants: list[int | None] = []
+    entropies = np.empty(-(-len(dump) // block_size))
+    constants = np.empty(len(entropies), dtype=np.int16)
     data = np.frombuffer(dump, dtype=np.uint8)
     full = len(dump) // block_size * block_size
     if full:
@@ -205,10 +210,11 @@ def entropy_profile(dump: structs.Dump, block_size: int = DEFAULT_BLOCK_SIZE) ->
         plogp = _plogp_table(block_size)
         step = max(1, _BATCH_BYTES // block_size)
         for i in range(0, len(blocks), step):
-            _profile_rows(blocks[i:i + step], plogp, entropies, constants)
+            rows = blocks[i:i + step]
+            _profile_rows(rows, plogp, entropies[i:i + len(rows)], constants[i:i + len(rows)])
     if full < len(dump):
         tail = data[full:]
-        _profile_rows(tail.reshape(1, -1), _plogp_table(tail.size), entropies, constants)
+        _profile_rows(tail.reshape(1, -1), _plogp_table(tail.size), entropies[-1:], constants[-1:])
     return SectionProfile(
         block_size=block_size,
         length=len(dump),
@@ -235,10 +241,10 @@ def _plogp_table(n: int) -> np.ndarray:
 def _profile_rows(
     rows: np.ndarray,
     plogp: np.ndarray,
-    entropies: list[float],
-    constants: list[int | None],
+    entropies: np.ndarray,
+    constants: np.ndarray,
 ) -> None:
-    """Append the entropy and constant byte of each row of ``rows``.
+    """Write the entropy and constant byte (-1: none) of each row of ``rows``.
 
     A sorted row's run lengths are its nonzero byte counts in ascending
     byte order, the order ``counts[counts > 0]`` has.  Rows are summed in
@@ -271,13 +277,9 @@ def _profile_rows(
         group = terms[at:at + (b - a) * width].reshape(b - a, width)
         group.sum(axis=1, out=sums[a:b])
         at += group.size
-    unsorted = np.empty_like(sums)
-    unsorted[order] = sums
-    entropies.extend(np.minimum(-unsorted + 0.0, 8.0).tolist())
-    constants.extend(
-        byte if k == 1 else None
-        for k, byte in zip(distinct.tolist(), ordered[:, 0].tolist())
-    )
+    entropies[order] = np.minimum(-sums + 0.0, 8.0)
+    # An int16 -1: a Python -1 would leave the result uint8 and wrap to 255.
+    constants[:] = np.where(distinct == 1, ordered[:, 0], np.int16(-1))
 
 
 def segment_sections(
@@ -292,27 +294,20 @@ def segment_sections(
     entropy reaches ``high_threshold``, otherwise ``low``.  The returned
     profile's sections tile [0, length) without gaps or overlap.
     """
-    labels = [
-        LABEL_EMPTY if constant == empty_byte
-        else LABEL_HIGH if entropy >= high_threshold
-        else LABEL_LOW
-        for entropy, constant in zip(profile.entropies, profile.constant_bytes)
+    entropies, constants, size = profile.entropies, profile.constant_bytes, profile.block_size
+    codes = (entropies >= high_threshold).astype(np.int8)
+    codes[(constants == empty_byte) & (constants >= 0)] = 2  # -1 is no byte
+    bounds = [0, *(np.flatnonzero(np.diff(codes)) + 1).tolist(), len(codes)]
+    sections = [
+        Section(
+            start=a * size,
+            end=min(b * size, profile.length),
+            label=_LABELS[code],
+            # Left to right, as Python's sum did before 3.12; np.sum is pairwise.
+            mean_entropy=float(np.add.accumulate(entropies[a:b])[-1]) / (b - a),
+        )
+        for a, b, code in zip(bounds, bounds[1:], codes[bounds[:-1]].tolist())
     ]
-
-    sections: list[Section] = []
-    run_start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[run_start]:
-            start = run_start * profile.block_size
-            end = min(i * profile.block_size, profile.length)
-            run = profile.entropies[run_start:i]
-            sections.append(Section(
-                start=start,
-                end=end,
-                label=labels[run_start],
-                mean_entropy=sum(run) / len(run),
-            ))
-            run_start = i
     return dataclasses.replace(profile, sections=sections)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import DEFAULT_OUTPUT_LIMIT
+from .codec import DEFAULT_OUTPUT_LIMIT, STREAM_HEADER_SIZE
 from .errors import (
     ArithmeticOverflow,
     BadMagic,
@@ -452,10 +452,11 @@ def validate_layout(
                 ))
 
     for i, chunk in enumerate(chunks):
-        if chunk.compressed_size < 5:
+        if chunk.compressed_size < STREAM_HEADER_SIZE:
             add(Violation(
                 "chunk-size",
-                f"compressed size {chunk.compressed_size} below the 5-byte LZMA header minimum",
+                f"compressed size {chunk.compressed_size} below the "
+                f"{STREAM_HEADER_SIZE}-byte LZMA stream header",
                 index=i,
             ))
         if chunk.decompressed_size > DEFAULT_OUTPUT_LIMIT:

@@ -2,6 +2,9 @@
 
 import hashlib
 import logging
+import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -14,6 +17,7 @@ from minifskit.cli import (
     main,
 )
 from minifskit.fixtures import FixtureSpec, make_fixture
+from minifskit.scanner import entropy_profile
 from helpers import THREE_FILE_ENTRIES, build_three_file_image, read_tree, write_tree
 from test_scanner import entropy_reference
 
@@ -127,6 +131,24 @@ class TestEntropy:
         path.write_bytes(b"ab" * 8)
         assert main(["entropy", str(path), "--block-size", "0x10000000000"]) == EXIT_OK
         assert capsys.readouterr().out == "0\t1.000000\n"
+
+    def test_table_is_written_in_bounded_batches(self, tmp_path, monkeypatch):
+        dump = random.Random(6).randbytes(4 << 20)
+        blocks = len(dump) // 16
+        path, table = tmp_path / "random.bin", tmp_path / "table.txt"
+        path.write_bytes(dump)
+        with open(table, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            tracemalloc.start()
+            try:
+                assert main(["entropy", str(path), "--block-size", "16"]) == EXIT_OK
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # The profile's arrays take 10 bytes per block; one batch of rows a few MiB.
+        assert peak <= 12 * blocks + (6 << 20)
+        entropies = entropy_profile(dump, 16).entropies.tolist()
+        assert table.read_text() == "".join(f"{i * 16}\t{e:.6f}\n" for i, e in enumerate(entropies))
 
 
 class TestInfo:

@@ -1,5 +1,6 @@
 """Opening views, reading files, extraction and classification."""
 
+import logging
 import lzma
 import sys
 import threading
@@ -31,6 +32,7 @@ from minifskit.errors import (
     UnterminatedString,
     ValidationFailed,
 )
+from minifskit.cli import EXIT_INVALID, main
 from minifskit.structs import ChunkRecord, FileRecord
 from helpers import THREE_FILE_ENTRIES, build_three_file_image, read_tree
 
@@ -269,6 +271,38 @@ class TestExtractAll:
             assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
         assert report.warnings and report.failed > 1
         assert report.results[-1].status == "failed"  # "a/b" under the file "a"
+
+
+class TestExtractionLogging:
+    @pytest.fixture
+    def damaged_path(self, tmp_path):
+        """Record 0's directory does not join, and chunk 1 (record 2) does not decode."""
+        entries = [("aa/b/bad.txt", b"x" * 100), ("ok.txt", b"hello" * 60),
+                   ("z/one.txt", b"1" * 300), ("z/two.txt", b"2" * 300)]
+        image = bytearray(pack(entries, PackOptions(max_chunk_decompressed=400, sort_entries=False)))
+        view = open_view(bytes(image))
+        assert [rec.chunk_index for rec in view.files] == [0, 0, 1, 2]
+        payload = view.layout.data_start + view.chunks[1].data_offset + codec.STREAM_HEADER_SIZE
+        image[payload:payload + 8] = b"\xff" * 8
+        path = tmp_path / "damaged.img"
+        path.write_bytes(bytes(image).replace(b"aa/b\x00", b"a//b\x00"))
+        return str(path)
+
+    def test_each_silent_failure_logs_one_record(self, damaged_path, tmp_path, capsys, caplog):
+        argv = ["extract", damaged_path, str(tmp_path / "out"), "--force", "--format", "machine"]
+        assert main(argv) == EXIT_INVALID
+        quiet = capsys.readouterr()
+        with caplog.at_level(logging.DEBUG, logger="minifskit"):
+            assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr() == quiet
+        assert "file.0.status=failed" in quiet.out and "file.2.status=failed" in quiet.out
+        records = [r for r in caplog.records if r.name == "minifskit.extractor"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        assert records[0].getMessage() == (
+            "file record 0 failed: its name does not join: "
+            "directory path 'a//b' has an empty component")
+        assert records[1].getMessage().startswith("chunk 1 failed to decode, failing its 1 files: ")
+        assert records[1].args[:2] == (1, 1)
 
 
 class TestBoundedExtraction:

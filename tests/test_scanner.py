@@ -1,9 +1,13 @@
 """Entropy profiling, section segmentation and magic search."""
 
+import itertools
 import logging
 import math
+import operator
 import random
+import tracemalloc
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -51,6 +55,25 @@ def entropy_reference(dump: bytes, block_size: int) -> tuple[list[float], list[i
     return entropies, constants
 
 
+def sections_reference(dump: bytes, block_size: int, high_threshold: float, empty_byte: int,
+                       ) -> list[tuple[int, int, str, str]]:
+    """Per-block labels merged with ``groupby``: (start, end, label, ``float.hex`` of the mean).
+
+    Each mean is a left fold of the run's entropies, the order the
+    builtin ``sum`` used before Python 3.12, divided by the run length.
+    """
+    entropies, constants = entropy_reference(dump, block_size)
+    labels = ["empty" if c == empty_byte else "high" if e >= high_threshold else "low"
+              for e, c in zip(entropies, constants)]
+    sections, at = [], 0
+    for label, run in itertools.groupby(zip(labels, entropies), key=operator.itemgetter(0)):
+        run = [e for _, e in run]
+        end = min((at + len(run)) * block_size, len(dump))
+        sections.append((at * block_size, end, label, float.hex(reduce(operator.add, run) / len(run))))
+        at += len(run)
+    return sections
+
+
 @st.composite
 def profiled_dumps(draw) -> tuple[bytes, int]:
     """Whole blocks plus an optional partial tail, each over its own alphabet.
@@ -80,11 +103,11 @@ def naive_find(dump: bytes, needle: bytes = b"MINIFS") -> list[int]:
 class TestEntropyProfile:
     def test_constant_blocks_are_zero(self):
         profile = entropy_profile(b"\xff" * 4096, 1024)
-        assert profile.entropies == [0.0, 0.0, 0.0, 0.0]
+        assert profile.entropies.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_two_equiprobable_symbols(self):
         profile = entropy_profile(bytes([0x00, 0xFF]) * 512, 1024)
-        assert profile.entropies == [1.0]
+        assert profile.entropies.tolist() == [1.0]
 
     def test_uniform_random_blocks_near_eight(self):
         rng = random.Random(1234)
@@ -98,7 +121,7 @@ class TestEntropyProfile:
     def test_partial_final_block_uses_actual_length(self):
         dump = b"\x00" * 1024 + bytes([0, 255]) * 256  # 512-byte tail
         profile = entropy_profile(dump, 1024)
-        assert profile.entropies == [0.0, 1.0]
+        assert profile.entropies.tolist() == [0.0, 1.0]
         assert profile.length == 1536
 
     def test_empty_input(self):
@@ -117,28 +140,30 @@ class TestEntropyProfile:
         entropies, constants = entropy_reference(dump, block_size)
         profile = entropy_profile(dump, block_size)
         # float.hex also tells -0.0 from 0.0, which print differently.
-        assert list(map(float.hex, profile.entropies)) == list(map(float.hex, entropies))
-        assert profile.constant_bytes == constants
+        assert list(map(float.hex, profile.entropies.tolist())) == list(map(float.hex, entropies))
+        assert profile.constant_bytes.tolist() == [-1 if c is None else c for c in constants]
 
     def test_exact_threshold_block_is_high(self):
         # 128 values x4 and 64 values x8: exactly 4 + 3.5 bits per byte.
         block = bytes(range(128)) * 4 + bytes(range(128, 192)) * 8
         dump = block + block[:100]
         profile = entropy_profile(dump, 1024)
-        assert (profile.entropies, profile.constant_bytes) == entropy_reference(dump, 1024)
+        entropies, constants = entropy_reference(dump, 1024)
+        assert profile.entropies.tolist() == entropies
+        assert profile.constant_bytes.tolist() == [-1 if c is None else c for c in constants]
         assert profile.entropies[0] == 7.5
         assert segment_sections(profile).sections[0].label == "high"
 
     def test_block_size_beyond_the_dump(self):
         profile = entropy_profile(b"ab" * 8, 1 << 40)
-        assert (profile.entropies, profile.constant_bytes) == ([1.0], [None])
+        assert (profile.entropies.tolist(), profile.constant_bytes.tolist()) == ([1.0], [-1])
         assert entropy_reference(b"ab" * 8, 1 << 40) == ([1.0], [None])
 
-    def test_result_holds_python_scalars(self):
+    def test_fields_are_float64_and_int16_arrays(self):
         profile = entropy_profile(b"\xff" * 32 + bytes(range(32)), 16)
-        assert [type(e) for e in profile.entropies] == [float] * 4
-        assert profile.constant_bytes == [0xFF, 0xFF, None, None]
-        assert type(profile.constant_bytes[0]) is int
+        assert (profile.entropies.dtype, profile.constant_bytes.dtype) == (np.float64, np.int16)
+        assert len(profile.entropies) == len(profile.constant_bytes) == 4
+        assert profile.constant_bytes.tolist() == [0xFF, 0xFF, -1, -1]
 
     @given(st.binary(min_size=1, max_size=2048))
     def test_bounds(self, data):
@@ -182,6 +207,35 @@ class TestSegmentSections:
     def test_empty_byte_override(self):
         profile = segment_sections(entropy_profile(b"\x00" * 2048, 1024), empty_byte=0x00)
         assert [s.label for s in profile.sections] == ["empty"]
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(profiled_dumps(), st.sampled_from([7.5, 3.0, 1.0]), st.integers(-1, 255))
+    @example(case=(random.Random(3).randbytes(1 << 16), 16), threshold=7.5, empty_byte=0xFF)
+    @example(case=(b"\x00" * 64 + bytes(range(64)), 16), threshold=7.5, empty_byte=-1)
+    def test_sections_match_per_block_reference(self, case, threshold, empty_byte):
+        # The first example is one run of 4,096 blocks, long enough for a
+        # pairwise or compensated sum to differ from the left fold.
+        dump, block_size = case
+        profile = segment_sections(entropy_profile(dump, block_size), threshold, empty_byte)
+        assert [(s.start, s.end, s.label, float.hex(s.mean_entropy)) for s in profile.sections] \
+            == sections_reference(dump, block_size, threshold, empty_byte)
+        assert all(type(s.start) is type(s.end) is int and type(s.mean_entropy) is float
+                   for s in profile.sections)
+
+    def test_profile_and_sections_memory_per_block(self):
+        dump = random.Random(4).randbytes(4 << 20)
+        blocks = len(dump) // 16
+        tracemalloc.start()
+        try:
+            profile = entropy_profile(dump, 16)
+            profile_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            segment_sections(profile)
+            sections_peak = tracemalloc.get_traced_memory()[1]  # the profile included
+        finally:
+            tracemalloc.stop()
+        assert profile_peak <= 16 * blocks
+        assert sections_peak <= 32 * blocks
 
     @given(st.binary(min_size=1, max_size=4096))
     def test_sections_tile_the_dump(self, data):

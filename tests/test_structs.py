@@ -20,7 +20,7 @@ from minifskit.structs import (
     parse_header,
     validate_layout,
 )
-from minifskit.codec import DEFAULT_OUTPUT_LIMIT
+from minifskit.codec import DEFAULT_OUTPUT_LIMIT, STREAM_HEADER_SIZE, V2_CONFIG_WORD, decompress_chunk
 from minifskit.errors import (
     ArithmeticOverflow,
     BadMagic,
@@ -371,3 +371,13 @@ class TestValidateLayout:
         chunks = [ChunkRecord(0, 100, DEFAULT_OUTPUT_LIMIT + 1)]
         violations = validate_tables(header, [], chunks, image_length=1 << 20)
         assert [(v.kind, v.index) for v in violations] == [("chunk-size", 0)]
+
+    def test_chunk_size_floor_is_the_decoders_stream_header(self):
+        # A chunk of exactly the header, declaring no output, decodes.
+        assert decompress_chunk(V2_CONFIG_WORD + bytes(STREAM_HEADER_SIZE - 4), 0) == b""
+        header = MiniFsHeader(file_count=0, name_table_size=0)
+        kinds = {size: [v.kind for v in validate_tables(header, [], [ChunkRecord(0, size, 0)],
+                                                        image_length=1 << 20)]
+                 for size in (12, 13)}
+        assert kinds == {12: ["chunk-size"], 13: []}
+        assert STREAM_HEADER_SIZE == 13
