@@ -11,6 +11,7 @@ and that one index serves all of them.
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
 from collections import Counter
@@ -278,13 +279,45 @@ def _classify_one(name: str, content: bytes | memoryview) -> str:
     return _EXTENSION_CATEGORIES.get(ext, "binary")
 
 
-def _safe_destination(out_root: Path, relative: str) -> Path:
+def _safe_destination(out_root: Path, relative: str, target: str) -> Path:
     # full_path() already rejected traversal; this is the belt-and-braces
     # check that nothing resolves outside the output root anyway.
     dest = (out_root / relative).resolve()
     if not dest.is_relative_to(out_root):
-        raise UnsafePath(f"{relative!r} resolves outside the output directory")
+        raise UnsafePath(f"{target!r} resolves outside the output directory")
     return dest
+
+
+# O_NOFOLLOW (POSIX): a final component that is a symlink fails with ELOOP.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
+def _write_file(out_root: Path, parents: dict[str, str], target: str,
+                content: bytes | memoryview) -> str:
+    """Write ``target``; ``parents`` maps each directory checked and created to its path."""
+    directory, _, name = target.rpartition("/")
+    parent = parents.get(directory)
+    if parent is None:  # never cached after a failure: each file retries it
+        resolved = _safe_destination(out_root, directory, target)
+        resolved.mkdir(parents=True, exist_ok=True)
+        parent = parents[directory] = os.path.join(resolved, "")
+    try:
+        fd = os.open(parent + name, _WRITE_FLAGS, 0o666)
+    except OSError as exc:
+        if exc.errno != errno.ELOOP:
+            raise
+        # A final symlink: write through it only where it resolves inside.
+        dest = _safe_destination(out_root, target, target)
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        dest.write_bytes(content)
+        return str(dest)
+    try:
+        done = 0
+        while done < len(content):
+            done += os.write(fd, content[done:])
+    finally:
+        os.close(fd)
+    return parent + name
 
 
 def extract_all(
@@ -303,7 +336,9 @@ def extract_all(
     in the report instead of aborting the run; only an unusable output
     directory is fatal.  In force mode records with broken names are
     reported as failed and skipped instead of raising.  Each such record,
-    and each chunk that fails to decode, logs one debug record.
+    each chunk that fails to decode and each file not written logs one
+    debug record.  Each directory is resolved, checked to lie inside
+    ``out_dir`` and created once per call.
 
     Duplicate joined paths never overwrite each other: later copies get
     the lowest ``.dupN`` suffix that no record's path or earlier copy uses.
@@ -335,6 +370,7 @@ def extract_all(
         except MiniFsError as exc:
             return f"{type(exc).__name__}: {exc}"
 
+    parents = {"": os.path.join(out_root, "")}  # directory -> its resolved, created path + "/"
     last_dup = {e.path: -1 for e in entries}  # path -> last .dupN given; 0: the path itself
     categories: Counter = Counter()
     for data, (index, group) in zip(_map_in_order(decode, groups, jobs), groups.items()):
@@ -354,17 +390,16 @@ def extract_all(
             if error is None:
                 try:
                     content = _slice_entry(data, entry)
-                    dest = _safe_destination(out_root, target)
-                    dest.parent.mkdir(parents=True, exist_ok=True)
-                    dest.write_bytes(content)
+                    dest = _write_file(out_root, parents, target, content)
                 except (MiniFsError, OSError) as exc:
                     error = f"{type(exc).__name__}: {exc}"
+                    _log.debug("file record %d failed to write %r: %s", entry.index, target, error)
                 else:
                     categories[_classify_one(entry.path, content)] += 1
             results[entry.index] = FileResult(
                 index=entry.index, path=entry.path, size=entry.file_size,
                 chunk_index=entry.chunk_index, status="failed" if error else "ok",
-                error=error, written_to=None if error else str(dest),
+                error=error, written_to=None if error else dest,
             )
 
     return ExtractReport(

@@ -2,6 +2,7 @@
 
 import logging
 import lzma
+import os
 import sys
 import threading
 import tracemalloc
@@ -273,15 +274,95 @@ class TestExtractAll:
         assert report.results[-1].status == "failed"  # "a/b" under the file "a"
 
 
+class TestWriteErrorText:
+    """The exact report text for files that collide with directories or each other."""
+
+    @staticmethod
+    def extract(tmp_path, entries):
+        report = extract_all(open_view(pack(entries, PackOptions(sort_entries=False))), tmp_path / "out")
+        return report.to_machine().replace(report.out_dir, "<out>")
+
+    @staticmethod
+    def header(written, failed, size):
+        return (f"out_dir=<out>\nfiles={written + failed}\nwritten={written}\n"
+                f"failed={failed}\nbytes={size}\nchunks=1\n")
+
+    @staticmethod
+    def file(index, path, size, error=None):
+        lines = (f"file.{index}.path={path}\nfile.{index}.size={size}\n"
+                 f"file.{index}.chunk=0\nfile.{index}.status={'failed' if error else 'ok'}\n")
+        return lines + (f"file.{index}.error={error}\n" if error else "")
+
+    def test_file_then_directory_of_that_name(self, tmp_path):
+        assert self.extract(tmp_path, [("a", b"file a"), ("a/b", b"under a")]) == (
+            self.header(1, 1, 6) + self.file(0, "a", 6)
+            + self.file(1, "a/b", 7, "FileExistsError: [Errno 17] File exists: '<out>/a'")
+            + "category.binary=1\n")
+
+    def test_directory_then_file_of_that_name(self, tmp_path):
+        assert self.extract(tmp_path, [("a/b", b"under a"), ("a", b"file a")]) == (
+            self.header(1, 1, 7) + self.file(0, "a/b", 7)
+            + self.file(1, "a", 6, "IsADirectoryError: [Errno 21] Is a directory: '<out>/a'")
+            + "category.binary=1\n")
+
+    def test_duplicates_take_free_suffixes(self, tmp_path):
+        entries = [("d/x", b"1"), ("d/x", b"22"), ("d/x.dup1", b"333"), ("d/x", b"4444")]
+        assert self.extract(tmp_path, entries) == (
+            self.header(4, 0, 10) + self.file(0, "d/x", 1) + self.file(1, "d/x", 2)
+            + self.file(2, "d/x.dup1", 3) + self.file(3, "d/x", 4)
+            + "category.binary=4\n"
+            "warning.0=duplicate path 'd/x'; record 1 written as 'd/x.dup2'\n"
+            "warning.1=duplicate path 'd/x'; record 3 written as 'd/x.dup3'\n")
+        assert read_tree(tmp_path / "out") == {
+            "d/x": b"1", "d/x.dup2": b"22", "d/x.dup1": b"333", "d/x.dup3": b"4444"}
+
+
+class TestSymlinkGuard:
+    """An output directory that already holds symlinks, inward, outward and dangling."""
+
+    ENTRIES = [("d/x.txt", b"via outward dir"), ("y.txt", b"via outward file"),
+               ("in.txt", b"via inward file"), ("ind/z.txt", b"via inward dir"),
+               ("dang.txt", b"via dangling")]
+
+    def test_writes_stay_inside_the_output_directory(self, tmp_path):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "secret.txt").write_bytes(b"keep")
+        out = tmp_path / "out"
+        (out / "real").mkdir(parents=True)
+        (out / "real.txt").write_bytes(b"old")
+        (out / "d").symlink_to(outside, target_is_directory=True)
+        (out / "y.txt").symlink_to(outside / "secret.txt")
+        (out / "in.txt").symlink_to("real.txt")
+        (out / "ind").symlink_to("real", target_is_directory=True)
+        (out / "dang.txt").symlink_to("missing.txt")
+
+        report = extract_all(open_view(pack(self.ENTRIES, PackOptions(sort_entries=False))), out)
+        outcome = {r.path: (r.status, r.error, r.written_to) for r in report.results}
+        assert outcome == {
+            "d/x.txt": ("failed", "UnsafePath: 'd/x.txt' resolves outside the output directory", None),
+            "y.txt": ("failed", "UnsafePath: 'y.txt' resolves outside the output directory", None),
+            "in.txt": ("ok", None, str(out / "real.txt")),
+            "ind/z.txt": ("ok", None, str(out / "real" / "z.txt")),
+            "dang.txt": ("ok", None, str(out / "missing.txt")),
+        }
+        assert read_tree(outside) == {"secret.txt": b"keep"}
+        assert all((out / name).is_symlink() for name in ("d", "y.txt", "in.txt", "ind", "dang.txt"))
+        assert (out / "real.txt").read_bytes() == b"via inward file"
+        assert (out / "real" / "z.txt").read_bytes() == b"via inward dir"
+        assert (out / "missing.txt").read_bytes() == b"via dangling"
+
+
 class TestExtractionLogging:
     @pytest.fixture
     def damaged_path(self, tmp_path):
-        """Record 0's directory does not join, and chunk 1 (record 2) does not decode."""
+        """Record 0's directory does not join, chunk 1 (record 2) does not decode,
+        and record 4 needs a directory where record 1 is a file."""
         entries = [("aa/b/bad.txt", b"x" * 100), ("ok.txt", b"hello" * 60),
-                   ("z/one.txt", b"1" * 300), ("z/two.txt", b"2" * 300)]
+                   ("z/one.txt", b"1" * 300), ("z/two.txt", b"2" * 300), ("ok.txt/in", b"i" * 50)]
         image = bytearray(pack(entries, PackOptions(max_chunk_decompressed=400, sort_entries=False)))
         view = open_view(bytes(image))
-        assert [rec.chunk_index for rec in view.files] == [0, 0, 1, 2]
+        assert [rec.chunk_index for rec in view.files] == [0, 0, 1, 2, 2]
         payload = view.layout.data_start + view.chunks[1].data_offset + codec.STREAM_HEADER_SIZE
         image[payload:payload + 8] = b"\xff" * 8
         path = tmp_path / "damaged.img"
@@ -295,14 +376,20 @@ class TestExtractionLogging:
         with caplog.at_level(logging.DEBUG, logger="minifskit"):
             assert main(argv) == EXIT_INVALID
         assert capsys.readouterr() == quiet
-        assert "file.0.status=failed" in quiet.out and "file.2.status=failed" in quiet.out
+        assert [line for line in quiet.out.splitlines() if line.endswith("status=failed")] == [
+            "file.0.status=failed", "file.2.status=failed", "file.4.status=failed"]
         records = [r for r in caplog.records if r.name == "minifskit.extractor"]
-        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        assert [r.levelno for r in records] == [logging.DEBUG] * 3
         assert records[0].getMessage() == (
             "file record 0 failed: its name does not join: "
             "directory path 'a//b' has an empty component")
         assert records[1].getMessage().startswith("chunk 1 failed to decode, failing its 1 files: ")
         assert records[1].args[:2] == (1, 1)
+        out = tmp_path / "out"
+        assert records[2].getMessage() == (
+            f"file record 4 failed to write 'ok.txt/in': "
+            f"FileExistsError: [Errno 17] File exists: '{out / 'ok.txt'}'")
+        assert f"file.4.error={records[2].args[2]}\n" in quiet.out
 
 
 class TestBoundedExtraction:
@@ -388,6 +475,29 @@ class TestOneIndexPerView:
             assert read_file(view, path) == content
         assert extract_all(view, tmp_path / "out").written == 200
         assert sorted(checked) == [f"dir{i}" for i in range(10)]
+
+    def test_extract_resolves_and_creates_each_directory_once(self, tmp_path, monkeypatch):
+        files, dirs = 120, 6
+        entries = [(f"dir{i % dirs}/file{i}.txt", b"content %d" % i) for i in range(files)]
+        view = open_view(pack(entries))
+        resolved, created = [], []
+        real_realpath, real_mkdir = os.path.realpath, Path.mkdir
+
+        def counting_realpath(path, *args, **kwargs):
+            resolved.append(path)
+            return real_realpath(path, *args, **kwargs)
+
+        def counting_mkdir(path, *args, **kwargs):
+            created.append(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os.path, "realpath", counting_realpath)
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        assert extract_all(view, tmp_path / "out").written == files
+        monkeypatch.undo()
+        assert read_tree(tmp_path / "out") == dict(entries)
+        assert len(resolved) <= dirs + 1  # each directory, plus the output root
+        assert len(created) <= dirs + 1
 
     @pytest.mark.parametrize("damage, error", [
         ("unterminated", UnterminatedString),
