@@ -5,8 +5,8 @@ header, the name pool and both tables, then pull individual files out of
 their decompressed chunks.  A chunk holds several files, so reads keep
 each decompressed chunk on the view; extraction instead decodes each
 chunk once, writes its files and drops it, outside that cache.  Paths
-are joined once per view, on the first listing, lookup or extraction,
-and that one index serves all of them.
+are joined once per view, on the first listing or extraction; a lookup
+by path reads the decoded strings instead and joins no path.
 """
 
 from __future__ import annotations
@@ -104,13 +104,21 @@ class MiniFsView:
         return paths
 
     @cached_property
-    def _indices_by_path(self) -> dict[str, list[int]]:
-        """Path → record indices; records whose names do not join are left out."""
-        by_path: dict[str, list[int]] = {}
-        for index, path in enumerate(self._paths):
-            if not isinstance(path, MiniFsError):
-                by_path.setdefault(path, []).append(index)
-        return by_path
+    def _indices_by_pair(self) -> dict[tuple, list[int]]:
+        """(directory string, file name) → record indices, from the strings validation decoded."""
+        return structs._index_pairs(self.names, self.files)
+
+    def _indices_at(self, path: str) -> list[int]:
+        """Indices of the records whose names join to ``path``, as in :attr:`_paths`."""
+        directory, sep, name = path.rpartition("/")
+        matches = self._indices_by_pair.get((directory, name))
+        if not matches or (sep and not directory):  # "/name" is no record's join
+            return []
+        try:
+            structs._check_pair(self.names, directory, name)  # their strings: all pass or none
+        except MiniFsError:
+            return []
+        return matches
 
 
 @dataclass(frozen=True)
@@ -192,7 +200,7 @@ def read_file(view: MiniFsView, selector: int | str) -> bytes:
             raise NotFound(f"no file record {selector} (table holds {len(view.files)})")
         index = selector
     else:
-        matches = view._indices_by_path.get(selector, [])
+        matches = view._indices_at(selector)
         if not matches:
             raise NotFound(f"no file named {selector!r}")
         if len(matches) > 1:
@@ -282,7 +290,10 @@ def _classify_one(name: str, content: bytes | memoryview) -> str:
 def _safe_destination(out_root: Path, relative: str, target: str) -> Path:
     # full_path() already rejected traversal; this is the belt-and-braces
     # check that nothing resolves outside the output root anyway.
-    dest = (out_root / relative).resolve()
+    try:
+        dest = (out_root / relative).resolve()
+    except RuntimeError as exc:  # a symlink loop, on Python 3.12 and older
+        raise UnsafePath(f"{target!r} does not resolve: {exc}") from None
     if not dest.is_relative_to(out_root):
         raise UnsafePath(f"{target!r} resolves outside the output directory")
     return dest

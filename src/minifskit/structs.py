@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import mmap
 import struct
+from contextlib import suppress
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +64,7 @@ _U32_MAX = 0xFFFF_FFFF
 
 # Deleting these from a name leaves only the bytes it may not contain.
 _PRINTABLE = bytes(range(0x20, 0x7F))
+_PRINTABLE_OR_NUL = b"\x00" + _PRINTABLE
 
 # Byte positions of one header word, for gathering it at many bases.
 _WORD_BYTES = np.arange(4)
@@ -106,8 +110,9 @@ class MiniFsHeader:
 class NameTable:
     """NUL-delimited ASCII string pool, addressed by byte offset.
 
-    Records share strings, so the table remembers, per offset, the
-    decoded string and the directory check (:func:`full_path`).
+    Records share strings, so the table remembers the decoded string
+    per offset and the directory check per directory string
+    (:func:`_check_pair`).
     """
 
     pool: bytes
@@ -118,8 +123,7 @@ class NameTable:
         return len(self.pool)
 
 
-@dataclass(frozen=True)
-class FileRecord:
+class FileRecord(NamedTuple):
     """One 20-byte entry of the file table."""
 
     path_offset: int
@@ -129,17 +133,10 @@ class FileRecord:
     file_size: int
 
     def encode(self) -> bytes:
-        return _FILE_RECORD.pack(
-            _check_u32(self.path_offset, "path_offset"),
-            _check_u32(self.name_offset, "name_offset"),
-            _check_u32(self.chunk_index, "chunk_index"),
-            _check_u32(self.offset_in_chunk, "offset_in_chunk"),
-            _check_u32(self.file_size, "file_size"),
-        )
+        return _FILE_RECORD.pack(*map(_check_u32, self, self._fields))
 
 
-@dataclass(frozen=True)
-class ChunkRecord:
+class ChunkRecord(NamedTuple):
     """One 12-byte entry of the chunk table.
 
     ``data_offset`` is relative to the start of the chunk data region,
@@ -151,11 +148,7 @@ class ChunkRecord:
     decompressed_size: int
 
     def encode(self) -> bytes:
-        return _CHUNK_RECORD.pack(
-            _check_u32(self.data_offset, "data_offset"),
-            _check_u32(self.compressed_size, "compressed_size"),
-            _check_u32(self.decompressed_size, "decompressed_size"),
-        )
+        return _CHUNK_RECORD.pack(*map(_check_u32, self, self._fields))
 
 
 @dataclass(frozen=True)
@@ -277,6 +270,43 @@ def _string_at(table: NameTable, offset: int) -> str:
     return _remembered(table._strings, offset, name_at, table, offset)
 
 
+def _decode_strings(table: NameTable, offsets: set[int]) -> dict:
+    """Remember the string at each in-pool offset of ``offsets``; return the memo.
+
+    A pool of printable ASCII and NULs is checked in one pass; any other
+    string goes through :func:`name_at`, and a refusal is remembered.
+    """
+    memo, pool = table._strings, table.pool
+    text = "" if pool.translate(None, _PRINTABLE_OR_NUL) else pool.decode("ascii")
+    for offset in offsets - memo.keys():
+        end = text.find("\0", offset)
+        if end >= 0:
+            memo[offset] = text[offset:end]
+        elif offset < len(pool):
+            with suppress(MiniFsError):
+                _string_at(table, offset)
+    return memo
+
+
+def _index_pairs(table: NameTable, records: list[FileRecord]) -> dict[tuple, list[int]]:
+    """(directory string, file name) → record indices, read from what
+    :func:`validate_layout` left in the memo.  A refusal (a tuple) or an
+    offset outside the pool (None) in a key matches no pair of strings."""
+    strings = table._strings
+    by_pair: dict[tuple, list[int]] = {}
+    for index, rec in enumerate(records):
+        key = strings.get(rec.path_offset), strings.get(rec.name_offset)
+        by_pair.setdefault(key, []).append(index)
+    return by_pair
+
+
+def _check_pair(table: NameTable, directory: str, name: str) -> None:
+    """The whole path rule for a directory string and a file name; each
+    directory string is checked once per table, refusals remembered."""
+    check_name(name)
+    _remembered(table._directories, directory, check_directory, directory)
+
+
 def full_path(table: NameTable, record: FileRecord) -> str:
     """Join a record's directory string and file name into one path.
 
@@ -287,35 +317,26 @@ def full_path(table: NameTable, record: FileRecord) -> str:
     """
     directory = _string_at(table, record.path_offset)
     name = _string_at(table, record.name_offset)
-    check_name(name)
-    _remembered(table._directories, record.path_offset, check_directory, directory)
+    _check_pair(table, directory, name)
     return f"{directory}/{name}" if directory else name
+
+
+def _parse_table(buf: bytes, count: int, record: type, layout: struct.Struct, what: str) -> list:
+    """Decode ``count`` records of the named tuple ``record`` in one pass."""
+    need = layout.size * count
+    if len(buf) < need:
+        raise TruncatedTable(f"{what} table needs {need} bytes for {count} records, got {len(buf)}")
+    return list(map(record._make, layout.iter_unpack(buf[:need])))
 
 
 def parse_file_table(buf: bytes, file_count: int) -> list[FileRecord]:
     """Decode ``file_count`` big-endian file records from ``buf``."""
-    need = FILE_RECORD_SIZE * file_count
-    if len(buf) < need:
-        raise TruncatedTable(
-            f"file table needs {need} bytes for {file_count} records, got {len(buf)}"
-        )
-    return [
-        FileRecord(*_FILE_RECORD.unpack_from(buf, i * FILE_RECORD_SIZE))
-        for i in range(file_count)
-    ]
+    return _parse_table(buf, file_count, FileRecord, _FILE_RECORD, "file")
 
 
 def parse_chunk_table(buf: bytes, chunk_count: int) -> list[ChunkRecord]:
     """Decode ``chunk_count`` big-endian chunk records from ``buf``."""
-    need = CHUNK_RECORD_SIZE * chunk_count
-    if len(buf) < need:
-        raise TruncatedTable(
-            f"chunk table needs {need} bytes for {chunk_count} records, got {len(buf)}"
-        )
-    return [
-        ChunkRecord(*_CHUNK_RECORD.unpack_from(buf, i * CHUNK_RECORD_SIZE))
-        for i in range(chunk_count)
-    ]
+    return _parse_table(buf, chunk_count, ChunkRecord, _CHUNK_RECORD, "chunk")
 
 
 def infer_chunk_count(records: list[FileRecord]) -> int:
@@ -412,44 +433,43 @@ def validate_layout(
 
     Returns an empty list for a well-formed instance.  Violations are
     data, not failures: callers decide whether to stop (default) or to
-    continue best-effort (force mode).  Each record's strings are
-    resolved through ``names``, which decodes each distinct offset once
-    and remembers the result, refusals included, for the path joins
-    that follow; path *safety* is checked when paths are joined
+    continue best-effort (force mode).  Each distinct in-pool offset the
+    records name is decoded into ``names`` first, and the result is
+    remembered, refusals included, for the lookups and path joins that
+    follow; path *safety* is checked when paths are joined
     (:func:`full_path`).
     """
     violations: list[Violation] = []
     add = violations.append
 
     pool_size = len(names)
-    for i, rec in enumerate(records):
-        for what, off in (("path", rec.path_offset), ("name", rec.name_offset)):
-            if off >= pool_size:
-                add(Violation(
-                    "name-offset",
-                    f"{what} offset {off} outside {pool_size}-byte pool",
-                    index=i,
-                ))
-            else:
-                try:
-                    _string_at(names, off)
-                except (UnterminatedString, NonAsciiName) as exc:
-                    add(Violation("bad-name", f"{what} string: {exc}", index=i))
-        if rec.chunk_index >= len(chunks):
+    offsets = {*map(itemgetter(0), records), *map(itemgetter(1), records)}
+    strings = _decode_strings(names, offsets)
+    bad = {off for off in offsets if type(strings.get(off)) is not str}
+    for i, (path_offset, name_offset, chunk_index, start, size) in enumerate(records):
+        if path_offset in bad or name_offset in bad:
+            for what, off in (("path", path_offset), ("name", name_offset)):
+                if off >= pool_size:
+                    add(Violation(
+                        "name-offset",
+                        f"{what} offset {off} outside {pool_size}-byte pool",
+                        index=i,
+                    ))
+                elif off in bad:  # a remembered refusal
+                    add(Violation("bad-name", f"{what} string: {strings[off][1]}", index=i))
+        if chunk_index >= len(chunks):
             add(Violation(
                 "chunk-index",
-                f"chunk index {rec.chunk_index} with only {len(chunks)} chunks",
+                f"chunk index {chunk_index} with only {len(chunks)} chunks",
                 index=i,
             ))
-        else:
-            chunk = chunks[rec.chunk_index]
-            if rec.offset_in_chunk + rec.file_size > chunk.decompressed_size:
-                add(Violation(
-                    "file-span",
-                    f"offset {rec.offset_in_chunk} + size {rec.file_size} exceeds "
-                    f"{chunk.decompressed_size}-byte chunk {rec.chunk_index}",
-                    index=i,
-                ))
+        elif start + size > chunks[chunk_index].decompressed_size:
+            add(Violation(
+                "file-span",
+                f"offset {start} + size {size} exceeds "
+                f"{chunks[chunk_index].decompressed_size}-byte chunk {chunk_index}",
+                index=i,
+            ))
 
     for i, chunk in enumerate(chunks):
         if chunk.compressed_size < STREAM_HEADER_SIZE:

@@ -1,6 +1,25 @@
-"""Builders shared across test modules."""
+"""Builders shared across test modules, and a reference reader."""
+
+import struct
+from dataclasses import dataclass
 
 from minifskit import PackOptions, pack
+from minifskit.codec import DEFAULT_OUTPUT_LIMIT, STREAM_HEADER_SIZE
+from minifskit.errors import (
+    AmbiguousPath,
+    MiniFsError,
+    NonAsciiName,
+    NotFound,
+    TruncatedTable,
+    UnterminatedString,
+)
+from minifskit.structs import (
+    FILE_RECORD_SIZE,
+    Violation,
+    check_directory,
+    check_name,
+    name_at,
+)
 
 # Three files across two chunks: the middle-of-the-road instance most
 # extractor tests want.  With the 600-byte cap the sorted entries group
@@ -33,3 +52,138 @@ def read_tree(root) -> dict[str, bytes]:
         p.relative_to(root).as_posix(): p.read_bytes()
         for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+# --- Reference reader: the dataclass records, per-record validation and
+# one-join-per-record path index that the columnless reader replaced.  The
+# equivalence tests hold the current code to it.  It decodes every string
+# with ``name_at`` and remembers nothing.
+
+@dataclass(frozen=True)
+class RefFileRecord:
+    path_offset: int
+    name_offset: int
+    chunk_index: int
+    offset_in_chunk: int
+    file_size: int
+
+
+def ref_parse_file_table(buf: bytes, file_count: int) -> list[RefFileRecord]:
+    need = FILE_RECORD_SIZE * file_count
+    if len(buf) < need:
+        raise TruncatedTable(
+            f"file table needs {need} bytes for {file_count} records, got {len(buf)}"
+        )
+    return [
+        RefFileRecord(*struct.unpack_from(">IIIII", buf, i * FILE_RECORD_SIZE))
+        for i in range(file_count)
+    ]
+
+
+def ref_validate_layout(layout, names, records, chunks, image_length) -> list[Violation]:
+    violations: list[Violation] = []
+    add = violations.append
+
+    pool_size = len(names)
+    for i, rec in enumerate(records):
+        for what, off in (("path", rec.path_offset), ("name", rec.name_offset)):
+            if off >= pool_size:
+                add(Violation(
+                    "name-offset",
+                    f"{what} offset {off} outside {pool_size}-byte pool",
+                    index=i,
+                ))
+            else:
+                try:
+                    name_at(names, off)
+                except (UnterminatedString, NonAsciiName) as exc:
+                    add(Violation("bad-name", f"{what} string: {exc}", index=i))
+        if rec.chunk_index >= len(chunks):
+            add(Violation(
+                "chunk-index",
+                f"chunk index {rec.chunk_index} with only {len(chunks)} chunks",
+                index=i,
+            ))
+        else:
+            chunk = chunks[rec.chunk_index]
+            if rec.offset_in_chunk + rec.file_size > chunk.decompressed_size:
+                add(Violation(
+                    "file-span",
+                    f"offset {rec.offset_in_chunk} + size {rec.file_size} exceeds "
+                    f"{chunk.decompressed_size}-byte chunk {rec.chunk_index}",
+                    index=i,
+                ))
+
+    for i, chunk in enumerate(chunks):
+        if chunk.compressed_size < STREAM_HEADER_SIZE:
+            add(Violation(
+                "chunk-size",
+                f"compressed size {chunk.compressed_size} below the "
+                f"{STREAM_HEADER_SIZE}-byte LZMA stream header",
+                index=i,
+            ))
+        if chunk.decompressed_size > DEFAULT_OUTPUT_LIMIT:
+            add(Violation(
+                "chunk-size",
+                f"decompressed size {chunk.decompressed_size} above the "
+                f"{DEFAULT_OUTPUT_LIMIT}-byte decoder limit",
+                index=i,
+            ))
+        end = layout.data_start + chunk.data_offset + chunk.compressed_size
+        if end > image_length:
+            add(Violation(
+                "chunk-bounds",
+                f"chunk data ends at {end} but image is {image_length} bytes",
+                index=i,
+            ))
+
+    if records:
+        last = records[-1].chunk_index
+        highest = max(rec.chunk_index for rec in records)
+        if highest != last:
+            add(Violation(
+                "chunk-inference",
+                f"last record names chunk {last} but chunk {highest} is referenced earlier",
+            ))
+
+    return violations
+
+
+def ref_full_path(names, record) -> str:
+    directory = name_at(names, record.path_offset)
+    name = name_at(names, record.name_offset)
+    check_name(name)
+    check_directory(directory)
+    return f"{directory}/{name}" if directory else name
+
+
+def ref_paths(names, records) -> list[str | MiniFsError]:
+    """Per record, its joined path or the naming error."""
+    paths: list[str | MiniFsError] = []
+    for rec in records:
+        try:
+            paths.append(ref_full_path(names, rec))
+        except MiniFsError as exc:
+            paths.append(exc)
+    return paths
+
+
+def ref_index(paths) -> dict[str, list[int]]:
+    """Path → record indices; records whose names do not join are left out."""
+    by_path: dict[str, list[int]] = {}
+    for index, path in enumerate(paths):
+        if not isinstance(path, MiniFsError):
+            by_path.setdefault(path, []).append(index)
+    return by_path
+
+
+def ref_select(by_path, selector: str) -> int:
+    """The record index a path selector picks out of ``ref_index``."""
+    matches = by_path.get(selector, [])
+    if not matches:
+        raise NotFound(f"no file named {selector!r}")
+    if len(matches) > 1:
+        raise AmbiguousPath(
+            f"{len(matches)} entries share the path {selector!r}; select by index"
+        )
+    return matches[0]

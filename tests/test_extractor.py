@@ -3,6 +3,7 @@
 import logging
 import lzma
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -351,6 +352,35 @@ class TestSymlinkGuard:
         assert (out / "real.txt").read_bytes() == b"via inward file"
         assert (out / "real" / "z.txt").read_bytes() == b"via inward dir"
         assert (out / "missing.txt").read_bytes() == b"via dangling"
+
+    def test_symlink_loops_fail_only_their_files(self, tmp_path):
+        """A looping directory and a file that links to itself fail their own
+        files; the command writes the rest and prints no traceback."""
+        image = tmp_path / "img"
+        image.write_bytes(pack([("loop1/x.txt", b"x"), ("a.txt", b"a"),
+                                ("ok.txt", b"ok"), ("loop1/y.txt", b"y")]))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "loop1").symlink_to("loop1")
+        (out / "a.txt").symlink_to("a.txt")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "minifskit.cli", "extract", "--format", "machine",
+             str(image), str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == EXIT_INVALID
+        assert "Traceback" not in result.stderr
+        report = dict(line.split("=", 1) for line in result.stdout.splitlines())
+        assert (report["written"], report["failed"]) == ("1", "3")
+        for index, path in enumerate(["a.txt", "loop1/x.txt", "loop1/y.txt"]):
+            assert report[f"file.{index}.path"] == path
+            assert report[f"file.{index}.status"] == "failed"
+            if sys.version_info < (3, 13):  # later versions leave the loop to open()
+                assert report[f"file.{index}.error"].startswith(f"UnsafePath: {path!r}")
+        assert report["file.3.status"] == "ok"
+        assert (out / "ok.txt").read_bytes() == b"ok"
 
 
 class TestExtractionLogging:

@@ -1,0 +1,105 @@
+"""Tuple records, one-loop validation and lookup by decoded name agree with
+the reference reader in ``helpers`` on random, often damaged, images."""
+
+from dataclasses import astuple
+
+from hypothesis import given, settings, strategies as st
+
+from minifskit import MiniFsHeader, compress_chunk, open_view, read_file
+from minifskit.errors import MiniFsError
+from minifskit.structs import ChunkRecord, FileRecord, NameTable, name_at
+from helpers import ref_index, ref_parse_file_table, ref_paths, ref_select, ref_validate_layout
+
+CONTENTS = [bytes([0x41 + k]) * (24 + 8 * k) for k in range(3)]
+BLOBS = [compress_chunk(content) for content in CONTENTS]
+
+# Pool strings that join, and ones that do not: dot and empty components,
+# absolute paths, a non-printable byte and non-ASCII UTF-8.
+GOOD = [b"", b"a", b"b.txt", b"dir", b"dir/sub", b"~ ~"]
+BAD = [b"..", b".", b"a//b", b"/abs", b"dir/", b"x\x01y", b"caf\xc3\xa9"]
+TEXT_WORDS = [word.decode("latin-1") for word in GOOD + BAD] + ["café", "a/../b", "dir/b.txt"]
+
+
+def mostly(common, *rare):
+    """``common`` in about seven draws of eight, else one of ``rare``."""
+    return st.integers(0, 7).flatmap(lambda k: st.one_of(*rare) if k == 0 else common)
+
+
+@st.composite
+def images(draw) -> bytes:
+    """An instance whose pool repeats strings at different offsets, may end
+    unterminated, and whose records name string starts, mid-string offsets
+    and offsets outside the pool."""
+    starts, pool = [], b""
+    for word in draw(st.lists(mostly(st.sampled_from(GOOD), st.sampled_from(BAD)),
+                              min_size=1, max_size=8)):
+        starts.append(len(pool))
+        pool += word + b"\x00"
+    if draw(st.booleans()):
+        pool = pool[:-1]
+    offset = mostly(st.sampled_from(starts), st.integers(0, len(pool) + 2), st.just(0xFFFF_FFFF))
+    span = mostly(st.integers(0, 24), st.just(0xFFFF_FFFF))
+    records = draw(st.lists(st.builds(FileRecord, offset, offset, st.integers(0, 3), span, span),
+                            min_size=1, max_size=10))
+    chunks, data = [], b""
+    for k in range(records[-1].chunk_index + 1):
+        blob, size = BLOBS[k % 3], len(CONTENTS[k % 3])
+        chunks.append(ChunkRecord(len(data), len(blob), draw(mostly(st.just(size), st.just(0),
+                                                                     st.just(size + 5)))))
+        data += blob
+    header = MiniFsHeader(file_count=len(records), name_table_size=len(pool))
+    image = (header.encode() + pool + b"".join(r.encode() for r in records)
+             + b"".join(c.encode() for c in chunks) + data)
+    return image[:len(image) - draw(mostly(st.just(0), st.just(7)))]
+
+
+selectors = st.lists(st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(TEXT_WORDS),
+    st.lists(st.sampled_from(TEXT_WORDS), min_size=2, max_size=3).map("/".join),
+), max_size=6)
+
+
+def outcome(read):
+    try:
+        return bytes(read())
+    except MiniFsError as exc:
+        return type(exc), str(exc)
+
+
+def joined(paths):
+    return [p if isinstance(p, str) else (type(p), str(p)) for p in paths]
+
+
+def unchecked_joins(names, records):
+    """Each record's strings joined without the path rule: selectors that
+    only the rule keeps from matching (``a/``, ``a/.``, ``../x``, ``a//b/x``),
+    and, behind a ``/``, ones that only the split at the last ``/`` does."""
+    for rec in records:
+        try:
+            directory, name = name_at(names, rec.path_offset), name_at(names, rec.name_offset)
+        except MiniFsError:
+            continue
+        yield f"{directory}/{name}" if directory else name
+
+
+@settings(max_examples=300, deadline=None)
+@given(image=images(), extra=selectors, lookups_first=st.booleans())
+def test_open_list_and_read_agree_with_reference(image, extra, lookups_first):
+    view = open_view(image, force=True)
+    layout = view.layout
+    records = ref_parse_file_table(image[layout.files_start:layout.chunk_table_start],
+                                   view.header.file_count)
+    assert [tuple(rec) for rec in view.files] == [astuple(rec) for rec in records]
+    names = NameTable(view.names.pool)
+    assert view.violations == ref_validate_layout(layout, names, records, view.chunks, len(image))
+
+    paths = ref_paths(names, records)
+    by_path = ref_index(paths)
+    if not lookups_first:  # join every path before the first lookup
+        assert joined(view._paths) == joined(paths)
+    joins = list(unchecked_joins(names, records))
+    for selector in [*joins, *("/" + join for join in joins), *extra]:
+        assert outcome(lambda: read_file(view, selector)) == outcome(
+            lambda: read_file(view, ref_select(by_path, selector))), selector
+    assert joined(view._paths) == joined(paths)

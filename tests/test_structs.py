@@ -352,6 +352,24 @@ class TestValidateLayout:
         violations = validate_tables(header, records, chunks, image_length=1 << 20)
         assert any(v.kind == "name-offset" for v in violations)
 
+    @pytest.mark.parametrize("offset, size", [(0xFFFF_FFFF, 1), (1, 0xFFFF_FFFF),
+                                              (0xFFFF_FFFF, 0xFFFF_FFFF)])
+    def test_file_span_is_not_wrapped_to_32_bits(self, offset, size):
+        # In u32 arithmetic each sum wraps to below the chunk size.
+        header = MiniFsHeader(file_count=1, name_table_size=4)
+        (record,) = parse_file_table(FileRecord(0, 2, 0, offset, size).encode(), 1)
+        chunks = [ChunkRecord(0, 13, 0xFFFF_FFFF)]
+        violations = validate_tables(header, [record], chunks, image_length=1 << 20)
+        assert [(v.kind, v.index) for v in violations] == [("file-span", 0), ("chunk-size", 0)]
+
+    @pytest.mark.parametrize("data_offset, compressed_size", [(0xFFFF_FFFF, 13), (13, 0xFFFF_FFFF),
+                                                              (0xFFFF_FFFF, 0xFFFF_FFFF)])
+    def test_chunk_bounds_are_not_wrapped_to_32_bits(self, data_offset, compressed_size):
+        header = MiniFsHeader(file_count=0, name_table_size=0)
+        (chunk,) = parse_chunk_table(ChunkRecord(data_offset, compressed_size, 0).encode(), 1)
+        violations = validate_tables(header, [], [chunk], image_length=1 << 20)
+        assert [(v.kind, v.index) for v in violations] == [("chunk-bounds", 0)]
+
     def test_chunk_data_beyond_image(self):
         header = MiniFsHeader(file_count=0, name_table_size=0)
         chunks = [ChunkRecord(0, 1000, 100)]
