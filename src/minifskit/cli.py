@@ -28,7 +28,6 @@ import stat
 import sys
 
 from . import __version__
-from .codec import decompress_chunk
 from .errors import (
     AmbiguousPath,
     EmptyInput,
@@ -36,7 +35,7 @@ from .errors import (
     NotFound,
     ValidationFailed,
 )
-from .extractor import MiniFsView, extract_all, list_files, open_view, read_file
+from .extractor import MiniFsView, _decode_chunks, extract_all, list_files, open_view, read_file
 from .fixtures import SHAPES, FixtureSpec, make_fixture
 from .packer import PackOptions, pack
 from .scanner import (
@@ -318,13 +317,13 @@ def cmd_verify(args) -> int:
 
     failures = 0
     lines = []
-    for i, rec in enumerate(view.chunks):
-        try:
-            decompress_chunk(*view.compressed_chunk(i))
-            status, detail = "ok", f"{rec.compressed_size} -> {rec.decompressed_size} bytes"
-        except MiniFsError as exc:
+    decoded = _decode_chunks(view, range(len(view.chunks)), None)
+    for data, (i, rec) in zip(decoded, enumerate(view.chunks)):
+        if isinstance(data, MiniFsError):
             failures += 1
-            status, detail = "fail", f"{type(exc).__name__}: {exc}"
+            status, detail = "fail", f"{type(data).__name__}: {data}"
+        else:
+            status, detail = "ok", f"{rec.compressed_size} -> {rec.decompressed_size} bytes"
         if args.format == "machine":
             lines.append(f"chunk.{i}.status={status}")
             if status != "ok":
@@ -421,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="materialize the whole tree on disk")
     p.add_argument("image")
     p.add_argument("out_dir")
-    p.add_argument("--jobs", type=_positive_arg, default=1,
-                   help="threads decoding chunks ahead of the writes; about JOBS + 1 chunks are held")
+    p.add_argument("--jobs", type=_positive_arg, default=None,
+                   help="threads decoding chunks ahead of the writes (default: the CPU count); "
+                        "about JOBS + 1 chunks, at most 64 MiB of declared bytes ahead, are held")
     _add_base(p)
     _add_format(p)
     p.set_defaults(func=cmd_extract)
@@ -440,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hex override for the header word @0x10")
     p.add_argument("--unknown-b", type=_u32_arg, default=None,
                    help="hex override for the header word @0x18")
-    p.add_argument("--jobs", type=_positive_arg, default=1, help="parallel chunk compression")
+    p.add_argument("--jobs", type=_positive_arg, default=1,
+                   help="threads compressing chunks (default 1); each adds an LZMA encoder "
+                        "of about 19 MiB")
     _add_format(p)
     p.set_defaults(func=cmd_pack)
 

@@ -159,16 +159,26 @@ def compress_chunk(data: bytes) -> bytes:
     return out
 
 
-def _map_in_order(fn: Callable, items: Iterable, jobs: int) -> Iterator:
-    """Yield ``fn(item)`` per item, in order; ``jobs`` > 1 threads keep at most ``jobs`` waiting."""
+def _map_in_order(fn: Callable, items: Iterable, jobs: int,
+                  size: Callable[..., int] = lambda _: 0) -> Iterator:
+    """Yield ``fn(item)`` per item, in order; ``jobs`` > 1 threads keep at most ``jobs`` waiting.
+
+    Another item starts only while the ``size`` of the items started and
+    not yet yielded stays within DEFAULT_OUTPUT_LIMIT; the first always does.
+    """
     if jobs <= 1:
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         window: deque = deque()
+        held = 0
         for item in items:
-            if len(window) == jobs:
-                yield window.popleft().result()
-            window.append(pool.submit(fn, item))
+            weight = size(item)
+            while window and (len(window) == jobs or held + weight > DEFAULT_OUTPUT_LIMIT):
+                future, started = window.popleft()
+                held -= started
+                yield future.result()
+            window.append((pool.submit(fn, item), weight))
+            held += weight
         while window:
-            yield window.popleft().result()
+            yield window.popleft()[0].result()

@@ -4,7 +4,11 @@ The flow mirrors how the format is meant to be consumed: parse the
 header, the name pool and both tables, then pull individual files out of
 their decompressed chunks.  A chunk holds several files, so reads keep
 each decompressed chunk on the view; extraction instead decodes each
-chunk once, writes its files and drops it, outside that cache.  Paths
+chunk once, writes its files and drops it, outside that cache, on
+every CPU by default; ``minifs verify`` decodes the same way.  At most
+64 MiB of declared chunk bytes are decoded ahead of the writes, plus
+each running decoder's dictionary, so below that budget the peak grows
+with the thread count.  Paths
 are joined once per view, on the first listing or extraction; a lookup
 by path reads the decoded strings instead and joins no path.
 """
@@ -18,8 +22,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator, Sequence
 
-from . import structs
+from . import codec, structs
 from .codec import Version, _map_in_order, check_config_word, decompress_chunk
 from .errors import (
     MiniFsError,
@@ -331,19 +336,49 @@ def _write_file(out_root: Path, parents: dict[str, str], target: str,
     return parent + name
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _decode_chunks(
+    view: MiniFsView, indices: Sequence[int], jobs: int | None
+) -> Iterator[memoryview | MiniFsError]:
+    """Per chunk index, in order: its decoded bytes, or the MiniFsError decoding raised.
+
+    Runs outside the view's cache on ``jobs`` threads (None: every CPU
+    this process may run on), never more than there are chunks, within
+    the byte budget of :func:`codec._map_in_order`; logs one debug record.
+    """
+    jobs = max(1, min(_available_cpus() if jobs is None else jobs, len(indices)))
+    _log.debug("decoding %d chunks on %d threads, at most %d declared bytes ahead",
+               len(indices), jobs, codec.DEFAULT_OUTPUT_LIMIT)
+
+    def decode(index: int) -> memoryview | MiniFsError:
+        try:
+            return memoryview(decompress_chunk(*view.compressed_chunk(index)))
+        except MiniFsError as exc:
+            return exc
+
+    # In force mode a record may name a chunk the table does not hold.
+    return _map_in_order(decode, indices, jobs,
+                         lambda i: view.chunks[i].decompressed_size if i < len(view.chunks) else 0)
+
+
 def extract_all(
     view: MiniFsView,
     out_dir: str | os.PathLike,
     *,
     force: bool = False,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> ExtractReport:
     """Write every file of the instance under ``out_dir``.
 
     One in-order pass, outside the view's cache, decompresses each chunk
     once, writes its files and drops it once the next is decoded, so
-    about ``jobs + 1`` chunks are held; ``jobs`` > 1 decodes ahead on
-    threads while writes stay ordered.  Per-file problems are recorded
+    about ``jobs + 1`` chunks (at most 64 MiB of declared bytes ahead,
+    plus the running decoders' dictionaries) are held; ``jobs`` threads decode ahead while writes stay ordered, None
+    meaning every CPU (:func:`_decode_chunks`).  Per-file problems are recorded
     in the report instead of aborting the run; only an unusable output
     directory is fatal.  In force mode records with broken names are
     reported as failed and skipped instead of raising.  Each such record,
@@ -375,18 +410,13 @@ def extract_all(
     for entry in sorted(entries, key=lambda e: (e.chunk_index, e.offset_in_chunk, e.index)):
         groups.setdefault(entry.chunk_index, []).append(entry)
 
-    def decode(index: int) -> memoryview | str:
-        try:
-            return memoryview(decompress_chunk(*view.compressed_chunk(index)))
-        except MiniFsError as exc:
-            return f"{type(exc).__name__}: {exc}"
-
     parents = {"": os.path.join(out_root, "")}  # directory -> its resolved, created path + "/"
     last_dup = {e.path: -1 for e in entries}  # path -> last .dupN given; 0: the path itself
     categories: Counter = Counter()
-    for data, (index, group) in zip(_map_in_order(decode, groups, jobs), groups.items()):
-        if isinstance(data, str):
-            _log.debug("chunk %d failed to decode, failing its %d files: %s", index, len(group), data)
+    for data, (index, group) in zip(_decode_chunks(view, list(groups), jobs), groups.items()):
+        failure = f"{type(data).__name__}: {data}" if isinstance(data, MiniFsError) else None
+        if failure:
+            _log.debug("chunk %d failed to decode, failing its %d files: %s", index, len(group), failure)
         for entry in group:
             target = entry.path
             bump = last_dup[target] + 1
@@ -397,7 +427,7 @@ def extract_all(
                 target = f"{target}.dup{bump}"
                 warnings.append(f"duplicate path {entry.path!r}; record {entry.index} written as {target!r}")
 
-            error = data if isinstance(data, str) else None
+            error = failure
             if error is None:
                 try:
                     content = _slice_entry(data, entry)

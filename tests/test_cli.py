@@ -16,7 +16,10 @@ from minifskit.cli import (
     EXIT_OK,
     main,
 )
-from minifskit.fixtures import FixtureSpec, make_fixture
+from minifskit import extractor
+from minifskit.extractor import open_view
+from minifskit.fixtures import SHAPES, FixtureSpec, make_fixture
+from minifskit.structs import CHUNK_RECORD_SIZE
 from minifskit.scanner import entropy_profile
 from helpers import THREE_FILE_ENTRIES, build_three_file_image, read_tree, write_tree
 from test_scanner import entropy_reference
@@ -319,6 +322,63 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "chunk.0.status=ok" in out
         assert "result=ok" in out
+
+
+def _damaged_multi_chunk(damage: str) -> bytes:
+    image = bytearray(make_fixture(FixtureSpec(seed=1, shape="multi-chunk"))[0])
+    view = open_view(bytes(image))
+    assert len(view.chunks) == 3
+    if damage == "config-word":
+        image[view.layout.data_start] ^= 0x01  # 5D -> 5C: no known configuration word
+    elif damage == "truncated":
+        last = view.chunks[-1]
+        del image[view.layout.data_start + last.data_offset + last.compressed_size // 2:]
+    else:  # "overrun": chunk 1 decodes past a declared size 10 bytes short
+        at = view.layout.chunk_table_start + CHUNK_RECORD_SIZE + 8
+        image[at:at + 4] = (view.chunks[1].decompressed_size - 10).to_bytes(4, "big")
+    return bytes(image)
+
+
+class TestDecodeJobs:
+    """verify and extract print and write the same bytes whatever the thread count."""
+
+    DAMAGES = {"config-word": "chunk.0.error=UnknownConfigWord: ",
+               "truncated": "chunk.2.error=TruncatedImage: ",
+               "overrun": "chunk.1.error=SizeMismatch: "}
+
+    @pytest.mark.parametrize("name", [*SHAPES, *DAMAGES])
+    def test_outputs_do_not_depend_on_jobs(self, name, tmp_path, capsys, monkeypatch):
+        if name in SHAPES:
+            dump = make_fixture(FixtureSpec(seed=1, shape=name))[0]
+        else:
+            dump = _damaged_multi_chunk(name)
+        path = tmp_path / "dump.bin"
+        path.write_bytes(dump)
+        outcomes = []
+        for tag, cpus, jobs in [("one", 1, ["--jobs", "1"]), ("two", 2, ["--jobs", "2"]),
+                                ("default", None, [])]:
+            with monkeypatch.context() as patch:
+                if cpus is not None:  # verify decodes on every CPU the process may use
+                    patch.setattr(extractor, "_available_cpus", lambda: cpus)
+                verify = main(["verify", str(path), "--force", "--format", "machine"])
+            verified = capsys.readouterr().out
+            out = tmp_path / tag
+            extract = main(["extract", str(path), str(out), "--force", "--format", "machine", *jobs])
+            extracted = capsys.readouterr().out.replace(str(out), "<out>")
+            outcomes.append((verify, verified, extract, extracted, read_tree(out)))
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        verify, verified, extract, extracted, _ = outcomes[0]
+        chunks = int(verified.split("chunks=")[1].split()[0])
+        assert [line.split(".")[1] for line in verified.splitlines()
+                if line.startswith("chunk.") and ".status=" in line] == [str(i) for i in range(chunks)]
+        if name in SHAPES:
+            assert (verify, extract) == (EXIT_OK, EXIT_OK)
+            assert "result=ok" in verified and "failed=0" in extracted
+        else:
+            assert (verify, extract) == (EXIT_INVALID, EXIT_INVALID)
+            assert verified.count(".error=") == 1 and self.DAMAGES[name] in verified
+            error_type = self.DAMAGES[name].split("=")[1]
+            assert f".error={error_type}" in extracted
 
 
 class TestPackCommand:

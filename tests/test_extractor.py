@@ -22,7 +22,7 @@ from minifskit import (
     pack,
     read_file,
 )
-from minifskit import codec, structs
+from minifskit import codec, extractor, structs
 from minifskit.errors import (
     AmbiguousPath,
     BadMagic,
@@ -409,17 +409,20 @@ class TestExtractionLogging:
         assert [line for line in quiet.out.splitlines() if line.endswith("status=failed")] == [
             "file.0.status=failed", "file.2.status=failed", "file.4.status=failed"]
         records = [r for r in caplog.records if r.name == "minifskit.extractor"]
-        assert [r.levelno for r in records] == [logging.DEBUG] * 3
+        assert [r.levelno for r in records] == [logging.DEBUG] * 4
         assert records[0].getMessage() == (
             "file record 0 failed: its name does not join: "
             "directory path 'a//b' has an empty component")
-        assert records[1].getMessage().startswith("chunk 1 failed to decode, failing its 1 files: ")
-        assert records[1].args[:2] == (1, 1)
+        threads = min(extractor._available_cpus(), 3)
+        assert records[1].getMessage() == (
+            f"decoding 3 chunks on {threads} threads, at most 67108864 declared bytes ahead")
+        assert records[2].getMessage().startswith("chunk 1 failed to decode, failing its 1 files: ")
+        assert records[2].args[:2] == (1, 1)
         out = tmp_path / "out"
-        assert records[2].getMessage() == (
+        assert records[3].getMessage() == (
             f"file record 4 failed to write 'ok.txt/in': "
             f"FileExistsError: [Errno 17] File exists: '{out / 'ok.txt'}'")
-        assert f"file.4.error={records[2].args[2]}\n" in quiet.out
+        assert f"file.4.error={records[3].args[2]}\n" in quiet.out
 
 
 class TestBoundedExtraction:
@@ -446,6 +449,55 @@ class TestBoundedExtraction:
         assert self.traced_peak(view, tmp_path / "jobs2", 2) <= one + (2 + 1.5) * self.CHUNK
         assert view._cache == {}  # extraction leaves the read cache alone
         assert read_file(view, "zero3") == bytes(self.CHUNK)
+
+    @staticmethod
+    def eight_cpus(monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert extractor._available_cpus() == 8
+
+    def test_default_jobs_hold_the_byte_budget_not_the_cpu_count(self, tmp_path, monkeypatch):
+        one = self.traced_peak(open_view(self.image(1)), tmp_path / "one", 1)
+        self.eight_cpus(monkeypatch)
+        monkeypatch.setattr(codec, "DEFAULT_OUTPUT_LIMIT", 2 * self.CHUNK)
+        view = open_view(self.image(8))
+        assert self.traced_peak(view, tmp_path / "default", None) <= one + (2 + 1.5) * self.CHUNK
+        assert read_tree(tmp_path / "default") == {f"zero{i}": bytes(self.CHUNK) for i in range(8)}
+
+    def test_default_jobs_below_the_budget_hold_an_output_and_a_dictionary_per_cpu(
+            self, tmp_path, monkeypatch):
+        # 8 chunks of 4 MiB stay far inside the 64 MiB budget, so all 8
+        # CPUs decode at once; each running decoder also holds a dictionary
+        # as large as its chunk, which the budget does not count.
+        one = self.traced_peak(open_view(self.image(1)), tmp_path / "one", 1)
+        self.eight_cpus(monkeypatch)
+        view = open_view(self.image(8))
+        assert self.traced_peak(view, tmp_path / "default", None) <= one + (2 * 8 + 1.5) * self.CHUNK
+        assert read_tree(tmp_path / "default") == {f"zero{i}": bytes(self.CHUNK) for i in range(8)}
+
+    def test_one_chunk_starts_no_pool(self, tmp_path, monkeypatch):
+        self.eight_cpus(monkeypatch)
+        started = []
+        monkeypatch.setattr(codec, "ThreadPoolExecutor",
+                            lambda **kwargs: started.append(kwargs) or ThreadPoolExecutor(**kwargs))
+        assert extract_all(open_view(self.image(1)), tmp_path / "one").written == 1
+        assert started == []
+        assert extract_all(open_view(self.image(2)), tmp_path / "two").written == 2
+        assert started == [{"max_workers": 2}]  # never more threads than chunks
+
+
+@pytest.mark.parametrize("affinity, cpu_count, expected", [
+    ({0, 2, 5}, 8, 3),
+    (None, 6, 6),
+    (None, None, 1),
+])
+def test_available_cpus(monkeypatch, affinity, cpu_count, expected):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert extractor._available_cpus() == expected
 
 
 class TestConcurrentReads:
