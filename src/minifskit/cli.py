@@ -440,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hex override for the header word @0x10")
     p.add_argument("--unknown-b", type=_u32_arg, default=None,
                    help="hex override for the header word @0x18")
-    p.add_argument("--jobs", type=_positive_arg, default=1,
-                   help="threads compressing chunks (default 1); each adds an LZMA encoder "
-                        "of about 19 MiB")
+    p.add_argument("--jobs", type=_positive_arg, default=None,
+                   help="threads compressing chunks (default: the CPU count); each adds an "
+                        "LZMA encoder, about 4-5 MiB at the default cap")
     _add_format(p)
     p.set_defaults(func=cmd_pack)
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import enum
 import lzma
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import ChunkTooLarge, CorruptStream, EncodeError, SizeMismatch, UnknownConfigWord
 
@@ -35,6 +36,9 @@ _ENCODER_DICT_SIZE = 0x0080_0000
 # The smallest chunk the decoder accepts: a stream header with no payload.
 STREAM_HEADER_SIZE = 13
 _UNKNOWN_SIZE_FIELD = b"\xff" * 8
+# The header the encoder writes: properties 0x5D (lc=3, lp=0, pb=2), the
+# 8 MiB dictionary field, the unknown-size field.  It opens with V2_CONFIG_WORD.
+_V2_STREAM_HEADER = b"\x5d" + _ENCODER_DICT_SIZE.to_bytes(4, "little") + _UNKNOWN_SIZE_FIELD
 
 # Largest decompressed chunk accepted.  Observed real chunks are a few
 # hundred KiB; anything near this cap is hostile or corrupt.
@@ -147,26 +151,64 @@ def compress_chunk(data: bytes) -> bytes:
 
     The output starts with the v2 configuration word and uses the
     unknown-size stream variant, exactly what
-    :func:`decompress_chunk` (and stock LZMA tools) accept.
+    :func:`decompress_chunk` (and stock LZMA tools) accept.  The header
+    declares 8 MiB, but the raw LZMA1 encoder (preset 6) gets the
+    dictionary the decoder sizes for the chunk; no match can reach past
+    the chunk's start, so the bytes equal an 8 MiB encoder's, while an
+    encoder costs 4-5 MiB at the default cap instead of ~19 MiB.
     """
-    filters = [{"id": lzma.FILTER_LZMA1, "preset": 6, "dict_size": _ENCODER_DICT_SIZE}]
+    filters = [{"id": lzma.FILTER_LZMA1, "preset": 6,
+                "dict_size": _bounded_dict_size(_ENCODER_DICT_SIZE, len(data))}]
     try:
-        out = lzma.compress(data, format=lzma.FORMAT_ALONE, filters=filters)
+        return _V2_STREAM_HEADER + lzma.compress(data, format=lzma.FORMAT_RAW, filters=filters)
     except lzma.LZMAError as exc:
         raise EncodeError(f"LZMA encoder failed: {exc}") from exc
-    if out[:4] != V2_CONFIG_WORD:
-        raise EncodeError(f"encoder produced unexpected leading word {out[:4].hex()}")
-    return out
 
 
-def _map_in_order(fn: Callable, items: Iterable, jobs: int,
-                  size: Callable[..., int] = lambda _: 0) -> Iterator:
-    """Yield ``fn(item)`` per item, in order; ``jobs`` > 1 threads keep at most ``jobs`` waiting.
+# The cgroup CPU quota: v2's "<quota> <period>" file, else v1's two files.
+_CGROUP_V2_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+_CGROUP_V1_CPU_DIR = "/sys/fs/cgroup/cpu"
+
+
+def _cgroup_cpus() -> int | None:
+    """The cgroup CPU quota rounded up to whole CPUs; None where none is set or readable."""
+    def words(path: str) -> list[str]:
+        try:
+            with open(path) as handle:
+                return handle.read().split()
+        except (OSError, UnicodeDecodeError):
+            return []
+
+    fields = words(_CGROUP_V2_CPU_MAX) or (
+        words(os.path.join(_CGROUP_V1_CPU_DIR, "cpu.cfs_quota_us"))
+        + words(os.path.join(_CGROUP_V1_CPU_DIR, "cpu.cfs_period_us")))
+    try:
+        quota, period = map(int, fields)
+    except ValueError:  # no file, "max", or not two numbers
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one, within the cgroup quota."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, _cgroup_cpus() or cpus)
+
+
+def _threads(jobs: int | None, count: int) -> int:
+    """The threads a map of ``count`` items runs on: ``jobs`` (None: every available CPU), at most ``count``, at least 1."""
+    return max(1, min(_available_cpus() if jobs is None else jobs, count))
+
+
+def _map_in_order(fn: Callable, items: Sequence, jobs: int | None,
+                  size: Callable[..., int]) -> Iterator:
+    """Yield ``fn(item)`` per item, in order, on :func:`_threads` threads that keep at most that many waiting.
 
     Another item starts only while the ``size`` of the items started and
     not yet yielded stays within DEFAULT_OUTPUT_LIMIT; the first always does.
     """
-    if jobs <= 1:
+    jobs = _threads(jobs, len(items))
+    if jobs == 1:
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:

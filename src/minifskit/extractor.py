@@ -336,23 +336,17 @@ def _write_file(out_root: Path, parents: dict[str, str], target: str,
     return parent + name
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _decode_chunks(
     view: MiniFsView, indices: Sequence[int], jobs: int | None
 ) -> Iterator[memoryview | MiniFsError]:
     """Per chunk index, in order: its decoded bytes, or the MiniFsError decoding raised.
 
-    Runs outside the view's cache on ``jobs`` threads (None: every CPU
-    this process may run on), never more than there are chunks, within
-    the byte budget of :func:`codec._map_in_order`; logs one debug record.
+    Runs outside the view's cache through :func:`codec._map_in_order`, on
+    ``jobs`` threads (None: every CPU this process may run on) and within
+    its byte budget; logs one debug record.
     """
-    jobs = max(1, min(_available_cpus() if jobs is None else jobs, len(indices)))
     _log.debug("decoding %d chunks on %d threads, at most %d declared bytes ahead",
-               len(indices), jobs, codec.DEFAULT_OUTPUT_LIMIT)
+               len(indices), codec._threads(jobs, len(indices)), codec.DEFAULT_OUTPUT_LIMIT)
 
     def decode(index: int) -> memoryview | MiniFsError:
         try:

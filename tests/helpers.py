@@ -1,5 +1,6 @@
-"""Builders shared across test modules, and a reference reader."""
+"""Builders shared across test modules, and a reference reader and encoder."""
 
+import lzma
 import struct
 from dataclasses import dataclass
 
@@ -187,3 +188,12 @@ def ref_select(by_path, selector: str) -> int:
             f"{len(matches)} entries share the path {selector!r}; select by index"
         )
     return matches[0]
+
+
+# --- Reference encoder: the stock legacy-LZMA ("alone") encoder with the
+# v2 encoder's 8 MiB dictionary, which compress_chunk replaced.  The
+# equivalence tests hold compress_chunk to it byte for byte.
+
+def ref_compress_chunk(data: bytes) -> bytes:
+    filters = [{"id": lzma.FILTER_LZMA1, "preset": 6, "dict_size": 8 << 20}]
+    return lzma.compress(data, format=lzma.FORMAT_ALONE, filters=filters)

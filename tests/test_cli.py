@@ -16,7 +16,7 @@ from minifskit.cli import (
     EXIT_OK,
     main,
 )
-from minifskit import extractor
+from minifskit import codec
 from minifskit.extractor import open_view
 from minifskit.fixtures import SHAPES, FixtureSpec, make_fixture
 from minifskit.structs import CHUNK_RECORD_SIZE
@@ -359,7 +359,7 @@ class TestDecodeJobs:
                                 ("default", None, [])]:
             with monkeypatch.context() as patch:
                 if cpus is not None:  # verify decodes on every CPU the process may use
-                    patch.setattr(extractor, "_available_cpus", lambda: cpus)
+                    patch.setattr(codec, "_available_cpus", lambda: cpus)
                 verify = main(["verify", str(path), "--force", "--format", "machine"])
             verified = capsys.readouterr().out
             out = tmp_path / tag

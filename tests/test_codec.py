@@ -1,6 +1,7 @@
 """LZMA chunk codec: config word, round trips, size enforcement."""
 
 import lzma
+import random
 import struct
 
 import pytest
@@ -16,6 +17,7 @@ from minifskit import (
 )
 from minifskit.codec import DEFAULT_OUTPUT_LIMIT
 from minifskit.errors import ChunkTooLarge, CorruptStream, SizeMismatch, UnknownConfigWord
+from helpers import ref_compress_chunk
 
 
 class TestConfigWord:
@@ -61,6 +63,42 @@ class TestRoundTrip:
     def test_multi_megabyte_roundtrip(self):
         data = (bytes(range(256)) * 8192) + b"tail"  # 2 MiB + 4
         assert decompress_chunk(compress_chunk(data), len(data)) == data
+
+
+def mixed_bytes(size: int) -> bytes:
+    """``size`` bytes of repeated words with runs of random bytes, seeded by the size.
+
+    Past 1 MiB the first MiB repeats, which keeps the encoders quick.
+    """
+    rng = random.Random(size)
+    words = [rng.randbytes(rng.randint(1, 12)) for _ in range(64)]
+    out = bytearray()
+    while len(out) < min(size, 1 << 20):
+        out += rng.randbytes(rng.randint(0, 600)) if rng.random() < 0.1 else rng.choice(words)
+    return (bytes(out) * (size // len(out) + 1) if out else b"")[:size]
+
+
+class TestReferenceEncoder:
+    """compress_chunk writes what the 8 MiB-dictionary legacy encoder writes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=1 << 16),
+        st.builds(lambda unit, count: (unit * count)[:1 << 17],
+                  st.binary(min_size=1, max_size=64), st.integers(1, 1 << 12)),
+        st.builds(lambda words, picks: b" ".join(words[i % len(words)] for i in picks),
+                  st.lists(st.binary(min_size=1, max_size=9), min_size=1, max_size=40),
+                  st.lists(st.integers(0, 1 << 8), max_size=4000)),
+    ))
+    def test_equals_reference_property(self, data):
+        assert compress_chunk(data) == ref_compress_chunk(data)
+
+    # Either side of the 4 KiB dictionary floor, the default chunk cap
+    # (393216), the next power of two, and the 8 MiB dictionary cap.
+    @pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 393216, 524288, 524289, (8 << 20) + 1])
+    def test_equals_reference_at_dictionary_boundaries(self, size):
+        data = mixed_bytes(size)
+        assert compress_chunk(data) == ref_compress_chunk(data)
 
 
 class TestSizeEnforcement:

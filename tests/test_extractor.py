@@ -22,7 +22,7 @@ from minifskit import (
     pack,
     read_file,
 )
-from minifskit import codec, extractor, structs
+from minifskit import codec, structs
 from minifskit.errors import (
     AmbiguousPath,
     BadMagic,
@@ -413,7 +413,7 @@ class TestExtractionLogging:
         assert records[0].getMessage() == (
             "file record 0 failed: its name does not join: "
             "directory path 'a//b' has an empty component")
-        threads = min(extractor._available_cpus(), 3)
+        threads = min(codec._available_cpus(), 3)
         assert records[1].getMessage() == (
             f"decoding 3 chunks on {threads} threads, at most 67108864 declared bytes ahead")
         assert records[2].getMessage().startswith("chunk 1 failed to decode, failing its 1 files: ")
@@ -451,14 +451,15 @@ class TestBoundedExtraction:
         assert read_file(view, "zero3") == bytes(self.CHUNK)
 
     @staticmethod
-    def eight_cpus(monkeypatch):
+    def eight_cpus(monkeypatch, tmp_path):
+        no_cgroup_quota(monkeypatch, tmp_path)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert extractor._available_cpus() == 8
+        assert codec._available_cpus() == 8
 
     def test_default_jobs_hold_the_byte_budget_not_the_cpu_count(self, tmp_path, monkeypatch):
         one = self.traced_peak(open_view(self.image(1)), tmp_path / "one", 1)
-        self.eight_cpus(monkeypatch)
+        self.eight_cpus(monkeypatch, tmp_path)
         monkeypatch.setattr(codec, "DEFAULT_OUTPUT_LIMIT", 2 * self.CHUNK)
         view = open_view(self.image(8))
         assert self.traced_peak(view, tmp_path / "default", None) <= one + (2 + 1.5) * self.CHUNK
@@ -470,20 +471,27 @@ class TestBoundedExtraction:
         # CPUs decode at once; each running decoder also holds a dictionary
         # as large as its chunk, which the budget does not count.
         one = self.traced_peak(open_view(self.image(1)), tmp_path / "one", 1)
-        self.eight_cpus(monkeypatch)
+        self.eight_cpus(monkeypatch, tmp_path)
         view = open_view(self.image(8))
         assert self.traced_peak(view, tmp_path / "default", None) <= one + (2 * 8 + 1.5) * self.CHUNK
         assert read_tree(tmp_path / "default") == {f"zero{i}": bytes(self.CHUNK) for i in range(8)}
 
     def test_one_chunk_starts_no_pool(self, tmp_path, monkeypatch):
-        self.eight_cpus(monkeypatch)
+        self.eight_cpus(monkeypatch, tmp_path)
         started = []
         monkeypatch.setattr(codec, "ThreadPoolExecutor",
                             lambda **kwargs: started.append(kwargs) or ThreadPoolExecutor(**kwargs))
         assert extract_all(open_view(self.image(1)), tmp_path / "one").written == 1
         assert started == []
         assert extract_all(open_view(self.image(2)), tmp_path / "two").written == 2
-        assert started == [{"max_workers": 2}]  # never more threads than chunks
+        # pack, then extract: never more threads than chunks
+        assert started == [{"max_workers": 2}] * 2
+
+
+def no_cgroup_quota(monkeypatch, tmp_path):
+    """Point the cgroup quota files at paths that do not exist."""
+    monkeypatch.setattr(codec, "_CGROUP_V2_CPU_MAX", str(tmp_path / "absent" / "cpu.max"))
+    monkeypatch.setattr(codec, "_CGROUP_V1_CPU_DIR", str(tmp_path / "absent"))
 
 
 @pytest.mark.parametrize("affinity, cpu_count, expected", [
@@ -491,13 +499,45 @@ class TestBoundedExtraction:
     (None, 6, 6),
     (None, None, 1),
 ])
-def test_available_cpus(monkeypatch, affinity, cpu_count, expected):
+def test_available_cpus(monkeypatch, tmp_path, affinity, cpu_count, expected):
+    no_cgroup_quota(monkeypatch, tmp_path)
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    assert extractor._available_cpus() == expected
+    assert codec._available_cpus() == expected
+
+
+@pytest.mark.parametrize("v2, v1_quota, v1_period, expected", [
+    ("200000 100000\n", None, None, 2),
+    ("150000 100000\n", None, None, 2),  # a part CPU counts as one
+    ("50000 100000\n", None, None, 1),
+    ("max 100000\n", "100000", "100000", 8),  # v2 says no quota; v1 is not read
+    ("", None, None, 8),
+    ("garbage\n", None, None, 8),
+    (None, "300000\n", "100000\n", 3),
+    (None, "-1\n", "100000\n", 8),
+    (None, "300000\n", None, 8),
+    (None, None, None, 8),
+    (IsADirectoryError, None, None, 8),  # unreadable
+    ("2000000 100000\n", None, None, 8),  # a quota above the affinity set
+])
+def test_available_cpus_within_cgroup_quota(monkeypatch, tmp_path, v2, v1_quota, v1_period, expected):
+    no_cgroup_quota(monkeypatch, tmp_path)
+    v1 = tmp_path / "cpu"
+    v1.mkdir()
+    monkeypatch.setattr(codec, "_CGROUP_V1_CPU_DIR", str(v1))
+    if v2 is IsADirectoryError:
+        (tmp_path / "cpu.max").mkdir()
+    elif v2 is not None:
+        (tmp_path / "cpu.max").write_text(v2)
+    monkeypatch.setattr(codec, "_CGROUP_V2_CPU_MAX", str(tmp_path / "cpu.max"))
+    for name, text in (("cpu.cfs_quota_us", v1_quota), ("cpu.cfs_period_us", v1_period)):
+        if text is not None:
+            (v1 / name).write_text(text)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert codec._available_cpus() == expected
 
 
 class TestConcurrentReads:

@@ -11,7 +11,8 @@ from minifskit import (
     pack,
     read_file,
 )
-from minifskit import packer
+from minifskit import codec, packer
+from minifskit.fixtures import SHAPES, FixtureSpec, make_fixture
 from minifskit.errors import (
     FileTooLarge,
     MiniFsError,
@@ -230,6 +231,19 @@ class TestPack:
         opts_serial = PackOptions(max_chunk_decompressed=700, jobs=1)
         opts_parallel = PackOptions(max_chunk_decompressed=700, jobs=4)
         assert pack(entries, opts_serial) == pack(entries, opts_parallel)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_jobs_equal_one(self, shape, seed, monkeypatch):
+        dump, manifest = make_fixture(FixtureSpec(seed=seed, shape=shape))
+        view = open_view(dump, manifest.magic_offset)
+        tree = [(e.path, read_file(view, e.index)) for e in list_files(view)]
+        # The default cap, and one file per chunk.
+        for cap in (PackOptions.max_chunk_decompressed, max(len(content) for _, content in tree)):
+            serial = pack(tree, PackOptions(max_chunk_decompressed=cap, jobs=1))
+            for cpus in (1, 2, 8):
+                monkeypatch.setattr(codec, "_available_cpus", lambda: cpus)
+                assert pack(tree, PackOptions(max_chunk_decompressed=cap)) == serial
 
     def test_unsafe_entries_rejected(self):
         for path in ("/abs.txt", "../up.txt", "a/../b.txt", "a//b.txt", "dir/", "a/.", "."):
