@@ -112,13 +112,14 @@ def _emit(text: str) -> None:
 def _resolve_view(dump: Dump, args) -> MiniFsView:
     """Open the instance selected by --base, or keep the one view auto-detection finds.
 
-    Each hit passed over for its violations logs one debug record.
+    Each hit passed over for its violations logs one debug record; hits
+    that yield no view log theirs in :func:`iter_views`.
     """
     force = getattr(args, "force", False)
     if args.base is not None:
         return open_view(dump, args.base, force=force)
     chosen, offsets = None, []
-    for offset, view in iter_views(dump):
+    for offset, _, view in iter_views(dump, force=force):
         if view is None:
             continue
         if view.violations and not force:

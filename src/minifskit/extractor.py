@@ -88,14 +88,8 @@ class MiniFsView:
 
     @cached_property
     def version(self) -> Version:
-        """Chunk 0's configuration word; UNKNOWN without a chunk or a known word."""
-        if not self.chunks:
-            return Version.UNKNOWN
-        start = self.layout.data_start + self.chunks[0].data_offset
-        try:
-            return check_config_word(self.source[start:start + 4])
-        except MiniFsError:
-            return Version.UNKNOWN
+        """Chunk 0's configuration word, as :func:`version_at` reads it."""
+        return version_at(self.source, self.layout)
 
     @cached_property
     def _paths(self) -> list[str | MiniFsError]:
@@ -135,6 +129,16 @@ class FileEntry:
     chunk_index: int
     offset_in_chunk: int
     file_size: int
+
+
+def version_at(dump: structs.Dump, layout: structs.FsLayout) -> Version:
+    """Chunk 0's configuration word, read in O(1); UNKNOWN without a chunk or a known word."""
+    at = layout.chunk_table_start
+    start = layout.data_start + int.from_bytes(dump[at:at + 4], "big")
+    try:
+        return check_config_word(dump[start:start + 4]) if layout.chunk_count else Version.UNKNOWN
+    except MiniFsError:
+        return Version.UNKNOWN
 
 
 def open_view(dump: structs.Dump, base: int = 0, *, force: bool = False) -> MiniFsView:

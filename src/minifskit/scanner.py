@@ -4,7 +4,8 @@ Two complementary techniques:
 
 * magic search — every occurrence of the ASCII string ``MINIFS`` is a
   candidate instance, opened at most once (:func:`iter_views`); hits
-  whose declared tables cannot fit are refused from their header words.
+  whose declared tables cannot fit are refused from their header words,
+  and hits that a few O(1) reads show unclean are not opened.
   The view gives the hit a version hint and a summary, so false
   positives (the string inside some HTML file) are kept apart from real
   file systems.
@@ -32,7 +33,7 @@ import numpy as np
 from . import structs
 from .codec import Version
 from .errors import EmptyInput, MiniFsError
-from .extractor import MiniFsView, open_view
+from .extractor import MiniFsView, open_view, version_at
 
 DEFAULT_BLOCK_SIZE = 1024
 DEFAULT_HIGH_THRESHOLD = 7.5
@@ -52,8 +53,9 @@ _log = logging.getLogger(__name__)
 class MinifsSummary:
     """Header facts for a parsed instance, attached to hits and scan reports.
 
-    ``violations`` counts what :func:`structs.validate_layout` found; an
-    instance is clean when it is 0.
+    ``violations`` counts what :func:`structs.validate_layout` found for
+    an opened hit; an instance is clean when it is 0.  A hit screened out
+    without being opened (:func:`iter_views`) counts 1, a lower bound.
     """
 
     base: int
@@ -68,7 +70,8 @@ class MinifsSummary:
 class MagicHit:
     """One occurrence of the magic string inside a dump.
 
-    ``summary`` is None when the tables at the hit do not parse.
+    ``summary`` is None when the tables at the hit do not parse, or when
+    the search's record budget ran out before the hit (:func:`iter_views`).
     """
 
     offset: int
@@ -106,40 +109,61 @@ class SectionProfile:
     sections: list[Section] = field(default_factory=list)
 
 
-def iter_views(dump: structs.Dump) -> Iterator[tuple[int, MiniFsView | None]]:
-    """Each ``MINIFS`` offset, ascending, with its view opened in force mode.
+def iter_views(
+    dump: structs.Dump, *, force: bool = False
+) -> Iterator[tuple[int, structs.FsLayout | None, MiniFsView | None]]:
+    """Each ``MINIFS`` offset, ascending, with its layout and its view opened in force mode.
 
     ``dump`` is ``bytes`` or a read-only ``mmap``; it is searched in place.
 
-    Each hit is opened at most once; hits whose declared tables cannot
-    fit are refused from their header words.  The view is None when the
-    hit is refused or its tables do not parse, and each such hit logs one
+    A hit whose tables do not parse is refused in O(1), most from its
+    header words alone, and yields no layout.  Without ``force``, a hit
+    that :func:`structs.screen_instance` shows unclean yields its layout
+    and is never parsed.  Every other hit is opened once, within a budget
+    of ``len(dump) // 20 + 1024`` file records per pass; a hit that would
+    overdraw it yields no layout.  Each hit that yields no view logs one
     debug record with the reason.  The dump is searched in windows of
     256 KiB, so memory holds one window's offsets and one hit's tables
     unless the caller keeps them.
     """
     data = np.frombuffer(dump, dtype=np.uint8)
     size = len(data)
+    budget = size // structs.FILE_RECORD_SIZE + 1024  # no one instance needs more
     first_bytes = np.empty(min(size, _WINDOW), dtype=bool)
     for start in range(0, size, _WINDOW):
         window = data[start:start + _WINDOW + len(structs.MAGIC) - 1]
         offsets = start + _magic_offsets(window, first_bytes)
         whole = offsets[offsets + structs.HEADER_SIZE <= size]
         ends = structs.tables_end(data, whole).tolist()
+        # Most hits are refused here, so the log level is asked once per window.
+        debug = _log.isEnabledFor(logging.DEBUG)
         for at, end in zip_longest(offsets.tolist(), ends):
-            view = None
+            layout = view = None
             if end is None:
-                _log.debug("MINIFS hit at %d refused: the %d-byte dump ends inside its header",
-                           at, size)
+                if debug:
+                    _log.debug("MINIFS hit at %d refused: the %d-byte dump ends inside its "
+                               "header", at, size)
             elif end > size:
-                _log.debug("MINIFS hit at %d refused: declared tables end at %d, "
-                           "past the %d-byte dump", at, end, size)
+                if debug:
+                    _log.debug("MINIFS hit at %d refused: declared tables end at %d, "
+                               "past the %d-byte dump", at, end, size)
             else:
                 try:
-                    view = open_view(dump, at, force=True)
+                    layout, violation = structs.screen_instance(dump, at)
                 except MiniFsError as exc:
                     _log.debug("MINIFS hit at %d refused: %s", at, exc)
-            yield at, view
+                else:
+                    if violation and not force:
+                        _log.debug("MINIFS hit at %d screened out: %s", at, violation)
+                    elif layout.file_count > budget:
+                        _log.debug("MINIFS hit at %d not opened: its %d file records overdraw "
+                                   "the %d left of this pass's budget", at, layout.file_count,
+                                   budget)
+                        layout = None
+                    else:
+                        budget -= layout.file_count
+                        view = open_view(dump, at, force=True)
+            yield at, layout, view
 
 
 # Bytes searched per window of :func:`iter_views`; a window also reads the
@@ -169,20 +193,22 @@ def _magic_offsets(window: np.ndarray, first_bytes: np.ndarray) -> np.ndarray:
 def find_magic(dump: structs.Dump) -> list[MagicHit]:
     """Find every ``MINIFS`` occurrence in ``bytes`` or a read-only ``mmap``, ascending.
 
-    Each hit is opened at most once; hits whose declared tables cannot
-    fit are refused from their header words.  Its version hint is the
-    view's version; refused hits and hits where nothing parses are
-    UNKNOWN.
+    Only hits that can be clean are opened (:func:`iter_views`).  A hit's
+    version hint is chunk 0's configuration word, read in O(1); it is
+    UNKNOWN, and the hit has no summary, when :func:`iter_views` yields
+    no layout.  A hit screened out unopened counts one violation.
     """
     hits = []
-    for offset, view in iter_views(dump):
-        if view is None:
-            hits.append(MagicHit(offset=offset, version_hint=Version.UNKNOWN))
+    for offset, layout, view in iter_views(dump):
+        if layout is None:
+            hits.append(MagicHit(offset, Version.UNKNOWN))
             continue
-        hits.append(MagicHit(offset=offset, version_hint=view.version, summary=MinifsSummary(
-            base=offset, file_count=view.header.file_count,
-            name_table_size=view.header.name_table_size, chunk_count=len(view.chunks),
-            version=view.version, violations=len(view.violations),
+        version = version_at(dump, layout)
+        hits.append(MagicHit(offset, version, MinifsSummary(
+            base=offset, file_count=layout.file_count,
+            name_table_size=layout.files_start - layout.names_start,
+            chunk_count=layout.chunk_count, version=version,
+            violations=1 if view is None else len(view.violations),
         )))
     return hits
 

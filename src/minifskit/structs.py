@@ -25,7 +25,7 @@ import struct
 from contextlib import suppress
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -70,6 +70,7 @@ _PRINTABLE_OR_NUL = b"\x00" + _PRINTABLE
 _WORD_BYTES = np.arange(4)
 
 _FILE_RECORD = struct.Struct(">IIIII")
+_COUNT_WORDS = struct.Struct(">I4xI")  # file_count, then name_table_size
 _CHUNK_RECORD = struct.Struct(">III")
 
 
@@ -151,8 +152,7 @@ class ChunkRecord(NamedTuple):
         return _CHUNK_RECORD.pack(*map(_check_u32, self, self._fields))
 
 
-@dataclass(frozen=True)
-class FsLayout:
+class FsLayout(NamedTuple):
     """Absolute start offsets of the five regions of one instance."""
 
     base: int
@@ -161,6 +161,10 @@ class FsLayout:
     chunk_table_start: int
     data_start: int
     chunk_count: int
+
+    @property
+    def file_count(self) -> int:
+        return (self.chunk_table_start - self.files_start) // FILE_RECORD_SIZE
 
 
 @dataclass(frozen=True)
@@ -402,18 +406,81 @@ def parse_instance(
     if base + HEADER_SIZE > len(dump):
         raise TruncatedImage(f"dump ends inside the header at offset {base}")
     header = parse_header(dump[base:base + HEADER_SIZE])
+    layout = _layout_at(dump, header, base)
+    names = NameTable(dump[layout.names_start:layout.files_start])
+    files = parse_file_table(dump[layout.files_start:layout.chunk_table_start], header.file_count)
+    chunks = parse_chunk_table(dump[layout.chunk_table_start:layout.data_start], layout.chunk_count)
+    return header, layout, names, files, chunks
 
+
+def _layout_at(dump: Dump, header: MiniFsHeader, base: int) -> FsLayout:
+    """The regions of the instance at ``base``, in O(1); raises what
+    :func:`parse_instance` raises when a table runs past ``dump``."""
     probe = compute_layout(header, 0, base)
     if probe.chunk_table_start > len(dump):
         raise TruncatedImage(f"name pool or file table extends past the {len(dump)}-byte dump")
-    names = NameTable(dump[probe.names_start:probe.files_start])
-    files = parse_file_table(dump[probe.files_start:probe.chunk_table_start], header.file_count)
-    chunk_count = infer_chunk_count(files) if files else 0
+    last = probe.chunk_table_start - FILE_RECORD_SIZE
+    chunk_count = infer_chunk_count(
+        [FileRecord._make(_FILE_RECORD.unpack_from(dump, last))]) if header.file_count else 0
     layout = compute_layout(header, chunk_count, base)
     if layout.data_start > len(dump):
         raise TruncatedImage(f"chunk table extends past the {len(dump)}-byte dump")
-    chunks = parse_chunk_table(dump[layout.chunk_table_start:layout.data_start], chunk_count)
-    return header, layout, names, files, chunks
+    return layout
+
+
+def screen_instance(dump: Dump, base: int) -> tuple[FsLayout, Violation | None]:
+    """The layout of the instance at ``base`` and the first violation a few O(1) reads find.
+
+    A whole header with the magic must lie at ``base``.  Reads its count
+    words, the first and last file records and chunk 0's record, and
+    raises what :func:`parse_instance` raises when a table runs past
+    ``dump``.  A violation found here is one :func:`validate_layout`
+    reports, so the instance is certainly unclean; None proves nothing.
+    """
+    header = MiniFsHeader(*_COUNT_WORDS.unpack_from(dump, base + _FILE_COUNT_OFFSET))
+    layout = _layout_at(dump, header, base)
+    return layout, next(_screen(dump, header, layout), None)
+
+
+def _screen(dump: Dump, header: MiniFsHeader, layout: FsLayout) -> Iterator[Violation]:
+    """The O(1) violations: first and last file records, then chunk 0, found lazily."""
+    if not header.file_count:
+        return
+    pool = header.name_table_size
+    for index in (0, header.file_count - 1):
+        path_offset, name_offset, chunk_index, _, _ = _FILE_RECORD.unpack_from(
+            dump, layout.files_start + FILE_RECORD_SIZE * index)
+        for what, off in (("path", path_offset), ("name", name_offset)):
+            if off >= pool:
+                yield _outside_pool(what, off, pool, index)
+        if chunk_index >= layout.chunk_count:  # never the last record: it sets the count
+            yield _chunk_index(chunk_index, layout.chunk_count, index)
+    chunk = ChunkRecord._make(_CHUNK_RECORD.unpack_from(dump, layout.chunk_table_start))
+    yield from _chunk_violations(chunk, layout.data_start, len(dump), 0)
+
+
+def _outside_pool(what: str, offset: int, pool_size: int, index: int) -> Violation:
+    return Violation("name-offset", f"{what} offset {offset} outside {pool_size}-byte pool", index)
+
+
+def _chunk_index(chunk_index: int, chunk_count: int, index: int) -> Violation:
+    return Violation("chunk-index", f"chunk index {chunk_index} with only {chunk_count} chunks",
+                     index)
+
+
+def _chunk_violations(
+    chunk: ChunkRecord, data_start: int, image_length: int, index: int
+) -> Iterator[Violation]:
+    if chunk.compressed_size < STREAM_HEADER_SIZE:
+        yield Violation("chunk-size", f"compressed size {chunk.compressed_size} below the "
+                        f"{STREAM_HEADER_SIZE}-byte LZMA stream header", index)
+    if chunk.decompressed_size > DEFAULT_OUTPUT_LIMIT:
+        yield Violation("chunk-size", f"decompressed size {chunk.decompressed_size} above the "
+                        f"{DEFAULT_OUTPUT_LIMIT}-byte decoder limit", index)
+    end = data_start + chunk.data_offset + chunk.compressed_size
+    if end > image_length:
+        yield Violation("chunk-bounds", f"chunk data ends at {end} but image is {image_length} bytes",
+                        index)
 
 
 def validate_layout(
@@ -450,19 +517,11 @@ def validate_layout(
         if path_offset in bad or name_offset in bad:
             for what, off in (("path", path_offset), ("name", name_offset)):
                 if off >= pool_size:
-                    add(Violation(
-                        "name-offset",
-                        f"{what} offset {off} outside {pool_size}-byte pool",
-                        index=i,
-                    ))
+                    add(_outside_pool(what, off, pool_size, i))
                 elif off in bad:  # a remembered refusal
                     add(Violation("bad-name", f"{what} string: {strings[off][1]}", index=i))
         if chunk_index >= len(chunks):
-            add(Violation(
-                "chunk-index",
-                f"chunk index {chunk_index} with only {len(chunks)} chunks",
-                index=i,
-            ))
+            add(_chunk_index(chunk_index, len(chunks), i))
         elif start + size > chunks[chunk_index].decompressed_size:
             add(Violation(
                 "file-span",
@@ -472,27 +531,7 @@ def validate_layout(
             ))
 
     for i, chunk in enumerate(chunks):
-        if chunk.compressed_size < STREAM_HEADER_SIZE:
-            add(Violation(
-                "chunk-size",
-                f"compressed size {chunk.compressed_size} below the "
-                f"{STREAM_HEADER_SIZE}-byte LZMA stream header",
-                index=i,
-            ))
-        if chunk.decompressed_size > DEFAULT_OUTPUT_LIMIT:
-            add(Violation(
-                "chunk-size",
-                f"decompressed size {chunk.decompressed_size} above the "
-                f"{DEFAULT_OUTPUT_LIMIT}-byte decoder limit",
-                index=i,
-            ))
-        end = layout.data_start + chunk.data_offset + chunk.compressed_size
-        if end > image_length:
-            add(Violation(
-                "chunk-bounds",
-                f"chunk data ends at {end} but image is {image_length} bytes",
-                index=i,
-            ))
+        violations.extend(_chunk_violations(chunk, layout.data_start, image_length, i))
 
     if records:
         last = records[-1].chunk_index

@@ -16,6 +16,8 @@ from minifskit.errors import (
 )
 from minifskit.structs import (
     FILE_RECORD_SIZE,
+    HEADER_SIZE,
+    MiniFsHeader,
     Violation,
     check_directory,
     check_name,
@@ -37,6 +39,21 @@ def build_three_file_image() -> bytes:
         THREE_FILE_ENTRIES,
         PackOptions(max_chunk_decompressed=600, sort_entries=True),
     )
+
+
+def overlapping_hit_dump(size: int) -> bytes:
+    """Zeros with a MINIFS header every 4 KiB and an empty name pool in each.
+
+    Each header's file table runs to the end of the dump minus 12 bytes,
+    room for one chunk record, so the tables overlap and parsing them all
+    costs time quadratic in ``size``; every record points outside its
+    empty pool.
+    """
+    dump = bytearray(size)
+    for base in range(0, size - 12 - HEADER_SIZE, 4096):
+        file_count = (size - 12 - base - HEADER_SIZE) // FILE_RECORD_SIZE
+        dump[base:base + HEADER_SIZE] = MiniFsHeader(file_count, 0).encode()
+    return bytes(dump)
 
 
 def write_tree(root, entries) -> None:

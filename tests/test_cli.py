@@ -19,9 +19,15 @@ from minifskit.cli import (
 from minifskit import codec
 from minifskit.extractor import open_view
 from minifskit.fixtures import SHAPES, FixtureSpec, make_fixture
-from minifskit.structs import CHUNK_RECORD_SIZE
+from minifskit.structs import CHUNK_RECORD_SIZE, FILE_RECORD_SIZE
 from minifskit.scanner import entropy_profile
-from helpers import THREE_FILE_ENTRIES, build_three_file_image, read_tree, write_tree
+from helpers import (
+    THREE_FILE_ENTRIES,
+    build_three_file_image,
+    overlapping_hit_dump,
+    read_tree,
+    write_tree,
+)
 from test_scanner import entropy_reference
 
 
@@ -472,16 +478,26 @@ class TestBaseSelection:
         assert main(["cat", str(path), "boot.bin"]) == EXIT_OK
         assert capsys.readouterr().out.encode() == dict(THREE_FILE_ENTRIES)["boot.bin"]
         assert dump.count(b"MINIFS") == 3
-        assert calls == {"parse_instance": 3, "validate_layout": 3}
+        # Chunk 0's declared size screens the damaged hits out unparsed.
+        assert calls == {"parse_instance": 1, "validate_layout": 1}
+        # --force opens every hit that parses, each once, and finds three candidates.
+        assert main(["cat", str(path), "boot.bin", "--force"]) == EXIT_INVALID
+        assert "multiple MiniFS instances found" in capsys.readouterr().err
+        assert calls == {"parse_instance": 4, "validate_layout": 4}
 
     def test_each_unclean_hit_passed_over_logs_why(self, tmp_path, capsys, caplog):
         from minifskit import open_view
         image = build_three_file_image()
-        damaged = bytearray(image)
-        at = open_view(image).layout.chunk_table_start + 8
-        damaged[at:at + 4] = (100 << 20).to_bytes(4, "big")  # parses, fails validation
-        damaged = bytes(damaged)
-        dump = damaged + b"\xff" * 250 + image + damaged
+        layout = open_view(image).layout
+        screened = bytearray(image)
+        at = layout.chunk_table_start + 8
+        screened[at:at + 4] = (100 << 20).to_bytes(4, "big")  # chunk 0's size: screened out
+        screened = bytes(screened)
+        opened = bytearray(image)
+        at = layout.files_start + FILE_RECORD_SIZE + 4
+        opened[at:at + 4] = (0xFFFF).to_bytes(4, "big")  # record 1's name: opened, unclean
+        opened = bytes(opened)
+        dump = screened + b"\xff" * 250 + image + opened
         path = tmp_path / "decoys.bin"
         path.write_bytes(dump)
         argv = ["info", str(path), "--format", "machine"]
@@ -490,14 +506,43 @@ class TestBaseSelection:
         with caplog.at_level(logging.DEBUG, logger="minifskit"):
             assert main(argv) == EXIT_OK
         assert capsys.readouterr() == quiet
-        violations = open_view(damaged, force=True).violations
-        cli_records = [r for r in caplog.records if r.name == "minifskit.cli"]
-        assert [r.levelno for r in cli_records] == [logging.DEBUG] * 2
-        assert [r.getMessage() for r in cli_records] == [
-            f"MINIFS hit at {base} passed over: {len(violations)} violations, "
-            f"first: {violations[0]}"
-            for base in (0, len(damaged) + 250 + len(image))
+        assert "base=" + str(len(screened) + 250) in quiet.out
+        violations = open_view(opened, force=True).violations
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("minifskit.scanner", logging.DEBUG,
+             "MINIFS hit at 0 screened out: chunk-size: [0] decompressed size 104857600 "
+             "above the 67108864-byte decoder limit"),
+            ("minifskit.cli", logging.DEBUG,
+             f"MINIFS hit at {len(dump) - len(opened)} passed over: "
+             f"{len(violations)} violations, first: {violations[0]}"),
         ]
+        assert str(violations[0]).startswith("name-offset: [1] name offset 65535 outside")
+
+
+class TestOverlappingHits:
+    """A header every 4 KiB, each with a file table running to the end of the dump."""
+
+    @pytest.mark.parametrize("kib", [64, 256, 1024])
+    def test_records_parsed_grow_linearly(self, kib, tmp_path, monkeypatch, capsys):
+        from minifskit import structs
+        dump = overlapping_hit_dump(kib << 10)
+        path = tmp_path / "overlapping.bin"
+        path.write_bytes(dump)
+        records = []
+        real = structs.parse_file_table
+        monkeypatch.setattr(structs, "parse_file_table",
+                            lambda buf, count: records.append(count) or real(buf, count))
+        for argv, code in [
+            (["info", str(path)], EXIT_INVALID),
+            (["cat", str(path), "--index", "0"], EXIT_INVALID),
+            (["scan", str(path), "--format", "machine"], EXIT_NO_MINIFS),
+            (["info", str(path), "--force"], EXIT_INVALID),  # several candidates
+        ]:
+            records.clear()
+            assert main(argv) == code
+            # Without --force every hit is screened out; forced, the budget holds.
+            assert sum(records) <= (0 if "--force" not in argv else len(dump) // 20 + 1024)
+        assert capsys.readouterr().out.count("hit.") == 2 * (kib // 4)
 
 
 class TestOversizedChunkRecord:

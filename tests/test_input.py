@@ -169,10 +169,10 @@ def test_library_treats_mmap_like_bytes(name, tmp_path):
     data = DUMPS[name]
     mm = mapped(data, tmp_path / "dump.bin")
     views = list(iter_views(data))
-    assert [(at, view_facts(v)) for at, v in iter_views(mm)] == [
-        (at, view_facts(v)) for at, v in views]
+    assert [(at, layout, view_facts(v)) for at, layout, v in iter_views(mm)] == [
+        (at, layout, view_facts(v)) for at, layout, v in views]
     assert dump_report(mm).to_machine() == dump_report(data).to_machine()
-    for base, _ in views:
+    for base, _, _ in views:
         assert outcome(lambda d: view_facts(open_view(d, base)), mm) == outcome(
             lambda d: view_facts(open_view(d, base)), data)
         from_map, from_bytes = open_view(mm, base, force=True), open_view(data, base, force=True)

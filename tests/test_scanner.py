@@ -1,5 +1,6 @@
 """Entropy profiling, section segmentation and magic search."""
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -304,6 +305,45 @@ def view_keys(views) -> list:
     ]
 
 
+def assert_matches_find_loop(dump: bytes) -> list:
+    """Check :func:`iter_views` and :func:`find_magic` against the find loop, hit by hit.
+
+    Opened hits compare equal.  A screened hit must be unclean in the
+    oracle, with the same layout; any other hit must not parse.  Forced,
+    every hit that parses is opened.  Returns what :func:`iter_views` yields.
+    """
+    views = list(iter_views(dump))
+    oracle = views_by_find_loop(dump)
+    assert [at for at, _, _ in views] == [at for at, _ in oracle]
+    summaries = []
+    for (at, layout, view), (_, expected) in zip(views, oracle):
+        if view is not None:
+            assert view_keys([(at, view)]) == view_keys([(at, expected)])
+            assert layout == view.layout
+            summaries.append(summary_of(expected))
+        elif layout is not None:
+            assert layout == expected.layout and expected.violations
+            summaries.append(dataclasses.replace(summary_of(expected), violations=1))
+        else:
+            assert expected is None
+            summaries.append(None)
+    hits = find_magic(dump)
+    assert [hit.summary for hit in hits] == summaries
+    assert [hit.version_hint for hit in hits] == [
+        Version.UNKNOWN if view is None else view.version for _, view in oracle]
+    forced = [(at, view) for at, _, view in iter_views(dump, force=True)]
+    assert view_keys(forced) == view_keys(oracle)
+    return views
+
+
+def summary_of(view) -> scanner.MinifsSummary:
+    return scanner.MinifsSummary(
+        base=view.base, file_count=view.header.file_count,
+        name_table_size=view.header.name_table_size, chunk_count=len(view.chunks),
+        version=view.version, violations=len(view.violations),
+    )
+
+
 _WORDS = st.one_of(
     st.integers(0, 8),
     st.integers(0xFFFF_FFF0, 0xFFFF_FFFF),
@@ -353,7 +393,7 @@ class TestIterViews:
     @example(bytes(64) + structs.MAGIC + bytes(25))
     @example(bytes(64) + structs.MAGIC[:5])
     def test_same_views_as_a_find_loop(self, dump):
-        assert view_keys(iter_views(dump)) == view_keys(views_by_find_loop(dump))
+        assert_matches_find_loop(dump)
 
     @pytest.mark.parametrize("planted", [(-6, 0), (-5,), (-3, 3), (-1,)])
     def test_magic_across_the_window_edge(self, planted):
@@ -367,10 +407,9 @@ class TestIterViews:
         image = build_three_file_image()
         dump[edge + 64:edge + 64 + len(image)] = image
         dump = bytes(dump)
-        views = list(iter_views(dump))
-        assert [at for at, _ in views] == [edge + at for at in planted] + [edge + 64]
-        assert view_keys(views) == view_keys(views_by_find_loop(dump))
-        assert views[-1][1].violations == []
+        views = assert_matches_find_loop(dump)
+        assert [at for at, _, _ in views] == [edge + at for at in planted] + [edge + 64]
+        assert views[-1][2].violations == []
 
     def test_each_refused_hit_logs_its_reason(self, caplog):
         dump = bytearray(b"\xff" * 512)
@@ -383,7 +422,7 @@ class TestIterViews:
         dump = bytes(dump)
         with caplog.at_level(logging.DEBUG, logger="minifskit.scanner"):
             views = list(iter_views(dump))
-        assert [(at, view is None) for at, view in views] == [
+        assert [(at, view is None) for at, _, view in views] == [
             (0, False), (100, True), (200, True), (500, True),
         ]
         assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
@@ -411,6 +450,94 @@ class TestIterViews:
         assert [r.getMessage().split(":")[0] for r in caplog.records] == [
             "MINIFS hit at 64 refused", f"MINIFS hit at {len(dump) - 6} refused",
         ]
+
+
+_THREE_FILES = build_three_file_image()
+
+
+@st.composite
+def word_mutations(draw) -> bytes:
+    """The three-file image with one 4-byte word replaced, mostly in its tables."""
+    image = bytearray(_THREE_FILES)
+    tables_end = open_view(_THREE_FILES).layout.data_start + 4
+    at = draw(st.one_of(st.integers(0, tables_end - 4), st.integers(0, len(image) - 4)))
+    image[at:at + 4] = draw(_WORDS).to_bytes(4, "big")
+    return bytes(image)
+
+
+class TestScreen:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(hit_dumps(), word_mutations()))
+    def test_screens_out_only_unclean_hits(self, dump):
+        for at, view in views_by_find_loop(dump):
+            if at + structs.HEADER_SIZE > len(dump):
+                continue
+            try:
+                layout, violation = structs.screen_instance(dump, at)
+            except MiniFsError as exc:
+                assert view is None
+                with pytest.raises(type(exc)) as raised:
+                    open_view(dump, at, force=True)
+                assert str(raised.value) == str(exc)
+                continue
+            assert view is not None and layout == view.layout
+            # A screened hit's violation is one the full validation reports.
+            assert violation is None or violation in view.violations
+            assert view.violations or violation is None
+
+    def test_each_fact_screens(self):
+        layout = open_view(_THREE_FILES).layout
+        last = layout.chunk_table_start - structs.FILE_RECORD_SIZE
+        for at, word, kind in [
+            (layout.files_start, 0xFFFF, "name-offset"),  # first record's path
+            (last + 4, 0xFFFF, "name-offset"),  # last record's name
+            (layout.files_start + 8, 7, "chunk-index"),  # first record's chunk
+            (layout.chunk_table_start + 4, 12, "chunk-size"),
+            (layout.chunk_table_start + 8, 100 << 20, "chunk-size"),
+            (layout.chunk_table_start, 1 << 20, "chunk-bounds"),
+        ]:
+            image = bytearray(_THREE_FILES)
+            image[at:at + 4] = word.to_bytes(4, "big")
+            violation = structs.screen_instance(bytes(image), 0)[1]
+            assert violation.kind == kind
+            assert violation in open_view(bytes(image), force=True).violations
+        assert structs.screen_instance(_THREE_FILES, 0) == (layout, None)
+
+    def test_record_budget_bounds_hits_that_pass_the_screen(self, monkeypatch, caplog):
+        # A header every 4 KiB, each with a 1-20 byte name pool and a file
+        # table that ends where one chunk record and its 13 bytes of data
+        # end the dump: every hit passes the O(1) checks, though the file
+        # tables overlap.
+        tail = structs.ChunkRecord(0, 13, 0).encode() + bytes(13)
+        dump = bytearray(64 * 4096)
+        for base in range(0, len(dump) - 4096 + 1, 4096):
+            file_count, pool = divmod(len(dump) - len(tail) - base - 33, structs.FILE_RECORD_SIZE)
+            dump[base:base + 32] = structs.MiniFsHeader(file_count, pool + 1).encode()
+        dump[-len(tail):] = tail
+        dump = bytes(dump)
+        budget = len(dump) // structs.FILE_RECORD_SIZE + 1024
+        offsets = [at for at, _ in views_by_find_loop(dump)]
+        assert len(offsets) >= 64
+        assert all(structs.screen_instance(dump, at)[1] is None for at in offsets)
+        records = []
+        real = structs.parse_file_table
+        monkeypatch.setattr(structs, "parse_file_table",
+                            lambda buf, count: records.append(count) or real(buf, count))
+        for force in (False, True):
+            records.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="minifskit.scanner"):
+                views = list(iter_views(dump, force=force))
+            assert [at for at, _, _ in views] == offsets
+            assert sum(records) <= budget
+            assert views[0][2] is not None  # the largest hit fits a budget on its own
+            refused = [at for at, layout, view in views if layout is None]
+            assert refused and all(view is None for _, layout, view in views if layout is None)
+            assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+                f"MINIFS hit at {at} not opened" for at in refused]
+            assert all("budget" in r.getMessage() for r in caplog.records)
+            opened = [view for _, _, view in views if view is not None]
+            assert sum(len(view.files) for view in opened) == sum(records)
 
 
 class TestDumpReport:
