@@ -21,6 +21,7 @@ with SIGBUS.  Pipes, devices and empty files are read instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import mmap
 import os
@@ -267,7 +268,7 @@ def cmd_cat(args) -> int:
 
 def cmd_extract(args) -> int:
     view = _resolve_view(_read_input(args.image), args)
-    report = extract_all(view, args.out_dir, force=args.force, jobs=args.jobs)
+    report = extract_all(view, args.out_dir, force=args.force)
     if args.format == "machine":
         _emit(report.to_machine())
     else:
@@ -291,7 +292,6 @@ def cmd_pack(args) -> int:
         mimic_vendor=args.mimic_vendor,
         unknown_a=args.unknown_a,
         unknown_b=args.unknown_b,
-        jobs=args.jobs,
     )
     image = pack(args.tree, options)
     with open(args.out_image, "wb") as handle:
@@ -318,7 +318,7 @@ def cmd_verify(args) -> int:
 
     failures = 0
     lines = []
-    decoded = _decode_chunks(view, range(len(view.chunks)), None)
+    decoded = _decode_chunks(view, range(len(view.chunks)))
     for data, (i, rec) in zip(decoded, enumerate(view.chunks)):
         if isinstance(data, MiniFsError):
             failures += 1
@@ -421,9 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="materialize the whole tree on disk")
     p.add_argument("image")
     p.add_argument("out_dir")
-    p.add_argument("--jobs", type=_positive_arg, default=None,
-                   help="threads decoding chunks ahead of the writes (default: the CPU count); "
-                        "about JOBS + 1 chunks, at most 64 MiB of declared bytes ahead, are held")
     _add_base(p)
     _add_format(p)
     p.set_defaults(func=cmd_extract)
@@ -441,9 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hex override for the header word @0x10")
     p.add_argument("--unknown-b", type=_u32_arg, default=None,
                    help="hex override for the header word @0x18")
-    p.add_argument("--jobs", type=_positive_arg, default=None,
-                   help="threads compressing chunks (default: the CPU count); each adds an "
-                        "LZMA encoder, about 4-5 MiB at the default cap")
     _add_format(p)
     p.set_defaults(func=cmd_pack)
 
@@ -464,8 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()

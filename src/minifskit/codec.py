@@ -195,28 +195,27 @@ def _available_cpus() -> int:
     return min(cpus, _cgroup_cpus() or cpus)
 
 
-def _threads(jobs: int | None, count: int) -> int:
-    """The threads a map of ``count`` items runs on: ``jobs`` (None: every available CPU), at most ``count``, at least 1."""
-    return max(1, min(_available_cpus() if jobs is None else jobs, count))
+def _threads(count: int) -> int:
+    """The threads a map of ``count`` items runs on: every available CPU, at most ``count``, at least 1."""
+    return max(1, min(_available_cpus(), count))
 
 
-def _map_in_order(fn: Callable, items: Sequence, jobs: int | None,
-                  size: Callable[..., int]) -> Iterator:
+def _map_in_order(fn: Callable, items: Sequence, size: Callable[..., int]) -> Iterator:
     """Yield ``fn(item)`` per item, in order, on :func:`_threads` threads that keep at most that many waiting.
 
     Another item starts only while the ``size`` of the items started and
     not yet yielded stays within DEFAULT_OUTPUT_LIMIT; the first always does.
     """
-    jobs = _threads(jobs, len(items))
-    if jobs == 1:
+    threads = _threads(len(items))
+    if threads == 1:
         yield from map(fn, items)
         return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         window: deque = deque()
         held = 0
         for item in items:
             weight = size(item)
-            while window and (len(window) == jobs or held + weight > DEFAULT_OUTPUT_LIMIT):
+            while window and (len(window) == threads or held + weight > DEFAULT_OUTPUT_LIMIT):
                 future, started = window.popleft()
                 held -= started
                 yield future.result()

@@ -4,13 +4,13 @@ The flow mirrors how the format is meant to be consumed: parse the
 header, the name pool and both tables, then pull individual files out of
 their decompressed chunks.  A chunk holds several files, so reads keep
 each decompressed chunk on the view; extraction instead decodes each
-chunk once, writes its files and drops it, outside that cache, on
-every CPU by default; ``minifs verify`` decodes the same way.  At most
-64 MiB of declared chunk bytes are decoded ahead of the writes, plus
-each running decoder's dictionary, so below that budget the peak grows
-with the thread count.  Paths
-are joined once per view, on the first listing or extraction; a lookup
-by path reads the decoded strings instead and joins no path.
+chunk once, writes its files and drops it, outside that cache, and
+``minifs verify`` decodes the same way.  Such decodes run on one thread
+per available CPU, never more threads than chunks, with at most 64 MiB
+of declared chunk bytes in flight plus each running decoder's
+dictionary.  Paths are joined once per view, on the first listing or
+extraction; a lookup by path reads the decoded strings instead and
+joins no path.
 """
 
 from __future__ import annotations
@@ -340,17 +340,14 @@ def _write_file(out_root: Path, parents: dict[str, str], target: str,
     return parent + name
 
 
-def _decode_chunks(
-    view: MiniFsView, indices: Sequence[int], jobs: int | None
-) -> Iterator[memoryview | MiniFsError]:
+def _decode_chunks(view: MiniFsView, indices: Sequence[int]) -> Iterator[memoryview | MiniFsError]:
     """Per chunk index, in order: its decoded bytes, or the MiniFsError decoding raised.
 
-    Runs outside the view's cache through :func:`codec._map_in_order`, on
-    ``jobs`` threads (None: every CPU this process may run on) and within
-    its byte budget; logs one debug record.
+    Runs outside the view's cache through :func:`codec._map_in_order`, under
+    the module's thread rule; logs one debug record.
     """
     _log.debug("decoding %d chunks on %d threads, at most %d declared bytes ahead",
-               len(indices), codec._threads(jobs, len(indices)), codec.DEFAULT_OUTPUT_LIMIT)
+               len(indices), codec._threads(len(indices)), codec.DEFAULT_OUTPUT_LIMIT)
 
     def decode(index: int) -> memoryview | MiniFsError:
         try:
@@ -359,7 +356,7 @@ def _decode_chunks(
             return exc
 
     # In force mode a record may name a chunk the table does not hold.
-    return _map_in_order(decode, indices, jobs,
+    return _map_in_order(decode, indices,
                          lambda i: view.chunks[i].decompressed_size if i < len(view.chunks) else 0)
 
 
@@ -368,15 +365,13 @@ def extract_all(
     out_dir: str | os.PathLike,
     *,
     force: bool = False,
-    jobs: int | None = None,
 ) -> ExtractReport:
     """Write every file of the instance under ``out_dir``.
 
     One in-order pass, outside the view's cache, decompresses each chunk
-    once, writes its files and drops it once the next is decoded, so
-    about ``jobs + 1`` chunks (at most 64 MiB of declared bytes ahead,
-    plus the running decoders' dictionaries) are held; ``jobs`` threads decode ahead while writes stay ordered, None
-    meaning every CPU (:func:`_decode_chunks`).  Per-file problems are recorded
+    once, writes its files and drops it once the next is decoded; threads
+    decode ahead under the module's rule while writes stay ordered, so
+    about one chunk per thread plus one is held.  Per-file problems are recorded
     in the report instead of aborting the run; only an unusable output
     directory is fatal.  In force mode records with broken names are
     reported as failed and skipped instead of raising.  Each such record,
@@ -411,7 +406,7 @@ def extract_all(
     parents = {"": os.path.join(out_root, "")}  # directory -> its resolved, created path + "/"
     last_dup = {e.path: -1 for e in entries}  # path -> last .dupN given; 0: the path itself
     categories: Counter = Counter()
-    for data, (index, group) in zip(_decode_chunks(view, list(groups), jobs), groups.items()):
+    for data, (index, group) in zip(_decode_chunks(view, list(groups)), groups.items()):
         failure = f"{type(data).__name__}: {data}" if isinstance(data, MiniFsError) else None
         if failure:
             _log.debug("chunk %d failed to decode, failing its %d files: %s", index, len(group), failure)

@@ -35,9 +35,6 @@ class PackOptions:
     ``unknown_b=None`` writes zero, or the first file's size when
     ``mimic_vendor`` is set (real headers have been seen carrying that
     value there).  The ten reserved header bytes are always zero.
-    ``jobs`` threads (None, the default: every CPU the process may run
-    on, at most one per chunk) compress chunks within the byte budget of
-    :func:`codec._map_in_order`; the image is the same whatever the count.
     """
 
     max_chunk_decompressed: int = DEFAULT_CHUNK_CAP
@@ -45,7 +42,6 @@ class PackOptions:
     mimic_vendor: bool = False
     unknown_a: int = 0
     unknown_b: int | None = None
-    jobs: int | None = None
 
 
 def split_entry_path(path: str) -> tuple[str, str]:
@@ -165,7 +161,8 @@ def pack(
     Entries are ordered lexicographically by path unless
     ``options.sort_entries`` is off.  The result satisfies ``open_view``
     with zero violations; an empty tree packs to the bare 32-byte
-    header.
+    header.  Chunks compress on :func:`codec._map_in_order`'s threads;
+    the image does not depend on their count.
     """
     opts = options or PackOptions()
     if isinstance(tree, (str, os.PathLike)):
@@ -183,7 +180,7 @@ def pack(
         b"".join(entries[i][1] for i in group)
         for group in plan.groups
     ]
-    compressed = list(_map_in_order(compress_chunk, blobs, opts.jobs, size=len))
+    compressed = list(_map_in_order(compress_chunk, blobs, size=len))
 
     chunk_records = []
     data_offset = 0

@@ -53,11 +53,10 @@ HEADER_SIZE = 32
 FILE_RECORD_SIZE = 20
 CHUNK_RECORD_SIZE = 12
 
-# Header field offsets (from base).
-_RESERVED_SLICE = slice(6, 16)       # 10 bytes, unidentified
-_UNKNOWN_A_OFFSET = 0x10
+# The header: magic, 10 unidentified bytes, unknown_a, file_count,
+# unknown_b, name_table_size.  tables_end gathers two words by offset.
+_HEADER = struct.Struct(">6s10sIIII")
 _FILE_COUNT_OFFSET = 0x14
-_UNKNOWN_B_OFFSET = 0x18
 _NAME_TABLE_SIZE_OFFSET = 0x1C
 
 _U32_MAX = 0xFFFF_FFFF
@@ -70,7 +69,6 @@ _PRINTABLE_OR_NUL = b"\x00" + _PRINTABLE
 _WORD_BYTES = np.arange(4)
 
 _FILE_RECORD = struct.Struct(">IIIII")
-_COUNT_WORDS = struct.Struct(">I4xI")  # file_count, then name_table_size
 _CHUNK_RECORD = struct.Struct(">III")
 
 
@@ -97,13 +95,13 @@ class MiniFsHeader:
     def encode(self) -> bytes:
         if len(self.reserved) != 10:
             raise ValueError(f"reserved must be 10 bytes, got {len(self.reserved)}")
-        return (
-            MAGIC
-            + bytes(self.reserved)
-            + _check_u32(self.unknown_a, "unknown_a").to_bytes(4, "big")
-            + _check_u32(self.file_count, "file_count").to_bytes(4, "big")
-            + _check_u32(self.unknown_b, "unknown_b").to_bytes(4, "big")
-            + _check_u32(self.name_table_size, "name_table_size").to_bytes(4, "big")
+        return _HEADER.pack(
+            MAGIC,
+            bytes(self.reserved),
+            _check_u32(self.unknown_a, "unknown_a"),
+            _check_u32(self.file_count, "file_count"),
+            _check_u32(self.unknown_b, "unknown_b"),
+            _check_u32(self.name_table_size, "name_table_size"),
         )
 
 
@@ -188,17 +186,16 @@ def parse_header(buf: bytes) -> MiniFsHeader:
     """
     if len(buf) != HEADER_SIZE:
         raise TruncatedImage(f"header must be exactly {HEADER_SIZE} bytes, got {len(buf)}")
-    if buf[:6] != MAGIC:
-        raise BadMagic(f"expected magic {MAGIC!r}, found {bytes(buf[:6])!r}")
-    return MiniFsHeader(
-        file_count=int.from_bytes(buf[_FILE_COUNT_OFFSET:_FILE_COUNT_OFFSET + 4], "big"),
-        name_table_size=int.from_bytes(
-            buf[_NAME_TABLE_SIZE_OFFSET:_NAME_TABLE_SIZE_OFFSET + 4], "big"
-        ),
-        unknown_a=int.from_bytes(buf[_UNKNOWN_A_OFFSET:_UNKNOWN_A_OFFSET + 4], "big"),
-        unknown_b=int.from_bytes(buf[_UNKNOWN_B_OFFSET:_UNKNOWN_B_OFFSET + 4], "big"),
-        reserved=bytes(buf[_RESERVED_SLICE]),
-    )
+    magic, header = _header_at(buf, 0)
+    if magic != MAGIC:
+        raise BadMagic(f"expected magic {MAGIC!r}, found {magic!r}")
+    return header
+
+
+def _header_at(dump: Dump, base: int) -> tuple[bytes, MiniFsHeader]:
+    """The magic field and the decoded header of the 32 bytes at ``base``, unchecked."""
+    magic, reserved, unknown_a, file_count, unknown_b, name_table_size = _HEADER.unpack_from(dump, base)
+    return magic, MiniFsHeader(file_count, name_table_size, unknown_a, unknown_b, reserved)
 
 
 def name_at(table: NameTable, offset: int) -> str:
@@ -437,7 +434,7 @@ def screen_instance(dump: Dump, base: int) -> tuple[FsLayout, Violation | None]:
     ``dump``.  A violation found here is one :func:`validate_layout`
     reports, so the instance is certainly unclean; None proves nothing.
     """
-    header = MiniFsHeader(*_COUNT_WORDS.unpack_from(dump, base + _FILE_COUNT_OFFSET))
+    header = _header_at(dump, base)[1]
     layout = _layout_at(dump, header, base)
     return layout, next(_screen(dump, header, layout), None)
 

@@ -2,9 +2,12 @@
 
 import hashlib
 import logging
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +17,10 @@ from minifskit.cli import (
     EXIT_NOT_FOUND,
     EXIT_NO_MINIFS,
     EXIT_OK,
+    build_parser,
     main,
 )
-from minifskit import codec
+from minifskit import cli, codec
 from minifskit.extractor import open_view
 from minifskit.fixtures import SHAPES, FixtureSpec, make_fixture
 from minifskit.structs import CHUNK_RECORD_SIZE, FILE_RECORD_SIZE
@@ -93,10 +97,11 @@ class TestScan:
     (["pack", "{tree}", "{out}", "--cap", "0"], "a positive integer"),
     (["pack", "{tree}", "{out}", "--unknown-a", "0x1ffffffff"], "an unsigned 32-bit value"),
     (["pack", "{tree}", "{out}", "--unknown-b", "-1"], "an unsigned 32-bit value"),
-    (["pack", "{tree}", "{out}", "--jobs", "0"], "a positive integer"),
-    (["pack", "{tree}", "{out}", "--jobs", "-1"], "a positive integer"),
-    (["extract", "{dump}", "{out}", "--jobs", "0"], "a positive integer"),
-    (["extract", "{dump}", "{out}", "--jobs", "-1"], "a positive integer"),
+    # extract and pack have no --jobs: their thread count follows the available CPUs.
+    (["pack", "{tree}", "{out}", "--jobs", "1"], None),
+    (["pack", "{tree}", "{out}", "--jobs=1"], None),
+    (["extract", "{dump}", "{out}", "--jobs", "1"], None),
+    (["extract", "{dump}", "{out}", "--jobs=1"], None),
     (["scan", "{dump}", "--empty-byte", "300"], "a byte value 0..255"),
     (["scan", "{dump}", "--empty-byte", "-1"], "a byte value 0..255"),
 ])
@@ -110,10 +115,36 @@ def test_bad_numeric_flag_is_a_usage_error(argv, rule, dump_path, tmp_path, caps
     stdout, err = capsys.readouterr()
     assert stdout == ""
     assert "Traceback" not in err
-    assert [line for line in err.splitlines() if "error:" in line] == [
-        f"minifs {argv[0]}: error: argument {argv[-2]}: {argv[-1]!r} is not {rule}"
-    ]
+    if rule is None:
+        expected = f"minifs: error: unrecognized arguments: {' '.join(argv[3:])}"
+    else:
+        expected = f"minifs {argv[0]}: error: argument {argv[-2]}: {argv[-1]!r} is not {rule}"
+    assert [line for line in err.splitlines() if "error:" in line] == [expected]
     assert not out.exists()
+
+
+def test_one_parser_serves_every_call(image_path, capsys, monkeypatch):
+    """A usage error, a command and --version in one process match fresh processes, on one build."""
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    cli._parser.cache_clear()
+    runs = [["ls", image_path, "--index", "x"], ["ls", image_path, "--format", "machine"], ["--version"]]
+    in_process = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on usage errors and after --version
+            code = exc.code
+        in_process.append((code, *capsys.readouterr()))
+    assert builds == [1]
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    fresh = [subprocess.run([sys.executable, "-m", "minifskit.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=60)
+             for argv in runs]
+    assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert [code for code, *_ in in_process] == [EXIT_IO, EXIT_OK, EXIT_OK]
 
 
 class TestEntropy:
@@ -361,16 +392,15 @@ class TestDecodeJobs:
         path = tmp_path / "dump.bin"
         path.write_bytes(dump)
         outcomes = []
-        for tag, cpus, jobs in [("one", 1, ["--jobs", "1"]), ("two", 2, ["--jobs", "2"]),
-                                ("default", None, [])]:
+        for tag, cpus in [("one", 1), ("two", 2), ("default", None)]:
+            out = tmp_path / tag
             with monkeypatch.context() as patch:
-                if cpus is not None:  # verify decodes on every CPU the process may use
+                if cpus is not None:  # both decode on every CPU the process may use
                     patch.setattr(codec, "_available_cpus", lambda: cpus)
                 verify = main(["verify", str(path), "--force", "--format", "machine"])
-            verified = capsys.readouterr().out
-            out = tmp_path / tag
-            extract = main(["extract", str(path), str(out), "--force", "--format", "machine", *jobs])
-            extracted = capsys.readouterr().out.replace(str(out), "<out>")
+                verified = capsys.readouterr().out
+                extract = main(["extract", str(path), str(out), "--force", "--format", "machine"])
+                extracted = capsys.readouterr().out.replace(str(out), "<out>")
             outcomes.append((verify, verified, extract, extracted, read_tree(out)))
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
         verify, verified, extract, extracted, _ = outcomes[0]

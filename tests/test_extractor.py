@@ -253,7 +253,7 @@ class TestExtractAll:
         report = extract_all(view, tmp_path / "out", force=True)
         assert report.failed == 1 and report.written == 0
 
-    def test_parallel_jobs_equal_serial(self, tmp_path):
+    def test_parallel_jobs_equal_serial(self, tmp_path, monkeypatch):
         # Duplicates, a file that is also a directory ("a" vs "a/b") in
         # another chunk, and one corrupt chunk: the report and the tree
         # must not depend on thread timing.
@@ -265,9 +265,10 @@ class TestExtractAll:
         damaged[view.layout.data_start + view.chunks[2].data_offset + 20] ^= 0xFF
         for name, image in [("three", build_three_file_image()), ("damaged", bytes(damaged))]:
             outcomes = []
-            for jobs in (1, 2, 4):
-                out = tmp_path / f"{name}-{jobs}"
-                report = extract_all(open_view(image), out, jobs=jobs)
+            for cpus in (1, 2, 4):
+                out = tmp_path / f"{name}-{cpus}"
+                monkeypatch.setattr(codec, "_available_cpus", lambda: cpus)
+                report = extract_all(open_view(image), out)
                 # Errors may name the output directory, which differs per run.
                 outcomes.append((report.to_machine().replace(report.out_dir, "<out>"), read_tree(out)))
             assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
@@ -433,20 +434,24 @@ class TestBoundedExtraction:
         return pack(entries, PackOptions(max_chunk_decompressed=self.CHUNK))
 
     @staticmethod
-    def traced_peak(view, out, jobs: int) -> int:
-        tracemalloc.start()
-        try:
-            extract_all(view, out, jobs=jobs)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def traced_peak(view, out, monkeypatch, cpus: int | None) -> int:
+        """Peak traced bytes of one extraction on ``cpus`` CPUs (None: those available)."""
+        with monkeypatch.context() as patch:
+            if cpus is not None:
+                patch.setattr(codec, "_available_cpus", lambda: cpus)
+            tracemalloc.start()
+            try:
+                extract_all(view, out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-    def test_extraction_holds_about_jobs_plus_one_chunks(self, tmp_path):
-        one = self.traced_peak(open_view(self.image(1)), tmp_path / "one", 1)
+    def test_extraction_holds_about_jobs_plus_one_chunks(self, tmp_path, monkeypatch):
+        one = self.traced_peak(open_view(self.image(1)), tmp_path / "one", monkeypatch, 1)
         view = open_view(self.image(8))
         assert len(view.chunks) == 8
-        assert self.traced_peak(view, tmp_path / "serial", 1) <= one + 1.5 * self.CHUNK
-        assert self.traced_peak(view, tmp_path / "jobs2", 2) <= one + (2 + 1.5) * self.CHUNK
+        assert self.traced_peak(view, tmp_path / "serial", monkeypatch, 1) <= one + 1.5 * self.CHUNK
+        assert self.traced_peak(view, tmp_path / "two", monkeypatch, 2) <= one + (2 + 1.5) * self.CHUNK
         assert view._cache == {}  # extraction leaves the read cache alone
         assert read_file(view, "zero3") == bytes(self.CHUNK)
 
@@ -458,11 +463,11 @@ class TestBoundedExtraction:
         assert codec._available_cpus() == 8
 
     def test_default_jobs_hold_the_byte_budget_not_the_cpu_count(self, tmp_path, monkeypatch):
-        one = self.traced_peak(open_view(self.image(1)), tmp_path / "one", 1)
+        one = self.traced_peak(open_view(self.image(1)), tmp_path / "one", monkeypatch, 1)
         self.eight_cpus(monkeypatch, tmp_path)
         monkeypatch.setattr(codec, "DEFAULT_OUTPUT_LIMIT", 2 * self.CHUNK)
         view = open_view(self.image(8))
-        assert self.traced_peak(view, tmp_path / "default", None) <= one + (2 + 1.5) * self.CHUNK
+        assert self.traced_peak(view, tmp_path / "default", monkeypatch, None) <= one + (2 + 1.5) * self.CHUNK
         assert read_tree(tmp_path / "default") == {f"zero{i}": bytes(self.CHUNK) for i in range(8)}
 
     def test_default_jobs_below_the_budget_hold_an_output_and_a_dictionary_per_cpu(
@@ -470,10 +475,10 @@ class TestBoundedExtraction:
         # 8 chunks of 4 MiB stay far inside the 64 MiB budget, so all 8
         # CPUs decode at once; each running decoder also holds a dictionary
         # as large as its chunk, which the budget does not count.
-        one = self.traced_peak(open_view(self.image(1)), tmp_path / "one", 1)
+        one = self.traced_peak(open_view(self.image(1)), tmp_path / "one", monkeypatch, 1)
         self.eight_cpus(monkeypatch, tmp_path)
         view = open_view(self.image(8))
-        assert self.traced_peak(view, tmp_path / "default", None) <= one + (2 * 8 + 1.5) * self.CHUNK
+        assert self.traced_peak(view, tmp_path / "default", monkeypatch, None) <= one + (2 * 8 + 1.5) * self.CHUNK
         assert read_tree(tmp_path / "default") == {f"zero{i}": bytes(self.CHUNK) for i in range(8)}
 
     def test_one_chunk_starts_no_pool(self, tmp_path, monkeypatch):

@@ -226,11 +226,14 @@ class TestPack:
     def test_deterministic(self):
         assert pack(THREE_FILE_ENTRIES) == pack(THREE_FILE_ENTRIES)
 
-    def test_parallel_compression_identical(self):
+    def test_parallel_compression_identical(self, monkeypatch):
         entries = [(f"f{i}.bin", bytes([i]) * 300) for i in range(8)]
-        opts_serial = PackOptions(max_chunk_decompressed=700, jobs=1)
-        opts_parallel = PackOptions(max_chunk_decompressed=700, jobs=4)
-        assert pack(entries, opts_serial) == pack(entries, opts_parallel)
+        opts = PackOptions(max_chunk_decompressed=700)
+        images = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(codec, "_available_cpus", lambda: cpus)
+            images.append(pack(entries, opts))
+        assert images[0] == images[1]
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -240,7 +243,8 @@ class TestPack:
         tree = [(e.path, read_file(view, e.index)) for e in list_files(view)]
         # The default cap, and one file per chunk.
         for cap in (PackOptions.max_chunk_decompressed, max(len(content) for _, content in tree)):
-            serial = pack(tree, PackOptions(max_chunk_decompressed=cap, jobs=1))
+            monkeypatch.setattr(codec, "_available_cpus", lambda: 1)
+            serial = pack(tree, PackOptions(max_chunk_decompressed=cap))
             for cpus in (1, 2, 8):
                 monkeypatch.setattr(codec, "_available_cpus", lambda: cpus)
                 assert pack(tree, PackOptions(max_chunk_decompressed=cap)) == serial
