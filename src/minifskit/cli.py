@@ -268,7 +268,7 @@ def cmd_cat(args) -> int:
 
 def cmd_extract(args) -> int:
     view = _resolve_view(_read_input(args.image), args)
-    report = extract_all(view, args.out_dir, force=args.force)
+    report = extract_all(view, args.out_dir)
     if args.format == "machine":
         _emit(report.to_machine())
     else:
@@ -310,14 +310,18 @@ def cmd_verify(args) -> int:
     dump = _read_input(args.image)
     try:
         view = _resolve_view(dump, args)
+        violations = view.violations
     except ValidationFailed as exc:
-        for v in exc.violations:
-            _emit(f"table violation: {v}")
-        _emit("verify: FAIL (structural validation)")
+        view, violations = None, exc.violations
+    machine = args.format == "machine"
+    lines = [f"violation.{i}={v}" if machine else f"table violation: {v}"
+             for i, v in enumerate(violations)]
+    if view is None:
+        lines.append("result=fail" if machine else "verify: FAIL (structural validation)")
+        _emit("\n".join(lines))
         return EXIT_INVALID
 
     failures = 0
-    lines = []
     decoded = _decode_chunks(view, range(len(view.chunks)))
     for data, (i, rec) in zip(decoded, enumerate(view.chunks)):
         if isinstance(data, MiniFsError):
@@ -325,23 +329,24 @@ def cmd_verify(args) -> int:
             status, detail = "fail", f"{type(data).__name__}: {data}"
         else:
             status, detail = "ok", f"{rec.compressed_size} -> {rec.decompressed_size} bytes"
-        if args.format == "machine":
+        if machine:
             lines.append(f"chunk.{i}.status={status}")
             if status != "ok":
                 lines.append(f"chunk.{i}.error={detail}")
         else:
             lines.append(f"chunk {i}: {status} ({detail})")
-    if args.format == "machine":
+    ok = failures == 0 and not violations
+    if machine:
         lines.append(f"chunks={len(view.chunks)}")
         lines.append(f"failed={failures}")
-        lines.append(f"result={'ok' if failures == 0 else 'fail'}")
+        lines.append(f"result={'ok' if ok else 'fail'}")
     else:
         lines.append(
-            f"verify: {'OK' if failures == 0 else 'FAIL'} "
+            f"verify: {'OK' if ok else 'FAIL'} "
             f"({len(view.chunks) - failures}/{len(view.chunks)} chunks good)"
         )
     _emit("\n".join(lines))
-    return EXIT_OK if failures == 0 else EXIT_INVALID
+    return EXIT_OK if ok else EXIT_INVALID
 
 
 def cmd_fixture(args) -> int:

@@ -11,6 +11,10 @@ of declared chunk bytes in flight plus each running decoder's
 dictionary.  Paths are joined once per view, on the first listing or
 extraction; a lookup by path reads the decoded strings instead and
 joins no path.
+
+Whether to go on past table violations is decided once, when the view
+is opened (``force``); after that each damaged record fails alone, in a
+read and in extraction, and the other records are read and written.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import (
     AmbiguousPath,
     OffsetOutOfRange,
     TruncatedImage,
+    TruncatedTable,
     UnsafePath,
     ValidationFailed,
 )
@@ -196,13 +201,22 @@ def _slice_entry(
     return data[entry.offset_in_chunk:end]
 
 
+def _record_chunk(view: MiniFsView, index: int) -> int:
+    """``index``, the chunk a file record names; TruncatedTable if the table lacks it."""
+    if index >= len(view.chunks):
+        raise TruncatedTable(
+            f"a file record names chunk {index}, but the chunk table holds {len(view.chunks)}")
+    return index
+
+
 def read_file(view: MiniFsView, selector: int | str) -> bytes:
     """File content by table index or by exact joined path.
 
     Index selection slices by the record's chunk, offset and size, so it
     reads a record whose name does not join.  Path selection never
     matches such a record, and raises AmbiguousPath on duplicate paths;
-    pick by index instead.
+    pick by index instead.  A record that names a chunk the table does
+    not hold, which only a forced view has, raises TruncatedTable.
     """
     if isinstance(selector, int):
         if not 0 <= selector < len(view.files):
@@ -218,7 +232,7 @@ def read_file(view: MiniFsView, selector: int | str) -> bytes:
             )
         index = matches[0]
     record = view.files[index]
-    return _slice_entry(view.chunk_data(record.chunk_index), record)
+    return _slice_entry(view.chunk_data(_record_chunk(view, record.chunk_index)), record)
 
 
 @dataclass
@@ -351,7 +365,7 @@ def _decode_chunks(view: MiniFsView, indices: Sequence[int]) -> Iterator[memoryv
 
     def decode(index: int) -> memoryview | MiniFsError:
         try:
-            return memoryview(decompress_chunk(*view.compressed_chunk(index)))
+            return memoryview(decompress_chunk(*view.compressed_chunk(_record_chunk(view, index))))
         except MiniFsError as exc:
             return exc
 
@@ -360,12 +374,7 @@ def _decode_chunks(view: MiniFsView, indices: Sequence[int]) -> Iterator[memoryv
                          lambda i: view.chunks[i].decompressed_size if i < len(view.chunks) else 0)
 
 
-def extract_all(
-    view: MiniFsView,
-    out_dir: str | os.PathLike,
-    *,
-    force: bool = False,
-) -> ExtractReport:
+def extract_all(view: MiniFsView, out_dir: str | os.PathLike) -> ExtractReport:
     """Write every file of the instance under ``out_dir``.
 
     One in-order pass, outside the view's cache, decompresses each chunk
@@ -373,11 +382,11 @@ def extract_all(
     decode ahead under the module's rule while writes stay ordered, so
     about one chunk per thread plus one is held.  Per-file problems are recorded
     in the report instead of aborting the run; only an unusable output
-    directory is fatal.  In force mode records with broken names are
-    reported as failed and skipped instead of raising.  Each such record,
-    each chunk that fails to decode and each file not written logs one
-    debug record.  Each directory is resolved, checked to lie inside
-    ``out_dir`` and created once per call.
+    directory is fatal.  A record fails alone, with its error, whether its
+    name does not join, its chunk does not decode or its file cannot be
+    written, however the view was opened; each such record and each chunk
+    that fails to decode logs one debug record.  Each directory is
+    resolved, checked to lie inside ``out_dir`` and created once per call.
 
     Duplicate joined paths never overwrite each other: later copies get
     the lowest ``.dupN`` suffix that no record's path or earlier copy uses.
@@ -389,7 +398,7 @@ def extract_all(
     results: dict[int, FileResult] = {}
     entries: list[FileEntry] = []
     for i, path in enumerate(view._paths):
-        if force and isinstance(path, MiniFsError):
+        if isinstance(path, MiniFsError):
             _log.debug("file record %d failed: its name does not join: %s", i, path)
             rec = view.files[i]
             results[i] = FileResult(
@@ -398,7 +407,7 @@ def extract_all(
                 error=f"{type(path).__name__}: {path}",
             )
         else:
-            entries.append(_entry(view, i))  # a naming error aborts before any write
+            entries.append(_entry(view, i))
     groups: dict[int, list[FileEntry]] = {}  # chunk index -> its entries, in write order
     for entry in sorted(entries, key=lambda e: (e.chunk_index, e.offset_in_chunk, e.index)):
         groups.setdefault(entry.chunk_index, []).append(entry)

@@ -234,13 +234,16 @@ def check_name(name: str) -> None:
 
 def check_directory(directory: str) -> None:
     """The directory half of the path rule: printable ASCII, not absolute,
-    no empty or ``..`` component; the empty string is the root."""
+    no empty, ``.`` or ``..`` component; the empty string is the root.
+    An empty or ``.`` component would let two joined paths name one file."""
     if directory.startswith("/"):
         raise UnsafePath(f"absolute directory path {directory!r}")
     if directory:
         parts = directory.split("/")
         if ".." in parts:
             raise UnsafePath(f"directory path {directory!r} contains a '..' component")
+        if "." in parts:
+            raise UnsafePath(f"directory path {directory!r} contains a '.' component")
         if "" in parts:
             raise UnsafePath(f"directory path {directory!r} has an empty component")
     _check_printable("directory", directory)

@@ -49,7 +49,7 @@ from minifskit.structs import (
     parse_header,
 )
 from minifskit.cli import EXIT_INVALID, main
-from minifskit.errors import MiniFsError, SizeMismatch, UnknownConfigWord, UnsafePath
+from minifskit.errors import MiniFsError, SizeMismatch, UnknownConfigWord
 from helpers import build_three_file_image, read_tree, write_tree
 
 
@@ -301,8 +301,9 @@ def test_criterion_10_traversal_safety(tmp_path):
     out_dir = tmp_path / "nest" / "out"
     out_dir.mkdir(parents=True)
     before = {p for p in tmp_path.rglob("*")}
-    with pytest.raises(UnsafePath):
-        extract_all(open_view(image), out_dir)
+    report = extract_all(open_view(image), out_dir)
+    assert [r.status for r in report.results] == ["failed"]
+    assert report.results[0].error.startswith("UnsafePath: ")
     after = {p for p in tmp_path.rglob("*")}
     assert after == before                      # nothing new anywhere
     assert list(out_dir.iterdir()) == []        # and the out dir stayed empty
@@ -411,7 +412,7 @@ def test_criterion_12_mutation_fuzz():
                         path = attempt(full_path, view.names, record)
                         if path is not None:
                             attempt(read_file, view, path)
-                    attempt(extract_all, view, work / f"lib-{base}", force=True)
+                    attempt(extract_all, view, work / f"lib-{base}")
                 base = dump.find(b"MINIFS", base + 1)
 
             image = work / "dump.bin"

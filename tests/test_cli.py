@@ -575,15 +575,24 @@ class TestOverlappingHits:
         assert capsys.readouterr().out.count("hit.") == 2 * (kib // 4)
 
 
+def _damaged_three_file(damage: str) -> bytes:
+    image = bytearray(build_three_file_image())
+    layout = open_view(bytes(image)).layout
+    if damage == "chunk-size":  # chunk 0 declares 100 MiB
+        at, value = layout.chunk_table_start + 8, 100 << 20
+    elif damage == "chunk-index":  # record 0 (boot.bin) names chunk 7 of 2
+        at, value = layout.files_start + 8, 7
+    else:  # "file-span": record 2 (base.css, all 400 bytes of chunk 1) claims 500
+        at, value = layout.files_start + 2 * FILE_RECORD_SIZE + 16, 500
+    image[at:at + 4] = value.to_bytes(4, "big")
+    return bytes(image)
+
+
 class TestOversizedChunkRecord:
     @pytest.fixture
     def oversized_path(self, tmp_path):
-        from minifskit import open_view
-        image = bytearray(build_three_file_image())
-        at = open_view(bytes(image)).layout.chunk_table_start + 8
-        image[at:at + 4] = (100 << 20).to_bytes(4, "big")  # chunk 0 declares 100 MiB
         path = tmp_path / "oversized.img"
-        path.write_bytes(bytes(image))
+        path.write_bytes(_damaged_three_file("chunk-size"))
         return str(path)
 
     def test_verify_reports_chunk_size_violation(self, oversized_path, capsys):
@@ -602,6 +611,34 @@ class TestOversizedChunkRecord:
         assert main(["cat", oversized_path, "boot.bin", "--force"]) == EXIT_INVALID
         assert "ChunkTooLarge" in capsys.readouterr().err
         assert main(["cat", oversized_path, "fw/mtk/base.css", "--force"]) == EXIT_OK
+
+
+class TestForcedDamage:
+    """--force opens damaged tables; verify still reports what it went past."""
+
+    @pytest.mark.parametrize("damage", ["chunk-size", "chunk-index", "file-span"])
+    def test_verify_lists_violations_and_exits_5(self, damage, tmp_path, capsys):
+        path = tmp_path / "damaged.img"
+        path.write_bytes(_damaged_three_file(damage))
+        for flags in (["--force"], ["--base", "0"]):
+            assert main(["verify", str(path), *flags, "--format", "machine"]) == EXIT_INVALID
+            lines = capsys.readouterr().out.splitlines()
+            violations = [line for line in lines if line.startswith("violation.")]
+            assert violations[0].startswith(f"violation.0={damage}: ")
+            assert lines[:len(violations)] == violations
+            assert all("=" in line for line in lines)
+            assert lines[-1] == "result=fail"
+            assert any(line.startswith("chunk.") for line in lines) == ("--force" in flags)
+        assert main(["verify", str(path), "--force"]) == EXIT_INVALID
+        out = capsys.readouterr().out
+        assert out.startswith(f"table violation: {damage}: ") and "verify: FAIL" in out
+
+    def test_cat_of_record_past_chunk_table_exits_5(self, tmp_path, capsys):
+        path = tmp_path / "damaged.img"
+        path.write_bytes(_damaged_three_file("chunk-index"))
+        assert main(["cat", str(path), "--force", "--index", "0"]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: TruncatedTable: ")
+        assert main(["cat", str(path), "--force", "--index", "1"]) == EXIT_OK
 
 
 class TestForceMode:

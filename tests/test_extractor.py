@@ -3,14 +3,18 @@
 import logging
 import lzma
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minifskit import (
     MiniFsHeader,
@@ -30,6 +34,7 @@ from minifskit.errors import (
     NotFound,
     OffsetOutOfRange,
     TruncatedImage,
+    TruncatedTable,
     UnsafePath,
     UnterminatedString,
     ValidationFailed,
@@ -237,20 +242,28 @@ class TestExtractAll:
         assert read_tree(tmp_path / "clash") == {"a": b"first", "a.dup2": b"second", "a.dup1": b"real"}
         assert report.warnings == ["duplicate path 'a'; record 1 written as 'a.dup2'"]
 
-    def test_unsafe_name_aborts_before_writing(self, tmp_path):
-        image = build_image_with_names(b"..", b"evil")
+    def test_unsafe_name_fails_alone(self, tmp_path):
+        image = pack([("dd/evil", b"owned"), ("safe.txt", b"kept")], PackOptions(sort_entries=False))
+        assert image.count(b"dd\x00") == 1
+        path = tmp_path / "unsafe.img"
+        path.write_bytes(image.replace(b"dd\x00", b"..\x00"))  # record 0's directory
         out = tmp_path / "deep" / "out"
         out.mkdir(parents=True)
         sentinel = tmp_path / "deep" / "evil"
-        with pytest.raises(UnsafePath):
-            extract_all(open_view(image), out)
-        assert list(out.iterdir()) == []
+        report = extract_all(open_view(path.read_bytes()), out)
+        assert [r.status for r in report.results] == ["failed", "ok"]
+        assert report.results[0].error.startswith("UnsafePath: ")
+        assert read_tree(out) == {"safe.txt": b"kept"}
         assert not sentinel.exists()
+        assert main(["extract", str(path), str(tmp_path / "cli")]) == EXIT_INVALID
+        assert read_tree(tmp_path / "cli") == {"safe.txt": b"kept"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cli", "deep", "unsafe.img"]
+        assert sorted(p.name for p in (tmp_path / "deep").iterdir()) == ["out"]
 
     def test_force_skips_bad_records(self, tmp_path):
         image = build_image_with_names(b"", b"a\x80b")  # non-ASCII name
         view = open_view(image, force=True)
-        report = extract_all(view, tmp_path / "out", force=True)
+        report = extract_all(view, tmp_path / "out")
         assert report.failed == 1 and report.written == 0
 
     def test_parallel_jobs_equal_serial(self, tmp_path, monkeypatch):
@@ -659,7 +672,7 @@ class TestOneIndexPerView:
             list_files(view)
         with pytest.raises(NotFound):
             read_file(view, "d/f0")
-        report = extract_all(view, tmp_path / "out", force=True)
+        report = extract_all(view, tmp_path / "out")
         assert report.failed == 50
         assert decoded == [bad]
         # Each record holds its own error, built fresh from the remembered refusal.
@@ -688,12 +701,98 @@ class TestOversizedChunkRecord:
         image[at:at + 4] = (100 << 20).to_bytes(4, "big")  # chunk 0 declares 100 MiB
         with pytest.raises(ValidationFailed):
             open_view(bytes(image))
-        report = extract_all(open_view(bytes(image), force=True), tmp_path / "out", force=True)
+        report = extract_all(open_view(bytes(image), force=True), tmp_path / "out")
         status = {r.path: r.status for r in report.results}
         assert status == {"boot.bin": "failed", "fw/mtk/app.js": "failed",
                           "fw/mtk/base.css": "ok"}
         assert all(r.error.startswith("ChunkTooLarge") for r in report.results
                    if r.status == "failed")
+
+
+class TestRecordPastChunkTable:
+    """Record 0 (boot.bin) names chunk 7 of a 2-chunk table: a forced view's damage."""
+
+    def test_read_and_extraction_fail_that_record(self, tmp_path):
+        image = bytearray(build_three_file_image())
+        at = open_view(bytes(image)).layout.files_start + 8  # record 0's chunk word
+        image[at:at + 4] = (7).to_bytes(4, "big")
+        view = open_view(bytes(image), force=True)
+        with pytest.raises(TruncatedTable) as raised:
+            read_file(view, 0)
+        with pytest.raises(TruncatedTable):
+            read_file(view, "boot.bin")
+        report = extract_all(view, tmp_path / "out")
+        assert [r.status for r in report.results] == ["failed", "ok", "ok"]
+        assert report.results[0].error == f"TruncatedTable: {raised.value}"
+        assert sorted(read_tree(tmp_path / "out")) == ["fw/mtk/app.js", "fw/mtk/base.css"]
+
+
+# Directory strings and file names share no string, so the pool stores each once.
+DIRECTORIES = ["", "a", "bb", "ccc", "a/bb"]
+NAMES = ["x", "yy", "zzz", "w.txt"]
+
+
+def unsafe_variants(text: str) -> list[str]:
+    """Strings of ``text``'s length that break the path rule as a directory and as a name."""
+    return ["/" + text[1:], *{1: ["."], 2: [".."]}.get(len(text), [])]
+
+
+def joins(directory: str, name: str) -> bool:
+    """The path rule, restated: may extraction write this pair?"""
+    parts = directory.split("/") if directory else []
+    return "/" not in name and name not in ("", ".", "..") and not (
+        {"", ".", ".."} & set(parts))
+
+
+@st.composite
+def unsafe_images(draw):
+    """A packed image with some pool strings replaced by unsafe ones and
+    at most one chunk whose configuration word no decoder knows."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from(DIRECTORIES), st.sampled_from(NAMES)),
+                          min_size=1, max_size=10, unique=True))
+    entries = [(f"{d}/{n}" if d else n, bytes([65 + i]) * draw(st.integers(0, 90)))
+               for i, (d, n) in enumerate(pairs)]
+    image = bytearray(pack(entries, PackOptions(max_chunk_decompressed=120, sort_entries=False)))
+    view = open_view(bytes(image))
+    strings = [(m.start(), m.group()) for m in re.finditer(rb"[^\x00]+", view.names.pool)]
+    for offset, text in strings:
+        unsafe = draw(st.sampled_from([None, *unsafe_variants(text.decode())]))
+        if unsafe is not None:
+            at = view.layout.names_start + offset
+            image[at:at + len(text)] = unsafe.encode()
+    broken = draw(st.sets(st.integers(0, len(view.chunks) - 1), max_size=1))
+    for index in broken:
+        image[view.layout.data_start + view.chunks[index].data_offset] ^= 0x01
+    return bytes(image), entries, broken
+
+
+class TestUnsafeNamesFailAlone:
+    @settings(max_examples=60, deadline=None)
+    @given(case=unsafe_images())
+    def test_each_bad_record_fails_alone(self, case):
+        image, entries, broken = case
+        for force in (False, True):
+            view = open_view(image, force=force)
+            pool = view.names.pool
+            strings = [pool[off:pool.index(b"\x00", off)].decode() for off in range(len(pool))]
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "deep" / "out"
+                report = extract_all(view, out)
+                expected, naive = {}, []
+                for rec, result, (path, content) in zip(view.files, report.results, entries):
+                    directory, name = strings[rec.path_offset], strings[rec.name_offset]
+                    writes = joins(directory, name) and rec.chunk_index not in broken
+                    assert result.status == ("ok" if writes else "failed"), (directory, name)
+                    if writes:
+                        expected[path] = content
+                    else:
+                        naive.append(Path(out, directory, name))
+                assert report.written + report.failed == len(entries) == len(report.results)
+                assert read_tree(out) == expected
+                assert [p.name for p in Path(tmp).iterdir()] == ["deep"]
+                assert [p.name for p in out.parent.iterdir()] == ["out"]
+                written = {(out / path).resolve() for path in expected}
+                assert not [p for p in naive if p.is_file() and p.resolve() not in written]
 
 
 class TestClassifyFiles:

@@ -178,7 +178,7 @@ def test_library_treats_mmap_like_bytes(name, tmp_path):
         from_map, from_bytes = open_view(mm, base, force=True), open_view(data, base, force=True)
         for index in range(len(from_bytes.files)):
             assert outcome(read_file, from_map, index) == outcome(read_file, from_bytes, index)
-        reports = [extract_all(view, tmp_path / f"{side}-{base}", force=True)
+        reports = [extract_all(view, tmp_path / f"{side}-{base}")
                    for side, view in (("map", from_map), ("bytes", from_bytes))]
         machine = [r.to_machine().replace(r.out_dir, "<out>") for r in reports]
         assert machine[0] == machine[1]

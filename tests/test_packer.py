@@ -74,7 +74,7 @@ class TestBuildNamePool:
             build_name_pool([("dirname", "filename")], limit=10)
 
     @pytest.mark.parametrize("pair", [("a", ".."), ("/abs", "x"), ("a", ""), ("a", "."),
-                                      ("a//b", "x"), ("a/", "x")])
+                                      ("a//b", "x"), ("a/", "x"), (".", "x"), ("a/./b", "x")])
     def test_pairs_the_reader_refuses(self, pair):
         with pytest.raises(UnsafePath):
             build_name_pool([pair])
