@@ -10,6 +10,7 @@ from minifskit import (
 from minifskit.structs import (
     ChunkRecord,
     FileRecord,
+    FsLayout,
     NameTable,
     compute_layout,
     full_path,
@@ -18,6 +19,8 @@ from minifskit.structs import (
     parse_chunk_table,
     parse_file_table,
     parse_header,
+    parse_instance,
+    screen_instance,
     validate_layout,
 )
 from minifskit.codec import DEFAULT_OUTPUT_LIMIT, STREAM_HEADER_SIZE, V2_CONFIG_WORD, decompress_chunk
@@ -53,6 +56,59 @@ def make_header_bytes(file_count=0, name_table_size=0, unknown_a=0, unknown_b=0,
                       reserved=b"\x00" * 10, magic=b"MINIFS"):
     return (magic + reserved + unknown_a.to_bytes(4, "big") + file_count.to_bytes(4, "big")
             + unknown_b.to_bytes(4, "big") + name_table_size.to_bytes(4, "big"))
+
+
+def _header(file_count, name_table_size):
+    return MiniFsHeader(file_count, name_table_size).encode()
+
+
+# Hostile headers: each maps to (dump, base, expected), where ``expected``
+# is the (type, message) of the exception raised, or the layout of a clean
+# parse.  The region spans in the overflow messages are measured from base.
+HOSTILE_HEADERS = {
+    "short-header": (b"MINIFS" + bytes(10), 0,
+                     (TruncatedImage, "dump ends inside the header at offset 0")),
+    "short-header-at-8": (bytes(8) + b"MINIFS" + bytes(10), 8,
+                          (TruncatedImage, "dump ends inside the header at offset 8")),
+    "bad-magic": (b"MINIFX" + _header(0, 0)[6:], 0, (BadMagic, "no b'MINIFS' at offset 0")),
+    "negative-base": (_header(0, 0), -1, (BadMagic, "no b'MINIFS' at offset -1")),
+    "file-table-overflow": (_header(0xFFFF_FFFF, 0), 0, (
+        ArithmeticOverflow,
+        f"table regions span {32 + 20 * 0xFFFF_FFFF} bytes from base, beyond 32-bit addressing")),
+    "pool-overflow": (_header(0, 0xFFFF_FFFF), 0, (
+        ArithmeticOverflow,
+        f"table regions span {32 + 0xFFFF_FFFF} bytes from base, beyond 32-bit addressing")),
+    "chunk-table-overflow": (bytes(8) + _header(1, 0) + FileRecord(0, 0, 0xFFFF_FFFF, 0, 0).encode(),
+                             8, (ArithmeticOverflow,
+                                 f"table regions span {32 + 20 + 12 * (1 << 32)} bytes from base, "
+                                 "beyond 32-bit addressing")),
+    "pool-past-dump": (_header(0, 100) + bytes(99), 0, (
+        TruncatedImage, "name pool or file table extends past the 131-byte dump")),
+    "chunk-table-past-dump": (bytes(8) + _header(1, 0) + FileRecord(0, 0, 1, 0, 0).encode() + bytes(23),
+                              8, (TruncatedImage, "chunk table extends past the 83-byte dump")),
+    "no-files": (_header(0, 4) + b"abc\x00", 0, FsLayout(0, 32, 36, 36, 36, 0)),
+}
+
+
+class TestHostileHeaders:
+    @pytest.mark.parametrize("case", HOSTILE_HEADERS)
+    def test_every_entry_point_gives_the_pinned_answer(self, case):
+        """``screen_instance`` is asked only where a whole header with the magic lies at base."""
+        dump, base, expected = HOSTILE_HEADERS[case]
+        whole = base >= 0 and dump[base:base + 6] == b"MINIFS" and base + 32 <= len(dump)
+        if isinstance(expected, FsLayout):
+            header, layout, names, files, chunks = parse_instance(dump, base)
+            assert (layout, names.pool, files, chunks) == (expected, b"abc\x00", [], [])
+            assert header == MiniFsHeader(0, 4)
+            view = open_view(dump, base)
+            assert (view.layout, view.violations) == (expected, [])
+            assert screen_instance(dump, base) == (expected, None)
+            return
+        kind, message = expected
+        for entry in (parse_instance, open_view, screen_instance)[:3 if whole else 2]:
+            with pytest.raises(kind) as raised:
+                entry(dump, base)
+            assert (type(raised.value), str(raised.value)) == (kind, message), entry.__name__
 
 
 class TestHeader:
