@@ -6,7 +6,7 @@ scanner, ``info``/``ls``/``cat``/``extract``/``verify`` the extractor,
 
     0  success
     2  I/O problem (unreadable input, unwritable output, bad usage)
-    3  scan found no parseable MiniFS instance
+    3  scan found no clean MiniFS instance
     4  a file selector matched nothing (or was ambiguous)
     5  structural validation failed (or no/ambiguous instance to open)
 
@@ -29,6 +29,7 @@ import stat
 import sys
 
 from . import __version__
+from .codec import DEFAULT_OUTPUT_LIMIT
 from .errors import (
     AmbiguousPath,
     EmptyInput,
@@ -81,7 +82,7 @@ def _int_type(rule: str, ok=lambda value: True):
 
 _int_arg = _int_type("an integer")
 _block_size_arg = _int_type("a power of two >= 16", lambda v: v >= 16 and not v & (v - 1))
-_positive_arg = _int_type("a positive integer", lambda v: v > 0)
+_cap_arg = _int_type(f"a chunk cap 1..{DEFAULT_OUTPUT_LIMIT}", lambda v: 0 < v <= DEFAULT_OUTPUT_LIMIT)
 _u32_arg = _int_type("an unsigned 32-bit value", lambda v: 0 <= v <= 0xFFFF_FFFF)
 _byte_arg = _int_type("a byte value 0..255", lambda v: 0 <= v <= 0xFF)
 
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="build an image from a directory tree")
     p.add_argument("tree")
     p.add_argument("out_image")
-    p.add_argument("--cap", type=_positive_arg, default=PackOptions.max_chunk_decompressed,
+    p.add_argument("--cap", type=_cap_arg, default=PackOptions.max_chunk_decompressed,
                    help="max decompressed bytes per chunk")
     p.add_argument("--keep-order", action="store_true",
                    help="keep directory-walk order instead of sorting by path")

@@ -19,7 +19,7 @@ class BadMagic(MiniFsError):
 
 
 class TruncatedTable(MiniFsError):
-    """A record table region is shorter than its record count requires."""
+    """A file record names a chunk that the chunk table does not hold."""
 
 
 class TruncatedImage(MiniFsError):
@@ -40,10 +40,6 @@ class NonAsciiName(MiniFsError):
 
 class UnsafePath(MiniFsError):
     """A joined path could escape the extraction root."""
-
-
-class EmptyFileTable(MiniFsError):
-    """Chunk-count inference needs at least one file record."""
 
 
 class ArithmeticOverflow(MiniFsError):

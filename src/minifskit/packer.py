@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .codec import _map_in_order, compress_chunk
+from .codec import DEFAULT_OUTPUT_LIMIT, _map_in_order, compress_chunk
 from .errors import ArithmeticOverflow, FileTooLarge, NamePoolTooLarge, UnsafePath
 from .structs import ChunkRecord, FileRecord, MiniFsHeader, check_directory, check_name
 
@@ -117,8 +117,8 @@ def plan_chunks(sizes: Sequence[int], max_chunk_decompressed: int) -> ChunkPlan:
     cap, so the last entry always lands in the highest-numbered chunk —
     which is what keeps the format's chunk count inference rule true.
     """
-    if max_chunk_decompressed <= 0:
-        raise ValueError(f"chunk cap must be positive, got {max_chunk_decompressed}")
+    if not 0 < max_chunk_decompressed <= DEFAULT_OUTPUT_LIMIT:
+        raise ValueError(f"chunk cap must be 1..{DEFAULT_OUTPUT_LIMIT}, got {max_chunk_decompressed}")
     plan = ChunkPlan(offsets=[0] * len(sizes))
     current: list[int] = []
     filled = 0

@@ -11,7 +11,13 @@ position of the magic string (the *base*)::
 
 All multi-byte fields are unsigned 32-bit big-endian.  The header carries
 two words and ten bytes whose meaning is unknown; they are preserved
-verbatim so that decode/encode round-trips are byte-exact.
+verbatim so that decode/encode round-trips are byte-exact.  The format
+stores no chunk count: it is the last file record's chunk index plus one.
+
+:func:`parse_instance` is the one decoder: it bounds every region by the
+dump and unpacks the header and both tables.  :func:`validate_layout`
+cross-checks what it returns; :func:`screen_instance` finds some of those
+violations in O(1) with the decoder's own region arithmetic.
 
 Everything in this module is a pure function over immutable inputs; a
 :class:`NameTable` only remembers what it has already decoded.  A dump
@@ -33,12 +39,10 @@ from .codec import DEFAULT_OUTPUT_LIMIT, STREAM_HEADER_SIZE
 from .errors import (
     ArithmeticOverflow,
     BadMagic,
-    EmptyFileTable,
     MiniFsError,
     NonAsciiName,
     OffsetOutOfRange,
     TruncatedImage,
-    TruncatedTable,
     UnsafePath,
     UnterminatedString,
 )
@@ -178,24 +182,10 @@ class Violation:
         return f"{self.kind}: {where}{self.detail}"
 
 
-def parse_header(buf: bytes) -> MiniFsHeader:
-    """Decode a 32-byte header, preserving the unidentified fields.
-
-    Raises BadMagic if the buffer does not start with ``MINIFS``, and
-    TruncatedImage if it is not exactly 32 bytes.
-    """
-    if len(buf) != HEADER_SIZE:
-        raise TruncatedImage(f"header must be exactly {HEADER_SIZE} bytes, got {len(buf)}")
-    magic, header = _header_at(buf, 0)
-    if magic != MAGIC:
-        raise BadMagic(f"expected magic {MAGIC!r}, found {magic!r}")
-    return header
-
-
-def _header_at(dump: Dump, base: int) -> tuple[bytes, MiniFsHeader]:
-    """The magic field and the decoded header of the 32 bytes at ``base``, unchecked."""
-    magic, reserved, unknown_a, file_count, unknown_b, name_table_size = _HEADER.unpack_from(dump, base)
-    return magic, MiniFsHeader(file_count, name_table_size, unknown_a, unknown_b, reserved)
+def _header_at(dump: Dump, base: int) -> MiniFsHeader:
+    """The decoded header of the 32 bytes at ``base``, unchecked."""
+    _, reserved, unknown_a, file_count, unknown_b, name_table_size = _HEADER.unpack_from(dump, base)
+    return MiniFsHeader(file_count, name_table_size, unknown_a, unknown_b, reserved)
 
 
 def name_at(table: NameTable, offset: int) -> str:
@@ -325,59 +315,10 @@ def full_path(table: NameTable, record: FileRecord) -> str:
     return f"{directory}/{name}" if directory else name
 
 
-def _parse_table(buf: bytes, count: int, record: type, layout: struct.Struct, what: str) -> list:
-    """Decode ``count`` records of the named tuple ``record`` in one pass."""
-    need = layout.size * count
-    if len(buf) < need:
-        raise TruncatedTable(f"{what} table needs {need} bytes for {count} records, got {len(buf)}")
-    return list(map(record._make, layout.iter_unpack(buf[:need])))
-
-
-def parse_file_table(buf: bytes, file_count: int) -> list[FileRecord]:
-    """Decode ``file_count`` big-endian file records from ``buf``."""
-    return _parse_table(buf, file_count, FileRecord, _FILE_RECORD, "file")
-
-
-def parse_chunk_table(buf: bytes, chunk_count: int) -> list[ChunkRecord]:
-    """Decode ``chunk_count`` big-endian chunk records from ``buf``."""
-    return _parse_table(buf, chunk_count, ChunkRecord, _CHUNK_RECORD, "chunk")
-
-
-def infer_chunk_count(records: list[FileRecord]) -> int:
-    """Chunk count = last file record's chunk index + 1.
-
-    The format stores no explicit chunk count; the last record's chunk
-    index is the convention.  :func:`validate_layout` cross-checks it
-    against the maximum index seen anywhere in the table.
-    """
-    if not records:
-        raise EmptyFileTable("cannot infer chunk count from an empty file table")
-    return records[-1].chunk_index + 1
-
-
-def compute_layout(header: MiniFsHeader, chunk_count: int, base: int = 0) -> FsLayout:
-    """Compute the five region start offsets for an instance at ``base``.
-
-    Raises ArithmeticOverflow when the span from base to the data region
-    exceeds 32-bit addressing (no real image can be laid out that way).
-    """
-    if base < 0:
-        raise ValueError(f"base must be non-negative, got {base}")
-    names_start = base + HEADER_SIZE
-    files_start = names_start + header.name_table_size
-    chunk_table_start = files_start + FILE_RECORD_SIZE * header.file_count
-    data_start = chunk_table_start + CHUNK_RECORD_SIZE * chunk_count
-    if data_start - base > _U32_MAX:
-        raise ArithmeticOverflow(
-            f"table regions span {data_start - base} bytes from base, beyond 32-bit addressing"
-        )
-    return FsLayout(base, names_start, files_start, chunk_table_start, data_start, chunk_count)
-
-
 def tables_end(data: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Where the name pool and file table of the header at each base end.
 
-    The vector form of ``compute_layout(header, 0, base).chunk_table_start``,
+    The vector form of the ``chunk_table_start`` of :func:`parse_instance`,
     read straight from the ``file_count`` and ``name_table_size`` words of
     the headers at ``bases`` (int64) in the uint8 array ``data``.  Every
     header must lie inside ``data``.  An end past the dump is the
@@ -397,35 +338,46 @@ def parse_instance(
     """Parse the header, name pool and both tables of the instance at ``base``.
 
     Checks only that every region lies inside ``dump``; the cross-checks
-    are :func:`validate_layout`'s job.  Raises BadMagic or TruncatedImage
-    when the bytes cannot hold an instance at all, and only MiniFsError
-    subclasses in every other case.
+    are :func:`validate_layout`'s job.  Raises BadMagic, TruncatedImage
+    or ArithmeticOverflow when the bytes cannot hold an instance, and
+    only MiniFsError subclasses in every other case.
     """
     if base < 0 or dump[base:base + len(MAGIC)] != MAGIC:
         raise BadMagic(f"no {MAGIC!r} at offset {base}")
     if base + HEADER_SIZE > len(dump):
         raise TruncatedImage(f"dump ends inside the header at offset {base}")
-    header = parse_header(dump[base:base + HEADER_SIZE])
+    header = _header_at(dump, base)
     layout = _layout_at(dump, header, base)
     names = NameTable(dump[layout.names_start:layout.files_start])
-    files = parse_file_table(dump[layout.files_start:layout.chunk_table_start], header.file_count)
-    chunks = parse_chunk_table(dump[layout.chunk_table_start:layout.data_start], layout.chunk_count)
-    return header, layout, names, files, chunks
+    files = _FILE_RECORD.iter_unpack(dump[layout.files_start:layout.chunk_table_start])
+    chunks = _CHUNK_RECORD.iter_unpack(dump[layout.chunk_table_start:layout.data_start])
+    return (header, layout, names, list(map(FileRecord._make, files)),
+            list(map(ChunkRecord._make, chunks)))
 
 
 def _layout_at(dump: Dump, header: MiniFsHeader, base: int) -> FsLayout:
-    """The regions of the instance at ``base``, in O(1); raises what
-    :func:`parse_instance` raises when a table runs past ``dump``."""
-    probe = compute_layout(header, 0, base)
-    if probe.chunk_table_start > len(dump):
-        raise TruncatedImage(f"name pool or file table extends past the {len(dump)}-byte dump")
-    last = probe.chunk_table_start - FILE_RECORD_SIZE
-    chunk_count = infer_chunk_count(
-        [FileRecord._make(_FILE_RECORD.unpack_from(dump, last))]) if header.file_count else 0
-    layout = compute_layout(header, chunk_count, base)
-    if layout.data_start > len(dump):
-        raise TruncatedImage(f"chunk table extends past the {len(dump)}-byte dump")
-    return layout
+    """The five regions of the instance at ``base``, in O(1), with the chunk
+    count read from the last file record.  The end of the file table, then
+    that of the chunk table, raises ArithmeticOverflow if it lies beyond
+    32-bit addressing from ``base``, else TruncatedImage if past ``dump``."""
+    names_start = base + HEADER_SIZE
+    files_start = names_start + header.name_table_size
+    chunk_table_start = files_start + FILE_RECORD_SIZE * header.file_count
+    _check_end(chunk_table_start, base, len(dump), "name pool or file table")
+    chunk_count = 0
+    if header.file_count:
+        chunk_count = _FILE_RECORD.unpack_from(dump, chunk_table_start - FILE_RECORD_SIZE)[2] + 1
+    data_start = chunk_table_start + CHUNK_RECORD_SIZE * chunk_count
+    _check_end(data_start, base, len(dump), "chunk table")
+    return FsLayout(base, names_start, files_start, chunk_table_start, data_start, chunk_count)
+
+
+def _check_end(end: int, base: int, size: int, what: str) -> None:
+    if end - base > _U32_MAX:
+        raise ArithmeticOverflow(
+            f"table regions span {end - base} bytes from base, beyond 32-bit addressing")
+    if end > size:
+        raise TruncatedImage(f"{what} extends past the {size}-byte dump")
 
 
 def screen_instance(dump: Dump, base: int) -> tuple[FsLayout, Violation | None]:
@@ -437,7 +389,7 @@ def screen_instance(dump: Dump, base: int) -> tuple[FsLayout, Violation | None]:
     ``dump``.  A violation found here is one :func:`validate_layout`
     reports, so the instance is certainly unclean; None proves nothing.
     """
-    header = _header_at(dump, base)[1]
+    header = _header_at(dump, base)
     layout = _layout_at(dump, header, base)
     return layout, next(_screen(dump, header, layout), None)
 

@@ -15,8 +15,11 @@ from minifskit.errors import (
     UnterminatedString,
 )
 from minifskit.structs import (
+    CHUNK_RECORD_SIZE,
     FILE_RECORD_SIZE,
     HEADER_SIZE,
+    FileRecord,
+    FsLayout,
     MiniFsHeader,
     Violation,
     check_directory,
@@ -54,6 +57,30 @@ def overlapping_hit_dump(size: int) -> bytes:
         file_count = (size - 12 - base - HEADER_SIZE) // FILE_RECORD_SIZE
         dump[base:base + HEADER_SIZE] = MiniFsHeader(file_count, 0).encode()
     return bytes(dump)
+
+
+def region_layout(header: MiniFsHeader, chunk_count: int, base: int = 0) -> FsLayout:
+    """The five region starts by the format's arithmetic, restated apart from the decoder."""
+    files_start = base + HEADER_SIZE + header.name_table_size
+    chunk_table_start = files_start + FILE_RECORD_SIZE * header.file_count
+    return FsLayout(base, base + HEADER_SIZE, files_start, chunk_table_start,
+                    chunk_table_start + CHUNK_RECORD_SIZE * chunk_count, chunk_count)
+
+
+def observed_instance() -> bytes:
+    """The tables of an instance with the observed header words, and no chunk data.
+
+    12,040 bytes: a header declaring 0x14F files and a 0x12C4-byte name
+    pool, the pool, 335 file records (the first an observed one, the last
+    naming chunk 0x29) and 42 chunk records (the first an observed one).
+    """
+    header = (b"MINIFS" + bytes(10) + (0).to_bytes(4, "big") + (0x14F).to_bytes(4, "big")
+              + (0).to_bytes(4, "big") + (0x12C4).to_bytes(4, "big"))
+    pool = b"fw/mtk\x00base.css\x00".ljust(0x12C4, b"\x00")
+    files = (bytes.fromhex("00000000" "00000007" "00000000" "00000000" "00060700")
+             + bytes(FILE_RECORD_SIZE) * 333 + FileRecord(0, 7, 0x29, 0, 0).encode())
+    chunks = bytes.fromhex("00000000" "0002FD71" "00060700") + bytes(CHUNK_RECORD_SIZE) * 41
+    return header + pool + files + chunks
 
 
 def write_tree(root, entries) -> None:

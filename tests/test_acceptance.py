@@ -40,17 +40,13 @@ from minifskit.structs import (
     ChunkRecord,
     FileRecord,
     NameTable,
-    compute_layout,
     full_path,
-    infer_chunk_count,
     name_at,
-    parse_chunk_table,
-    parse_file_table,
-    parse_header,
+    parse_instance,
 )
 from minifskit.cli import EXIT_INVALID, main
 from minifskit.errors import MiniFsError, SizeMismatch, UnknownConfigWord
-from helpers import build_three_file_image, read_tree, write_tree
+from helpers import build_three_file_image, observed_instance, read_tree, write_tree
 
 
 def ok(number: int, detail: str) -> None:
@@ -58,20 +54,16 @@ def ok(number: int, detail: str) -> None:
 
 
 def test_criterion_01_header_decoding():
-    raw = (b"MINIFS" + b"\x00" * 10
-           + (0).to_bytes(4, "big")
-           + (0x0000014F).to_bytes(4, "big")
-           + (0).to_bytes(4, "big")
-           + (0x000012C4).to_bytes(4, "big"))
-    header = parse_header(raw)
+    header = parse_instance(observed_instance())[0]
     assert header.file_count == 335
     assert header.name_table_size == 4804
     ok(1, "header 0x14F/0x12C4 decodes to 335 files, 4804-byte name table")
 
 
 def test_criterion_02_layout_arithmetic():
-    header = MiniFsHeader(file_count=335, name_table_size=4804)
-    layout = compute_layout(header, chunk_count=42, base=0)
+    image = observed_instance()
+    layout = parse_instance(image)[1]
+    assert len(image) == 12040
     assert layout.names_start == 32
     assert layout.files_start == 4836
     assert layout.chunk_table_start == 11536
@@ -80,16 +72,11 @@ def test_criterion_02_layout_arithmetic():
 
 
 def test_criterion_03_record_decoding():
-    (file_rec,) = parse_file_table(
-        bytes.fromhex("00000000" "00000007" "00000000" "00000000" "00060700"), 1)
-    assert file_rec == FileRecord(0, 7, 0, 0, 395008)
-
-    (chunk_rec,) = parse_chunk_table(
-        bytes.fromhex("00000000" "0002FD71" "00060700"), 1)
-    assert chunk_rec == ChunkRecord(0, 195953, 395008)
-
-    records = [FileRecord(0, 0, i, 0, 0) for i in (0, 3, 0x29)]
-    assert infer_chunk_count(records) == 42
+    _, layout, _, files, chunks = parse_instance(observed_instance())
+    assert files[0] == FileRecord(0, 7, 0, 0, 395008)
+    assert chunks[0] == ChunkRecord(0, 195953, 395008)
+    assert files[-1].chunk_index == 0x29
+    assert layout.chunk_count == len(chunks) == 42
     ok(3, "file record (0,7,0,0,395008), chunk record (0,195953,395008), 0x29 -> 42 chunks")
 
 

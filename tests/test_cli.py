@@ -94,7 +94,7 @@ class TestScan:
 @pytest.mark.parametrize("argv, rule", [
     (["scan", "{dump}", "--block-size", "1000"], "a power of two >= 16"),
     (["entropy", "{dump}", "--block-size", "3"], "a power of two >= 16"),
-    (["pack", "{tree}", "{out}", "--cap", "0"], "a positive integer"),
+    (["pack", "{tree}", "{out}", "--cap", "0"], "a chunk cap 1..67108864"),
     (["pack", "{tree}", "{out}", "--unknown-a", "0x1ffffffff"], "an unsigned 32-bit value"),
     (["pack", "{tree}", "{out}", "--unknown-b", "-1"], "an unsigned 32-bit value"),
     # extract and pack have no --jobs: their thread count follows the available CPUs.
@@ -104,6 +104,9 @@ class TestScan:
     (["extract", "{dump}", "{out}", "--jobs=1"], None),
     (["scan", "{dump}", "--empty-byte", "300"], "a byte value 0..255"),
     (["scan", "{dump}", "--empty-byte", "-1"], "a byte value 0..255"),
+    # The decoder refuses a chunk above 64 MiB, so pack never writes one.
+    (["pack", "{tree}", "{out}", "--cap", "0x4000001"], "a chunk cap 1..67108864"),
+    (["pack", "{tree}", "{out}", "--cap=67108865"], "a chunk cap 1..67108864"),
 ])
 def test_bad_numeric_flag_is_a_usage_error(argv, rule, dump_path, tmp_path, capsys):
     write_tree(tmp_path / "tree", THREE_FILE_ENTRIES)
@@ -118,7 +121,8 @@ def test_bad_numeric_flag_is_a_usage_error(argv, rule, dump_path, tmp_path, caps
     if rule is None:
         expected = f"minifs: error: unrecognized arguments: {' '.join(argv[3:])}"
     else:
-        expected = f"minifs {argv[0]}: error: argument {argv[-2]}: {argv[-1]!r} is not {rule}"
+        flag, value = argv[-1].split("=") if "=" in argv[-1] else argv[-2:]
+        expected = f"minifs {argv[0]}: error: argument {flag}: {value!r} is not {rule}"
     assert [line for line in err.splitlines() if "error:" in line] == [expected]
     assert not out.exists()
 
@@ -559,9 +563,14 @@ class TestOverlappingHits:
         path = tmp_path / "overlapping.bin"
         path.write_bytes(dump)
         records = []
-        real = structs.parse_file_table
-        monkeypatch.setattr(structs, "parse_file_table",
-                            lambda buf, count: records.append(count) or real(buf, count))
+        real = structs.parse_instance
+
+        def counting(dump, base=0):
+            parsed = real(dump, base)
+            records.append(len(parsed[3]))
+            return parsed
+
+        monkeypatch.setattr(structs, "parse_instance", counting)
         for argv, code in [
             (["info", str(path)], EXIT_INVALID),
             (["cat", str(path), "--index", "0"], EXIT_INVALID),

@@ -24,11 +24,10 @@ from minifskit.packer import build_name_pool, plan_chunks
 from minifskit.structs import (
     FileRecord,
     NameTable,
-    compute_layout,
     full_path,
     name_at,
 )
-from helpers import THREE_FILE_ENTRIES, read_tree, write_tree
+from helpers import THREE_FILE_ENTRIES, read_tree, region_layout, write_tree
 
 
 class TestBuildNamePool:
@@ -142,6 +141,12 @@ class TestPlanChunks:
         assert plan.groups == [[0]]
         assert plan.chunk_sizes == [395008]
 
+    def test_cap_above_the_decoder_limit(self):
+        # The reader refuses a chunk that declares more than 64 MiB.
+        with pytest.raises(ValueError):
+            plan_chunks([1], codec.DEFAULT_OUTPUT_LIMIT + 1)
+        assert plan_chunks([1], codec.DEFAULT_OUTPUT_LIMIT).chunk_sizes == [1]
+
     def test_file_over_cap(self):
         with pytest.raises(FileTooLarge):
             plan_chunks([251], 250)
@@ -179,10 +184,9 @@ class TestPack:
         view = open_view(three_file_image)
         assert view.violations == []
 
-    def test_layout_matches_compute_layout(self, three_file_image):
+    def test_layout_matches_region_arithmetic(self, three_file_image):
         view = open_view(three_file_image)
-        expected = compute_layout(view.header, len(view.chunks), 0)
-        assert view.layout == expected
+        assert view.layout == region_layout(view.header, len(view.chunks))
 
     def test_empty_tree_is_bare_header(self):
         image = pack([])

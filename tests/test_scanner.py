@@ -520,9 +520,14 @@ class TestScreen:
         assert len(offsets) >= 64
         assert all(structs.screen_instance(dump, at)[1] is None for at in offsets)
         records = []
-        real = structs.parse_file_table
-        monkeypatch.setattr(structs, "parse_file_table",
-                            lambda buf, count: records.append(count) or real(buf, count))
+        real = structs.parse_instance
+
+        def counting(dump, base=0):
+            parsed = real(dump, base)
+            records.append(len(parsed[3]))
+            return parsed
+
+        monkeypatch.setattr(structs, "parse_instance", counting)
         for force in (False, True):
             records.clear()
             caplog.clear()
@@ -545,13 +550,13 @@ class TestDumpReport:
         dump = (b"\xff" * 64 + b"MINIFS" + b"\xff" * 58 + build_three_file_image()
                 + b"<p>MINIFS</p>" + bytes(64))
         calls = []
-        real = structs.parse_header
+        real = structs.parse_instance
 
-        def counting(buf):
-            calls.append(buf)
-            return real(buf)
+        def counting(dump, base=0):
+            calls.append(base)
+            return real(dump, base)
 
-        monkeypatch.setattr(structs, "parse_header", counting)
+        monkeypatch.setattr(structs, "parse_instance", counting)
         report = dump_report(dump)
         assert len(report.hits) == 3
         # The first hit's FF words declare tables past the dump, so it is

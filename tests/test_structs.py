@@ -1,5 +1,6 @@
 """On-disk structure decoding, layout arithmetic and validation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,30 +13,24 @@ from minifskit.structs import (
     FileRecord,
     FsLayout,
     NameTable,
-    compute_layout,
     full_path,
-    infer_chunk_count,
     name_at,
-    parse_chunk_table,
-    parse_file_table,
-    parse_header,
     parse_instance,
     screen_instance,
+    tables_end,
     validate_layout,
 )
 from minifskit.codec import DEFAULT_OUTPUT_LIMIT, STREAM_HEADER_SIZE, V2_CONFIG_WORD, decompress_chunk
 from minifskit.errors import (
     ArithmeticOverflow,
     BadMagic,
-    EmptyFileTable,
     NonAsciiName,
     OffsetOutOfRange,
     TruncatedImage,
-    TruncatedTable,
     UnsafePath,
     UnterminatedString,
 )
-from helpers import build_three_file_image
+from helpers import build_three_file_image, observed_instance, region_layout
 
 u32 = st.integers(min_value=0, max_value=0xFFFF_FFFF)
 
@@ -46,7 +41,7 @@ def validate_tables(header, records, chunks, image_length, names=None):
     Without ``names`` the pool is ``name_table_size`` NUL bytes, so every
     in-range offset resolves to the empty string.
     """
-    layout = compute_layout(header, len(chunks))
+    layout = region_layout(header, len(chunks))
     if names is None:
         names = NameTable(b"\x00" * header.name_table_size)
     return validate_layout(layout, names, records, chunks, image_length)
@@ -111,42 +106,64 @@ class TestHostileHeaders:
             assert (type(raised.value), str(raised.value)) == (kind, message), entry.__name__
 
 
+def instance(file_count=0, name_table_size=0, chunk_count=1, base=0, **header_words):
+    """Header bytes at ``base`` and zeroed tables, whose last file record names chunk ``chunk_count - 1``."""
+    tables = bytes(name_table_size)
+    if file_count:
+        tables += (bytes(20 * (file_count - 1)) + FileRecord(0, 0, chunk_count - 1, 0, 0).encode()
+                   + bytes(12 * chunk_count))
+    return bytes(base) + make_header_bytes(file_count, name_table_size, **header_words) + tables
+
+
+# The last file record names chunk 0, so the chunk table holds one record.
+LAST_RECORD = FileRecord(0, 0, 0, 0, 0).encode()
+
+
+def parse_tables(file_records: bytes, chunk_records: bytes) -> tuple[list, list]:
+    """The file and chunk tables ``parse_instance`` reads from raw records and an empty pool."""
+    header = MiniFsHeader(len(file_records) // 20, 0).encode()
+    return parse_instance(header + file_records + chunk_records)[3:]
+
+
 class TestHeader:
     def test_decodes_observed_values(self):
         # 0x14F files and a 0x12C4-byte name table, straight from a real header.
-        header = parse_header(make_header_bytes(file_count=0x14F, name_table_size=0x12C4))
+        header = parse_instance(instance(file_count=0x14F, name_table_size=0x12C4))[0]
         assert header.file_count == 335
         assert header.name_table_size == 4804
 
     def test_empty_file_system_header_is_valid(self):
-        header = parse_header(make_header_bytes())
+        header = parse_instance(make_header_bytes())[0]
         assert header.file_count == 0
         assert header.name_table_size == 0
 
     def test_corrupted_magic(self):
         with pytest.raises(BadMagic):
-            parse_header(make_header_bytes(magic=b"MINIFX"))
+            parse_instance(make_header_bytes(magic=b"MINIFX"))
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(TruncatedImage):
-            parse_header(make_header_bytes()[:31])
-        with pytest.raises(TruncatedImage):
-            parse_header(make_header_bytes() + b"\x00")
+        # Once the magic is whole, a dump that ends inside the header is truncated.
+        for length in range(6, 32):
+            with pytest.raises(TruncatedImage):
+                parse_instance(make_header_bytes()[:length])
 
     def test_big_endian_not_little(self):
-        raw = make_header_bytes(file_count=0x0000014F)
-        assert parse_header(raw).file_count == 335
-        assert parse_header(raw).file_count != 1325400064  # LE misread of the same bytes
+        header = parse_instance(instance(file_count=0x0000014F))[0]
+        assert header.file_count == 335
+        assert header.file_count != 1325400064  # LE misread of the same bytes
 
     @given(
-        file_count=u32, name_table_size=u32, unknown_a=u32, unknown_b=u32,
-        reserved=st.binary(min_size=10, max_size=10),
+        file_count=st.integers(min_value=0, max_value=300),
+        name_table_size=st.integers(min_value=0, max_value=5000),
+        unknown_a=u32, unknown_b=u32, reserved=st.binary(min_size=10, max_size=10),
     )
     def test_roundtrip_is_byte_exact(self, file_count, name_table_size,
                                      unknown_a, unknown_b, reserved):
-        raw = make_header_bytes(file_count, name_table_size, unknown_a, unknown_b, reserved)
-        header = parse_header(raw)
-        assert header.encode() == raw
+        image = instance(file_count, name_table_size, unknown_a=unknown_a, unknown_b=unknown_b,
+                         reserved=reserved)
+        header = parse_instance(image)[0]
+        assert header.encode() == image[:32]
+        assert (header.file_count, header.name_table_size) == (file_count, name_table_size)
         assert header.unknown_a == unknown_a
         assert header.unknown_b == unknown_b
         assert header.reserved == reserved
@@ -239,28 +256,28 @@ class TestFileTable:
     RAW = bytes.fromhex("00000000" "00000007" "00000000" "00000000" "00060700")
 
     def test_decodes_observed_record(self):
-        (rec,) = parse_file_table(self.RAW, 1)
+        (rec,), _ = parse_tables(self.RAW, bytes(12))
         assert rec == FileRecord(
             path_offset=0, name_offset=7, chunk_index=0,
             offset_in_chunk=0, file_size=395008,
         )
 
     def test_empty(self):
-        assert parse_file_table(b"", 0) == []
+        assert parse_tables(b"", b"") == ([], [])
 
     def test_truncated(self):
-        with pytest.raises(TruncatedTable):
-            parse_file_table(b"\x00" * 30, 2)
+        with pytest.raises(TruncatedImage):
+            parse_instance(make_header_bytes(file_count=2) + b"\x00" * 30)
 
     @given(u32, u32, u32, u32, u32)
     def test_roundtrip(self, a, b, c, d, e):
         rec = FileRecord(a, b, c, d, e)
-        (back,) = parse_file_table(rec.encode(), 1)
+        (back, _), _ = parse_tables(rec.encode() + LAST_RECORD, bytes(12))
         assert back == rec
 
     @given(st.binary(min_size=20, max_size=20))
     def test_reencode_is_byte_exact(self, raw):
-        (rec,) = parse_file_table(raw, 1)
+        (rec, _), _ = parse_tables(raw + LAST_RECORD, bytes(12))
         assert rec.encode() == raw
 
 
@@ -268,20 +285,22 @@ class TestChunkTable:
     RAW = bytes.fromhex("00000000" "0002FD71" "00060700")
 
     def test_decodes_observed_record(self):
-        (rec,) = parse_chunk_table(self.RAW, 1)
+        _, (rec,) = parse_tables(LAST_RECORD, self.RAW)
         assert rec == ChunkRecord(data_offset=0, compressed_size=195953,
                                   decompressed_size=395008)
 
     def test_empty(self):
-        assert parse_chunk_table(b"", 0) == []
+        assert parse_instance(make_header_bytes(name_table_size=4) + b"abc\x00")[4] == []
 
     def test_truncated(self):
-        with pytest.raises(TruncatedTable):
-            parse_chunk_table(b"\x00" * 20, 2)
+        # The last record names chunk 1, so the table needs 24 bytes; 20 follow.
+        image = make_header_bytes(file_count=1) + FileRecord(0, 0, 1, 0, 0).encode() + bytes(20)
+        with pytest.raises(TruncatedImage):
+            parse_instance(image)
 
     def test_undersized_compressed_size_parses_but_flags(self):
         # Parse accepts it; validate_layout reports the sub-minimum size.
-        (rec,) = parse_chunk_table(ChunkRecord(0, 3, 10).encode(), 1)
+        _, (rec,) = parse_tables(LAST_RECORD, ChunkRecord(0, 3, 10).encode())
         assert rec.compressed_size == 3
         header = MiniFsHeader(file_count=0, name_table_size=0)
         violations = validate_tables(header, [], [rec], image_length=1 << 20)
@@ -290,93 +309,123 @@ class TestChunkTable:
     @given(u32, u32, u32)
     def test_roundtrip(self, a, b, c):
         rec = ChunkRecord(a, b, c)
-        (back,) = parse_chunk_table(rec.encode(), 1)
+        _, (back,) = parse_tables(LAST_RECORD, rec.encode())
         assert back == rec
 
     @given(st.binary(min_size=12, max_size=12))
     def test_reencode_is_byte_exact(self, raw):
-        (rec,) = parse_chunk_table(raw, 1)
+        _, (rec,) = parse_tables(LAST_RECORD, raw)
         assert rec.encode() == raw
 
 
 class TestChunkInference:
     @staticmethod
-    def rec(chunk_index):
-        return FileRecord(0, 0, chunk_index, 0, 0)
+    def chunk_count(*chunk_indices):
+        """The chunk count ``parse_instance`` infers for records naming these chunks."""
+        records = b"".join(FileRecord(0, 0, i, 0, 0).encode() for i in chunk_indices)
+        need = 12 * (chunk_indices[-1] + 1) if chunk_indices else 0
+        image = make_header_bytes(file_count=len(chunk_indices)) + records + bytes(need)
+        return parse_instance(image)[1].chunk_count
 
     def test_observed_last_index(self):
-        records = [self.rec(i) for i in (0, 1, 0x29)]
-        assert infer_chunk_count(records) == 42
+        assert self.chunk_count(0, 1, 0x29) == 42
 
     def test_single_record(self):
-        assert infer_chunk_count([self.rec(0)]) == 1
+        assert self.chunk_count(0) == 1
 
     def test_empty_table(self):
-        with pytest.raises(EmptyFileTable):
-            infer_chunk_count([])
+        assert self.chunk_count() == 0
 
     def test_adversarial_table_vs_max_oracle(self):
         # An earlier record pointing past the last one's chunk: the rule
         # still answers last+1, and validation must notice the divergence.
-        records = [self.rec(7), self.rec(5)]
-        assert infer_chunk_count(records) == 6
-        assert max(r.chunk_index for r in records) + 1 == 8  # the max-based oracle
-        header = MiniFsHeader(file_count=2, name_table_size=0)
-        chunks = [ChunkRecord(0, 5, 0)] * 6
-        violations = validate_tables(header, records, chunks, image_length=1 << 20)
+        assert self.chunk_count(7, 5) == 6
+        assert max(7, 5) + 1 == 8  # the max-based oracle
+        records = FileRecord(0, 0, 7, 0, 0).encode() + FileRecord(0, 0, 5, 0, 0).encode()
+        image = make_header_bytes(file_count=2) + records + ChunkRecord(0, 5, 0).encode() * 6
+        _, layout, names, files, chunks = parse_instance(image)
+        violations = validate_layout(layout, names, files, chunks, image_length=1 << 20)
         assert any(v.kind == "chunk-inference" for v in violations)
         assert any(v.kind == "chunk-index" for v in violations)
 
 
+def regions(layout):
+    return layout.names_start, layout.files_start, layout.chunk_table_start, layout.data_start
+
+
 class TestLayout:
     def test_observed_arithmetic(self):
-        header = MiniFsHeader(file_count=335, name_table_size=4804)
-        layout = compute_layout(header, chunk_count=42, base=0)
-        assert layout.names_start == 32
-        assert layout.files_start == 4836
-        assert layout.chunk_table_start == 11536
-        assert layout.data_start == 12040
+        image = observed_instance()
+        assert len(image) == 12040
+        assert regions(parse_instance(image)[1]) == (32, 4836, 11536, 12040)
 
     def test_empty_collapses_to_header_end(self):
-        layout = compute_layout(MiniFsHeader(0, 0), 0, 0)
-        assert (layout.names_start, layout.files_start,
-                layout.chunk_table_start, layout.data_start) == (32, 32, 32, 32)
+        assert regions(parse_instance(make_header_bytes())[1]) == (32, 32, 32, 32)
 
     def test_nonzero_base(self):
         # 100 + 32 = 132; +16 = 148; +20 = 168; +12 = 180
-        layout = compute_layout(MiniFsHeader(file_count=1, name_table_size=16), 1, 100)
-        assert (layout.names_start, layout.files_start,
-                layout.chunk_table_start, layout.data_start) == (132, 148, 168, 180)
+        layout = parse_instance(instance(file_count=1, name_table_size=16, base=100), 100)[1]
+        assert regions(layout) == (132, 148, 168, 180)
 
     def test_overflow(self):
         with pytest.raises(ArithmeticOverflow):
-            compute_layout(MiniFsHeader(file_count=0xFFFF_FFFF, name_table_size=0), 0, 0)
+            parse_instance(make_header_bytes(file_count=0xFFFF_FFFF))
 
     def test_negative_base_rejected(self):
-        with pytest.raises(ValueError):
-            compute_layout(MiniFsHeader(0, 0), 0, -1)
+        with pytest.raises(BadMagic):
+            parse_instance(make_header_bytes(), -1)
 
     @given(
-        file_count=st.integers(min_value=0, max_value=10_000),
-        name_table_size=st.integers(min_value=0, max_value=100_000),
-        chunk_count=st.integers(min_value=0, max_value=10_000),
+        file_count=st.integers(min_value=1, max_value=200),
+        name_table_size=st.integers(min_value=0, max_value=2000),
+        chunk_count=st.integers(min_value=1, max_value=200),
     )
     def test_strictly_monotone(self, file_count, name_table_size, chunk_count):
-        header = MiniFsHeader(file_count=file_count, name_table_size=name_table_size)
-        layout = compute_layout(header, chunk_count)
+        def layout(files, pool, chunks):
+            return parse_instance(instance(files, pool, chunks))[1]
 
-        bigger_names = compute_layout(
-            MiniFsHeader(file_count, name_table_size + 1), chunk_count)
-        assert bigger_names.files_start == layout.files_start + 1
-        assert bigger_names.data_start == layout.data_start + 1
+        base = layout(file_count, name_table_size, chunk_count)
+        assert base == region_layout(MiniFsHeader(file_count, name_table_size), chunk_count)
 
-        bigger_files = compute_layout(
-            MiniFsHeader(file_count + 1, name_table_size), chunk_count)
-        assert bigger_files.chunk_table_start == layout.chunk_table_start + 20
-        assert bigger_files.data_start == layout.data_start + 20
+        bigger_names = layout(file_count, name_table_size + 1, chunk_count)
+        assert bigger_names.files_start == base.files_start + 1
+        assert bigger_names.data_start == base.data_start + 1
 
-        bigger_chunks = compute_layout(header, chunk_count + 1)
-        assert bigger_chunks.data_start == layout.data_start + 12
+        bigger_files = layout(file_count + 1, name_table_size, chunk_count)
+        assert bigger_files.chunk_table_start == base.chunk_table_start + 20
+        assert bigger_files.data_start == base.data_start + 20
+
+        bigger_chunks = layout(file_count, name_table_size, chunk_count + 1)
+        assert bigger_chunks.data_start == base.data_start + 12
+
+
+class TestTablesEnd:
+    """The vector end auto-detection screens with, against the decoder's layout."""
+
+    @given(
+        base=st.integers(min_value=0, max_value=40),
+        file_count=st.integers(min_value=0, max_value=8)
+        | st.integers(min_value=0xFFFF_FFF0, max_value=0xFFFF_FFFF),
+        name_table_size=st.integers(min_value=0, max_value=64)
+        | st.integers(min_value=0xFFFF_FF00, max_value=0xFFFF_FFFF),
+        tail=st.binary(max_size=160) | st.integers(min_value=0, max_value=320).map(bytes),
+    )
+    def test_matches_parse_instance(self, base, file_count, name_table_size, tail):
+        dump = bytes(base) + make_header_bytes(file_count, name_table_size) + tail
+        end = tables_end(np.frombuffer(dump, dtype=np.uint8), np.array([base], dtype=np.int64))
+        end = int(end[0])
+        if end > len(dump):
+            with pytest.raises((TruncatedImage, ArithmeticOverflow)):
+                parse_instance(dump, base)
+            return
+        try:
+            layout = parse_instance(dump, base)[1]
+        except TruncatedImage as exc:  # only the chunk table can still lie past the dump
+            assert str(exc).startswith("chunk table extends past")
+        except ArithmeticOverflow:
+            assert file_count  # only a chunk count from a record can overflow here
+        else:
+            assert end == layout.chunk_table_start
 
 
 class TestValidateLayout:
@@ -413,7 +462,7 @@ class TestValidateLayout:
     def test_file_span_is_not_wrapped_to_32_bits(self, offset, size):
         # In u32 arithmetic each sum wraps to below the chunk size.
         header = MiniFsHeader(file_count=1, name_table_size=4)
-        (record,) = parse_file_table(FileRecord(0, 2, 0, offset, size).encode(), 1)
+        record = FileRecord(0, 2, 0, offset, size)
         chunks = [ChunkRecord(0, 13, 0xFFFF_FFFF)]
         violations = validate_tables(header, [record], chunks, image_length=1 << 20)
         assert [(v.kind, v.index) for v in violations] == [("file-span", 0), ("chunk-size", 0)]
@@ -422,7 +471,7 @@ class TestValidateLayout:
                                                               (0xFFFF_FFFF, 0xFFFF_FFFF)])
     def test_chunk_bounds_are_not_wrapped_to_32_bits(self, data_offset, compressed_size):
         header = MiniFsHeader(file_count=0, name_table_size=0)
-        (chunk,) = parse_chunk_table(ChunkRecord(data_offset, compressed_size, 0).encode(), 1)
+        chunk = ChunkRecord(data_offset, compressed_size, 0)
         violations = validate_tables(header, [], [chunk], image_length=1 << 20)
         assert [(v.kind, v.index) for v in violations] == [("chunk-bounds", 0)]
 
