@@ -53,8 +53,8 @@ def make_header_bytes(file_count=0, name_table_size=0, unknown_a=0, unknown_b=0,
             + unknown_b.to_bytes(4, "big") + name_table_size.to_bytes(4, "big"))
 
 
-def _header(file_count, name_table_size):
-    return MiniFsHeader(file_count, name_table_size).encode()
+def overflow(span):
+    return ArithmeticOverflow, f"table regions span {span} bytes from base, beyond 32-bit addressing"
 
 
 # Hostile headers: each maps to (dump, base, expected), where ``expected``
@@ -65,23 +65,19 @@ HOSTILE_HEADERS = {
                      (TruncatedImage, "dump ends inside the header at offset 0")),
     "short-header-at-8": (bytes(8) + b"MINIFS" + bytes(10), 8,
                           (TruncatedImage, "dump ends inside the header at offset 8")),
-    "bad-magic": (b"MINIFX" + _header(0, 0)[6:], 0, (BadMagic, "no b'MINIFS' at offset 0")),
-    "negative-base": (_header(0, 0), -1, (BadMagic, "no b'MINIFS' at offset -1")),
-    "file-table-overflow": (_header(0xFFFF_FFFF, 0), 0, (
-        ArithmeticOverflow,
-        f"table regions span {32 + 20 * 0xFFFF_FFFF} bytes from base, beyond 32-bit addressing")),
-    "pool-overflow": (_header(0, 0xFFFF_FFFF), 0, (
-        ArithmeticOverflow,
-        f"table regions span {32 + 0xFFFF_FFFF} bytes from base, beyond 32-bit addressing")),
-    "chunk-table-overflow": (bytes(8) + _header(1, 0) + FileRecord(0, 0, 0xFFFF_FFFF, 0, 0).encode(),
-                             8, (ArithmeticOverflow,
-                                 f"table regions span {32 + 20 + 12 * (1 << 32)} bytes from base, "
-                                 "beyond 32-bit addressing")),
-    "pool-past-dump": (_header(0, 100) + bytes(99), 0, (
-        TruncatedImage, "name pool or file table extends past the 131-byte dump")),
-    "chunk-table-past-dump": (bytes(8) + _header(1, 0) + FileRecord(0, 0, 1, 0, 0).encode() + bytes(23),
-                              8, (TruncatedImage, "chunk table extends past the 83-byte dump")),
-    "no-files": (_header(0, 4) + b"abc\x00", 0, FsLayout(0, 32, 36, 36, 36, 0)),
+    "bad-magic": (make_header_bytes(magic=b"MINIFX"), 0, (BadMagic, "no b'MINIFS' at offset 0")),
+    "negative-base": (make_header_bytes(), -1, (BadMagic, "no b'MINIFS' at offset -1")),
+    "file-table-overflow": (make_header_bytes(0xFFFF_FFFF), 0, overflow(32 + 20 * 0xFFFF_FFFF)),
+    "pool-overflow": (make_header_bytes(0, 0xFFFF_FFFF), 0, overflow(32 + 0xFFFF_FFFF)),
+    "chunk-table-overflow": (bytes(8) + make_header_bytes(1)
+                             + FileRecord(0, 0, 0xFFFF_FFFF, 0, 0).encode(),
+                             8, overflow(32 + 20 + 12 * (1 << 32))),
+    "pool-past-dump": (make_header_bytes(0, 100) + bytes(99), 0,
+                       (TruncatedImage, "name pool or file table extends past the 131-byte dump")),
+    "chunk-table-past-dump": (bytes(8) + make_header_bytes(1) + FileRecord(0, 0, 1, 0, 0).encode()
+                              + bytes(23), 8,
+                              (TruncatedImage, "chunk table extends past the 83-byte dump")),
+    "no-files": (make_header_bytes(0, 4) + b"abc\x00", 0, FsLayout(0, 32, 36, 36, 36, 0)),
 }
 
 
@@ -107,7 +103,7 @@ class TestHostileHeaders:
 
 
 def instance(file_count=0, name_table_size=0, chunk_count=1, base=0, **header_words):
-    """Header bytes at ``base`` and zeroed tables, whose last file record names chunk ``chunk_count - 1``."""
+    """Header bytes at ``base`` and zeroed tables; the last file record names chunk ``chunk_count - 1``."""
     tables = bytes(name_table_size)
     if file_count:
         tables += (bytes(20 * (file_count - 1)) + FileRecord(0, 0, chunk_count - 1, 0, 0).encode()
@@ -495,7 +491,7 @@ class TestValidateLayout:
         violations = validate_tables(header, [], chunks, image_length=1 << 20)
         assert [(v.kind, v.index) for v in violations] == [("chunk-size", 0)]
 
-    def test_chunk_size_floor_is_the_decoders_stream_header(self):
+    def test_chunk_size_floor_is_the_decoders_streammake_header_bytes(self):
         # A chunk of exactly the header, declaring no output, decodes.
         assert decompress_chunk(V2_CONFIG_WORD + bytes(STREAM_HEADER_SIZE - 4), 0) == b""
         header = MiniFsHeader(file_count=0, name_table_size=0)
