@@ -565,8 +565,8 @@ class TestOverlappingHits:
         records = []
         real = structs.parse_instance
 
-        def counting(dump, base=0):
-            parsed = real(dump, base)
+        def counting(data, base=0):
+            parsed = real(data, base)
             records.append(len(parsed[3]))
             return parsed
 

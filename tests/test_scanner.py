@@ -522,8 +522,8 @@ class TestScreen:
         records = []
         real = structs.parse_instance
 
-        def counting(dump, base=0):
-            parsed = real(dump, base)
+        def counting(data, base=0):
+            parsed = real(data, base)
             records.append(len(parsed[3]))
             return parsed
 
@@ -552,9 +552,9 @@ class TestDumpReport:
         calls = []
         real = structs.parse_instance
 
-        def counting(dump, base=0):
+        def counting(data, base=0):
             calls.append(base)
-            return real(dump, base)
+            return real(data, base)
 
         monkeypatch.setattr(structs, "parse_instance", counting)
         report = dump_report(dump)
