@@ -491,7 +491,7 @@ class TestValidateLayout:
         violations = validate_tables(header, [], chunks, image_length=1 << 20)
         assert [(v.kind, v.index) for v in violations] == [("chunk-size", 0)]
 
-    def test_chunk_size_floor_is_the_decoders_streammake_header_bytes(self):
+    def test_chunk_size_floor_is_the_decoders_stream_header(self):
         # A chunk of exactly the header, declaring no output, decodes.
         assert decompress_chunk(V2_CONFIG_WORD + bytes(STREAM_HEADER_SIZE - 4), 0) == b""
         header = MiniFsHeader(file_count=0, name_table_size=0)
