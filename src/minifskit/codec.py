@@ -20,11 +20,14 @@ from __future__ import annotations
 import enum
 import lzma
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
-from .errors import ChunkTooLarge, CorruptStream, EncodeError, SizeMismatch, UnknownConfigWord
+from .errors import (
+    ChunkTooLarge, CorruptStream, EncodeError, MiniFsError, SizeMismatch, UnknownConfigWord,
+)
 
 V2_CONFIG_WORD = bytes.fromhex("5d000080")
 V1_CONFIG_WORD = bytes.fromhex("5a000080")
@@ -45,6 +48,10 @@ _V2_STREAM_HEADER = b"\x5d" + _ENCODER_DICT_SIZE.to_bytes(4, "little") + _UNKNOW
 DEFAULT_OUTPUT_LIMIT = 64 * 1024 * 1024
 
 _MIN_DICT_SIZE = 4096
+
+# Output and input per decoder call: under 1 MiB, the malloc mmap threshold
+# at which each temporary costs page faults.
+_PIECE = (1 << 20) - 4096
 
 
 class Version(enum.Enum):
@@ -92,58 +99,122 @@ def _bounded_dict_size(declared: int, expected_size: int) -> int:
     return min(max(declared, _MIN_DICT_SIZE), needed)
 
 
+class ChunkDecoder:
+    """The decode of one v2 chunk, extended on demand to ``expected_size`` bytes.
+
+    ``expected_size`` comes from the chunk table and wins over whatever
+    the stream's own size field says.  Construction runs the header checks
+    once; :meth:`decode_to` then extends the decoded prefix in pieces of
+    under 1 MiB.  LZMA decodes in order, and its output so far depends
+    only on its input so far, so a prefix equals the start of the whole
+    decode.  The decode that reaches ``expected_size`` probes for an
+    overrun and checks the size, and then sets :attr:`data`.  Never
+    produces more than ``expected_size`` bytes of output, plus one probe
+    byte for an overrun.  Safe to share between threads.
+
+    Raises ValueError for a negative ``expected_size``, ChunkTooLarge when
+    it exceeds DEFAULT_OUTPUT_LIMIT, UnknownConfigWord for a non-v2
+    leading word (including the legacy v1 word, whose chunks this toolkit
+    does not decode) and CorruptStream for a chunk shorter than the stream
+    header or an invalid properties byte.
+    """
+
+    def __init__(self, chunk: bytes, expected_size: int):
+        if expected_size < 0:
+            raise ValueError(f"expected_size must be non-negative, got {expected_size}")
+        if expected_size > DEFAULT_OUTPUT_LIMIT:
+            raise ChunkTooLarge(
+                f"expected_size {expected_size} exceeds the output limit {DEFAULT_OUTPUT_LIMIT}"
+            )
+        version = check_config_word(chunk)
+        if version is not Version.V2:
+            raise UnknownConfigWord(
+                bytes(chunk[:4]),
+                f"chunk carries the legacy v1 word {V1_CONFIG_WORD.hex()}; only v2 is decodable",
+            )
+        if len(chunk) < STREAM_HEADER_SIZE:
+            raise CorruptStream(
+                f"chunk of {len(chunk)} bytes is shorter than the {STREAM_HEADER_SIZE}-byte "
+                "LZMA stream header"
+            )
+        declared_dict = int.from_bytes(chunk[1:5], "little")
+        filters = _lzma1_filter_from_props(chunk[0], _bounded_dict_size(declared_dict, expected_size))
+        self.expected_size = expected_size
+        #: The whole decoded chunk once a decode has reached ``expected_size`` and passed its checks.
+        self.data: bytes | None = None
+        self._decoder = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=filters)
+        self._input = memoryview(chunk)[STREAM_HEADER_SIZE:]
+        self._fed = 0
+        self._out: bytes | bytearray = b""
+        self._error: MiniFsError | None = None
+        self._lock = threading.Lock()
+
+    def decode_to(self, end: int, start: int = 0) -> bytes:
+        """Bytes ``start``..``end`` of the chunk, decoding no further than ``end``.
+
+        Needs ``0 <= start <= end <= expected_size`` (else ValueError).
+        Reaching ``end`` raises CorruptStream when the decoder rejects the
+        payload and SizeMismatch when the stream ends short of ``end`` or,
+        at ``expected_size``, decodes past it.  A prefix decoded before such
+        an error stays readable, and a later call past it raises the same
+        error again.
+        """
+        if not 0 <= start <= end <= self.expected_size:
+            raise ValueError(f"bytes {start}..{end} are not within the {self.expected_size}-byte chunk")
+        with self._lock:
+            if self.data is None and (end > len(self._out) or end == self.expected_size):
+                if self._error is None:
+                    try:
+                        self._extend(end)
+                    except MiniFsError as exc:
+                        self._error = exc
+                if self._error is not None:
+                    raise self._error
+            if self.data is not None:
+                return self.data[start:end]
+            return bytes(memoryview(self._out)[start:end])
+
+    def _extend(self, end: int) -> None:
+        self._run(end)
+        if len(self._out) < end:
+            raise SizeMismatch(self.expected_size, len(self._out))
+        if end == self.expected_size:
+            # One probe byte tells apart "stream complete" from "stream
+            # wants to emit more than the table promised".
+            self._run(end + 1)
+            if len(self._out) > end:
+                raise SizeMismatch(end, len(self._out), f"stream decodes past the expected {end} bytes")
+            self._decoder = self._input = None
+            self.data, self._out = bytes(self._out), b""
+
+    def _run(self, limit: int) -> None:
+        """Decode until the output holds ``limit`` bytes, the stream ends or the input runs out."""
+        decoder = self._decoder
+        while len(self._out) < limit and not decoder.eof:  # past eof, decompress raises EOFError
+            data = b""
+            if decoder.needs_input:
+                if self._fed == len(self._input):
+                    return
+                data = self._input[self._fed:self._fed + _PIECE]
+                self._fed += len(data)
+            try:
+                piece = decoder.decompress(data, max_length=min(_PIECE, limit - len(self._out)))
+            except lzma.LZMAError as exc:
+                raise CorruptStream(f"LZMA decoder failed: {exc}") from exc
+            if not self._out:  # a chunk decoded in one call keeps its piece, uncopied
+                self._out = piece
+            elif piece:
+                if isinstance(self._out, bytes):
+                    self._out = bytearray(self._out)
+                self._out += piece
+
+
 def decompress_chunk(chunk: bytes, expected_size: int) -> bytes:
     """Decompress one v2 chunk to exactly ``expected_size`` bytes.
 
-    ``expected_size`` comes from the chunk table and wins over whatever
-    the stream's own size field says.  Never produces more than
-    ``expected_size`` bytes of output.
-
-    Raises ChunkTooLarge when ``expected_size`` exceeds
-    DEFAULT_OUTPUT_LIMIT, UnknownConfigWord for a non-v2 leading word
-    (including the legacy v1 word, whose chunks this toolkit does not
-    decode), CorruptStream when the decoder rejects the payload, and
-    SizeMismatch when the decoded length differs from ``expected_size``.
+    One whole :class:`ChunkDecoder` decode, with its checks and errors.
     """
-    if expected_size < 0:
-        raise ValueError(f"expected_size must be non-negative, got {expected_size}")
-    if expected_size > DEFAULT_OUTPUT_LIMIT:
-        raise ChunkTooLarge(
-            f"expected_size {expected_size} exceeds the output limit {DEFAULT_OUTPUT_LIMIT}"
-        )
-    version = check_config_word(chunk)
-    if version is not Version.V2:
-        raise UnknownConfigWord(
-            bytes(chunk[:4]),
-            f"chunk carries the legacy v1 word {V1_CONFIG_WORD.hex()}; only v2 is decodable",
-        )
-    if len(chunk) < STREAM_HEADER_SIZE:
-        raise CorruptStream(
-            f"chunk of {len(chunk)} bytes is shorter than the {STREAM_HEADER_SIZE}-byte "
-            "LZMA stream header"
-        )
-
-    declared_dict = int.from_bytes(chunk[1:5], "little")
-    filters = _lzma1_filter_from_props(chunk[0], _bounded_dict_size(declared_dict, expected_size))
-    decoder = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=filters)
-    try:
-        out = decoder.decompress(chunk[STREAM_HEADER_SIZE:], max_length=expected_size)
-        overrun = b""
-        if len(out) == expected_size and not decoder.eof:
-            # One probe byte tells apart "stream complete" from "stream
-            # wants to emit more than the table promised".
-            overrun = decoder.decompress(b"", max_length=1)
-    except lzma.LZMAError as exc:
-        raise CorruptStream(f"LZMA decoder failed: {exc}") from exc
-    if overrun:
-        raise SizeMismatch(
-            expected_size,
-            expected_size + len(overrun),
-            f"stream decodes past the expected {expected_size} bytes",
-        )
-    if len(out) != expected_size:
-        raise SizeMismatch(expected_size, len(out))
-    return out
+    return ChunkDecoder(chunk, expected_size).decode_to(expected_size)
 
 
 def compress_chunk(data: bytes) -> bytes:

@@ -3,14 +3,19 @@
 The flow mirrors how the format is meant to be consumed: parse the
 header, the name pool and both tables, then pull individual files out of
 their decompressed chunks.  A chunk holds several files, so reads keep
-each decompressed chunk on the view; extraction instead decodes each
-chunk once, writes its files and drops it, outside that cache, and
-``minifs verify`` decodes the same way.  Such decodes run on one thread
-per available CPU, never more threads than chunks, with at most 64 MiB
-of declared chunk bytes in flight plus each running decoder's
-dictionary.  Paths are joined once per view, on the first listing or
-extraction; a lookup by path reads the decoded strings instead and
-joins no path.
+each decompressed chunk on the view.  A read decodes its chunk only up
+to its file's end, and the view holds that one unfinished decode: a
+later read of the chunk resumes it, and a read of another chunk finishes
+it first.  So a chunk is decoded once per view, unless its decode fails:
+a failed decode is dropped, and the next read starts afresh.  A file
+that ends before its chunk's damage therefore reads.  Extraction
+instead decodes each chunk whole, once, writes its files and drops it,
+outside that cache, and ``minifs verify`` decodes the same way.  Such
+decodes run on one thread per available CPU, never more threads than
+chunks, with at most 64 MiB of declared chunk bytes in flight plus each
+running decoder's dictionary.  Paths are joined once per view, on the
+first listing or extraction; a lookup by path reads the decoded strings
+instead and joins no path.
 
 Whether to go on past table violations is decided once, when the view
 is opened (``force``); after that each damaged record fails alone, in a
@@ -22,6 +27,7 @@ from __future__ import annotations
 import errno
 import logging
 import os
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -62,6 +68,8 @@ class MiniFsView:
     chunks: list[structs.ChunkRecord]
     violations: list[structs.Violation] = field(default_factory=list)
     _cache: dict[int, bytes] = field(default_factory=dict, repr=False)
+    _held: dict[int, codec.ChunkDecoder] = field(default_factory=dict, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @property
     def base(self) -> int:
@@ -70,13 +78,56 @@ class MiniFsView:
     def chunk_data(self, index: int) -> bytes:
         """Decompressed content of chunk ``index``, cached for the view's reads.
 
-        Threads that miss the cache together each decompress the chunk
-        and store equal bytes, so no lock is needed.
+        Finishes the view's held decode of the chunk where a read left
+        one; no chunk is decoded twice while its decode succeeds.
         """
-        data = self._cache.get(index)
-        if data is None:
-            data = self._cache[index] = decompress_chunk(*self.compressed_chunk(index))
+        return self._chunk_bytes(index, 0, None)
+
+    def _chunk_bytes(self, index: int, start: int, end: int | None) -> bytes:
+        """Bytes ``start``..``end`` of chunk ``index`` (None: its end), decoded no further than ``end``."""
+        chunk = self._chunk(index)
+        if isinstance(chunk, bytes):
+            return chunk[start:end]
+        try:
+            data = chunk.decode_to(chunk.expected_size if end is None else end, start)
+        except MiniFsError:
+            self._settle(index, chunk)  # dropped: the next read decodes afresh, so no read depends on another
+            raise
+        if chunk.data is not None:
+            self._settle(index, chunk)
         return data
+
+    def _chunk(self, index: int) -> bytes | codec.ChunkDecoder:
+        """Chunk ``index``'s cached bytes, else its decoder, built on the first read.
+
+        A view holds at most one unfinished decode: every other one is
+        finished, and cached unless it fails, before the caller decodes.
+        Neither lock is taken while the other is held.
+        """
+        with self._lock:
+            data = self._cache.get(index)
+            if data is not None:
+                return data
+            decoder = self._held.get(index)
+            if decoder is None:
+                decoder = self._held[index] = codec.ChunkDecoder(*self.compressed_chunk(index))
+            others = [(i, held) for i, held in self._held.items() if i != index]
+        for i, held in others:
+            try:
+                held.decode_to(held.expected_size)
+            except MiniFsError:
+                pass  # dropped below, as a failed read's decode is
+            self._settle(i, held)
+        return decoder
+
+    def _settle(self, index: int, decoder: codec.ChunkDecoder) -> None:
+        """Stop holding ``decoder``, caching its bytes if it finished; once per decoder."""
+        data = decoder.data
+        with self._lock:
+            if self._held.get(index) is decoder:
+                del self._held[index]
+                if data is not None:
+                    self._cache[index] = data
 
     def compressed_chunk(self, index: int) -> tuple[bytes, int]:
         """Raw compressed bytes of chunk ``index`` plus its expected size."""
@@ -232,7 +283,11 @@ def read_file(view: MiniFsView, selector: int | str) -> bytes:
             )
         index = matches[0]
     record = view.files[index]
-    return _slice_entry(view.chunk_data(_record_chunk(view, record.chunk_index)), record)
+    chunk = _record_chunk(view, record.chunk_index)
+    end = record.offset_in_chunk + record.file_size
+    if end <= view.chunks[chunk].decompressed_size:
+        return view._chunk_bytes(chunk, record.offset_in_chunk, end)
+    return _slice_entry(view.chunk_data(chunk), record)  # the chunk's error, else OffsetOutOfRange
 
 
 @dataclass

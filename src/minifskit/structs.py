@@ -17,7 +17,8 @@ stores no chunk count: it is the last file record's chunk index plus one.
 :func:`parse_instance` is the one decoder: it bounds every region by the
 dump and unpacks the header and both tables.  :func:`validate_layout`
 cross-checks what it returns; :func:`screen_instance` finds some of those
-violations in O(1) with the decoder's own region arithmetic.
+violations in O(1) with the decoder's own header checks and region
+arithmetic.
 
 Everything in this module is a pure function over immutable inputs; a
 :class:`NameTable` only remembers what it has already decoded.  A dump
@@ -183,7 +184,15 @@ class Violation:
 
 
 def _header_at(dump: Dump, base: int) -> MiniFsHeader:
-    """The decoded header of the 32 bytes at ``base``, unchecked."""
+    """The decoded header at ``base``.
+
+    Raises BadMagic without the magic there, and TruncatedImage if the
+    dump ends inside the header.
+    """
+    if base < 0 or dump[base:base + len(MAGIC)] != MAGIC:
+        raise BadMagic(f"no {MAGIC!r} at offset {base}")
+    if base + HEADER_SIZE > len(dump):
+        raise TruncatedImage(f"dump ends inside the header at offset {base}")
     _, reserved, unknown_a, file_count, unknown_b, name_table_size = _HEADER.unpack_from(dump, base)
     return MiniFsHeader(file_count, name_table_size, unknown_a, unknown_b, reserved)
 
@@ -342,10 +351,6 @@ def parse_instance(
     or ArithmeticOverflow when the bytes cannot hold an instance, and
     only MiniFsError subclasses in every other case.
     """
-    if base < 0 or dump[base:base + len(MAGIC)] != MAGIC:
-        raise BadMagic(f"no {MAGIC!r} at offset {base}")
-    if base + HEADER_SIZE > len(dump):
-        raise TruncatedImage(f"dump ends inside the header at offset {base}")
     header = _header_at(dump, base)
     layout = _layout_at(dump, header, base)
     names = NameTable(dump[layout.names_start:layout.files_start])
@@ -383,11 +388,11 @@ def _check_end(end: int, base: int, size: int, what: str) -> None:
 def screen_instance(dump: Dump, base: int) -> tuple[FsLayout, Violation | None]:
     """The layout of the instance at ``base`` and the first violation a few O(1) reads find.
 
-    A whole header with the magic must lie at ``base``.  Reads its count
-    words, the first and last file records and chunk 0's record, and
-    raises what :func:`parse_instance` raises when a table runs past
-    ``dump``.  A violation found here is one :func:`validate_layout`
-    reports, so the instance is certainly unclean; None proves nothing.
+    Reads the header's count words, the first and last file records and
+    chunk 0's record, and raises what :func:`parse_instance` raises when
+    the header or a table does not fit.  A violation found here is one
+    :func:`validate_layout` reports, so the instance is certainly
+    unclean; None proves nothing.
     """
     header = _header_at(dump, base)
     layout = _layout_at(dump, header, base)

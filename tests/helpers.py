@@ -1,17 +1,29 @@
-"""Builders shared across test modules, and a reference reader and encoder."""
+"""Builders shared across test modules, and a reference reader, encoder and decoder."""
 
 import lzma
 import struct
 from dataclasses import dataclass
 
 from minifskit import PackOptions, pack
-from minifskit.codec import DEFAULT_OUTPUT_LIMIT, STREAM_HEADER_SIZE
+from minifskit.codec import (
+    DEFAULT_OUTPUT_LIMIT,
+    STREAM_HEADER_SIZE,
+    V1_CONFIG_WORD,
+    Version,
+    _bounded_dict_size,
+    _lzma1_filter_from_props,
+    check_config_word,
+)
 from minifskit.errors import (
     AmbiguousPath,
+    ChunkTooLarge,
+    CorruptStream,
     MiniFsError,
     NonAsciiName,
     NotFound,
+    SizeMismatch,
     TruncatedTable,
+    UnknownConfigWord,
     UnterminatedString,
 )
 from minifskit.structs import (
@@ -241,3 +253,39 @@ def ref_select(by_path, selector: str) -> int:
 def ref_compress_chunk(data: bytes) -> bytes:
     filters = [{"id": lzma.FILTER_LZMA1, "preset": 6, "dict_size": 8 << 20}]
     return lzma.compress(data, format=lzma.FORMAT_ALONE, filters=filters)
+
+
+# --- Reference decoder: the whole-chunk decode in one call, which
+# ChunkDecoder replaced.  The equivalence tests hold decompress_chunk,
+# and every prefix that ChunkDecoder returns, to it.
+
+def ref_decompress_chunk(chunk: bytes, expected_size: int) -> bytes:
+    if expected_size < 0:
+        raise ValueError(f"expected_size must be non-negative, got {expected_size}")
+    if expected_size > DEFAULT_OUTPUT_LIMIT:
+        raise ChunkTooLarge(
+            f"expected_size {expected_size} exceeds the output limit {DEFAULT_OUTPUT_LIMIT}")
+    if check_config_word(chunk) is not Version.V2:
+        raise UnknownConfigWord(
+            bytes(chunk[:4]),
+            f"chunk carries the legacy v1 word {V1_CONFIG_WORD.hex()}; only v2 is decodable")
+    if len(chunk) < STREAM_HEADER_SIZE:
+        raise CorruptStream(
+            f"chunk of {len(chunk)} bytes is shorter than the {STREAM_HEADER_SIZE}-byte "
+            "LZMA stream header")
+    dict_size = _bounded_dict_size(int.from_bytes(chunk[1:5], "little"), expected_size)
+    decoder = lzma.LZMADecompressor(
+        lzma.FORMAT_RAW, filters=_lzma1_filter_from_props(chunk[0], dict_size))
+    try:
+        out = decoder.decompress(chunk[STREAM_HEADER_SIZE:], max_length=expected_size)
+        overrun = b""
+        if len(out) == expected_size and not decoder.eof:
+            overrun = decoder.decompress(b"", max_length=1)
+    except lzma.LZMAError as exc:
+        raise CorruptStream(f"LZMA decoder failed: {exc}") from exc
+    if overrun:
+        raise SizeMismatch(expected_size, expected_size + len(overrun),
+                           f"stream decodes past the expected {expected_size} bytes")
+    if len(out) != expected_size:
+        raise SizeMismatch(expected_size, len(out))
+    return out

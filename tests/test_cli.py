@@ -21,7 +21,7 @@ from minifskit.cli import (
     main,
 )
 from minifskit import cli, codec
-from minifskit.extractor import open_view
+from minifskit.extractor import open_view, read_file
 from minifskit.fixtures import SHAPES, FixtureSpec, make_fixture
 from minifskit.structs import CHUNK_RECORD_SIZE, FILE_RECORD_SIZE
 from minifskit.scanner import entropy_profile
@@ -419,6 +419,22 @@ class TestDecodeJobs:
             assert verified.count(".error=") == 1 and self.DAMAGES[name] in verified
             error_type = self.DAMAGES[name].split("=")[1]
             assert f".error={error_type}" in extracted
+
+
+class TestCatBeforeDamage:
+    """cat of a file that ends before its chunk's damage prints its bytes; one past the damage fails as before."""
+
+    def test_overrun(self, tmp_path, capsysbinary):
+        clean = make_fixture(FixtureSpec(seed=1, shape="multi-chunk"))[0]
+        spans = [(rec.offset_in_chunk, rec.file_size) for rec in open_view(clean).files if rec.chunk_index == 1]
+        assert spans == [(0, 800), (800, 700)]  # records 2 and 3; chunk 1 now declares 1490 bytes
+        path = tmp_path / "overrun.bin"
+        path.write_bytes(_damaged_multi_chunk("overrun"))
+        assert main(["cat", str(path), "--force", "--index", "2"]) == EXIT_OK
+        assert capsysbinary.readouterr().out == read_file(open_view(clean), 2)
+        assert main(["cat", str(path), "--force", "--index", "3"]) == EXIT_INVALID
+        assert capsysbinary.readouterr() == (
+            b"", b"error: SizeMismatch: stream decodes past the expected 1490 bytes\n")
 
 
 class TestPackCommand:

@@ -3,6 +3,7 @@
 import lzma
 import random
 import struct
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +16,10 @@ from minifskit import (
     compress_chunk,
     decompress_chunk,
 )
-from minifskit.codec import DEFAULT_OUTPUT_LIMIT
-from minifskit.errors import ChunkTooLarge, CorruptStream, SizeMismatch, UnknownConfigWord
-from helpers import ref_compress_chunk
+from minifskit import codec
+from minifskit.codec import DEFAULT_OUTPUT_LIMIT, STREAM_HEADER_SIZE, ChunkDecoder
+from minifskit.errors import ChunkTooLarge, CorruptStream, MiniFsError, SizeMismatch, UnknownConfigWord
+from helpers import ref_compress_chunk, ref_decompress_chunk
 
 
 class TestConfigWord:
@@ -183,3 +185,83 @@ class TestCorruptInput:
         chunk = V2_CONFIG_WORD + b"\x00" + b"\xff" * 8 + b"\x81\x22\x33\x44" * 16
         with pytest.raises((CorruptStream, SizeMismatch)):
             decompress_chunk(chunk, 1000)
+
+
+def outcome(call):
+    """What ``call`` returns, or the type and text of the MiniFsError it raises; any other exception escapes."""
+    try:
+        return call()
+    except MiniFsError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def damaged_streams(draw) -> tuple[bytes, int]:
+    """A chunk of random or repetitive data and an expected size, often damaged:
+    a flipped byte (header included), a cut, or a size a few bytes off."""
+    data = draw(st.one_of(
+        st.binary(max_size=3000),
+        st.builds(lambda unit, count: unit * count,
+                  st.binary(min_size=1, max_size=16), st.integers(1, 400)),
+    ))
+    chunk = bytearray(compress_chunk(data))
+    damage = draw(st.sampled_from(["none", "flip", "cut", "size"]))
+    if damage == "flip":
+        chunk[draw(st.integers(0, len(chunk) - 1))] ^= draw(st.integers(1, 255))
+    elif damage == "cut":
+        del chunk[draw(st.integers(STREAM_HEADER_SIZE, len(chunk) - 1)):]
+    delta = draw(st.sampled_from([-7, -1, 1, 7])) if damage == "size" else 0
+    return bytes(chunk), max(0, len(data) + delta)
+
+
+class TestChunkDecoder:
+    """Every prefix a decoder returns is the start of the reference's whole
+    decode, and its whole decode is the reference's, bytes or error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=damaged_streams(), ends=st.lists(st.integers(0, 1 << 13), max_size=5),
+           piece=st.integers(1, 700))
+    def test_prefixes_and_whole_decode_match_the_reference(self, stream, ends, piece):
+        chunk, expected = stream
+        reference = outcome(lambda: ref_decompress_chunk(chunk, expected))
+        with patch.object(codec, "_PIECE", piece):  # several pieces per chunk
+            assert outcome(lambda: decompress_chunk(chunk, expected)) == reference
+            try:
+                decoder = ChunkDecoder(chunk, expected)
+            except MiniFsError as exc:
+                assert (type(exc), str(exc)) == reference
+                return
+            for end in [min(end, expected) for end in ends]:
+                got = outcome(lambda: decoder.decode_to(end))
+                if isinstance(got, bytes):  # resuming decodes what a fresh decoder does
+                    assert got == ChunkDecoder(chunk, expected).decode_to(end)
+                if isinstance(reference, bytes):
+                    assert got == reference[:end]
+            assert outcome(lambda: decoder.decode_to(expected)) == reference
+            assert (decoder.data is not None) == isinstance(reference, bytes)
+
+    def test_read_inside_a_short_stream_then_past_its_end(self):
+        # The stream ends 10 bytes before the declared size.  Once the decoder
+        # has met the end of the stream, a later read must raise SizeMismatch,
+        # not the EOFError of a decoder asked for more past its end.
+        data = b"short stream " * 40
+        decoder = ChunkDecoder(compress_chunk(data), len(data) + 10)
+        assert decoder.decode_to(100, 13) == data[13:100]
+        for end in (len(data) + 5, len(data) + 5, len(data) + 10):
+            with pytest.raises(SizeMismatch) as raised:
+                decoder.decode_to(end)
+            assert str(raised.value) == f"decompressed to {len(data)} bytes, expected {len(data) + 10}"
+        assert decoder.decode_to(len(data)) == data
+        assert decoder.data is None
+
+    def test_range_outside_the_chunk(self):
+        decoder = ChunkDecoder(compress_chunk(b"x" * 50), 50)
+        for start, end in ((0, 51), (6, 5), (-1, 5)):
+            with pytest.raises(ValueError):
+                decoder.decode_to(end, start)
+        assert decoder.decode_to(50, 45) == b"x" * 5
+
+    def test_pieces_stay_under_a_mebibyte(self):
+        assert codec._PIECE < 1 << 20
+        data = mixed_bytes(3 << 20)
+        assert ChunkDecoder(compress_chunk(data), len(data)).decode_to(len(data)) == data

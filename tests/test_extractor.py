@@ -10,7 +10,10 @@ import tempfile
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +33,11 @@ from minifskit import codec, structs
 from minifskit.errors import (
     AmbiguousPath,
     BadMagic,
+    MiniFsError,
     NonAsciiName,
     NotFound,
     OffsetOutOfRange,
+    SizeMismatch,
     TruncatedImage,
     TruncatedTable,
     UnsafePath,
@@ -41,7 +46,7 @@ from minifskit.errors import (
 )
 from minifskit.cli import EXIT_INVALID, main
 from minifskit.structs import ChunkRecord, FileRecord
-from helpers import THREE_FILE_ENTRIES, build_three_file_image, read_tree
+from helpers import THREE_FILE_ENTRIES, build_three_file_image, read_tree, ref_decompress_chunk
 
 
 def build_image_with_names(dir_bytes: bytes, name_bytes: bytes) -> bytes:
@@ -581,6 +586,178 @@ class TestConcurrentReads:
                 assert list(pool.map(reader, range(8), timeout=120)) == [None] * 8
         finally:
             sys.setswitchinterval(interval)
+
+    def test_threads_race_on_one_chunks_resume(self):
+        entries, image = large_chunk_image()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                view = open_view(image)
+                view._lock = OneLockAtATime()
+                start = threading.Barrier(8)
+
+                def reader(k: int) -> None:
+                    start.wait(timeout=60)
+                    order = list(enumerate(entries))
+                    for i, (_, content) in order if k % 2 else reversed(order):
+                        assert read_file(view, i) == content
+
+                with recorded_decoders() as built, patch.object(codec, "_PIECE", 1 << 16):
+                    with ThreadPoolExecutor(max_workers=8) as pool:
+                        assert list(pool.map(reader, range(8), timeout=120)) == [None] * 8
+                assert len(built) == 1 and view._held == {} and list(view._cache) == [0]
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class OneLockAtATime:
+    """A lock that fails the test when its thread takes it while holding another of its kind."""
+
+    held = threading.local()
+
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        assert getattr(self.held, "lock", None) is None, "a lock taken while another is held"
+        self._lock.acquire()
+        self.held.lock = self
+
+    def __exit__(self, *exc):
+        self.held.lock = None
+        self._lock.release()
+
+
+class CountingLzma:
+    """An LZMA decoder that counts the bytes it produces."""
+
+    def __init__(self, decoder):
+        self._decoder, self.produced = decoder, 0
+
+    eof = property(lambda self: self._decoder.eof)
+    needs_input = property(lambda self: self._decoder.needs_input)
+
+    def decompress(self, data, max_length=-1):
+        out = self._decoder.decompress(data, max_length=max_length)
+        self.produced += len(out)
+        return out
+
+
+@contextmanager
+def recorded_decoders():
+    """Each ChunkDecoder built inside, as (chunk bytes, expected size, its LZMA output counter);
+    each holds a OneLockAtATime."""
+    built = []
+
+    class Recording(codec.ChunkDecoder):
+        def __init__(self, chunk, expected_size):
+            super().__init__(chunk, expected_size)
+            self._decoder = CountingLzma(self._decoder)
+            self._lock = OneLockAtATime()
+            built.append((bytes(chunk), expected_size, self._decoder))
+
+    with patch.object(codec, "ChunkDecoder", Recording):
+        yield built
+
+
+@cache
+def large_chunk_image() -> tuple[list, bytes]:
+    """48 text files in one chunk of about 1.5 MB, more than one decoder piece."""
+    entries = [(f"big/f{i:02d}.txt", b"".join(b"line %d of file %d\n" % (j, i) for j in range(1500)))
+               for i in range(48)]
+    image = pack(entries, PackOptions(max_chunk_decompressed=4 << 20, sort_entries=False))
+    assert codec._PIECE < sum(len(content) for _, content in entries)
+    return entries, image
+
+
+# 24 distinct files packed a few to a chunk, in table order.
+SPREAD = [(f"d{i % 3}/f{i}.txt", (b"%d;" % i) * (40 + 23 * i)) for i in range(24)]
+SPREAD_IMAGE = pack(SPREAD, PackOptions(max_chunk_decompressed=4000, sort_entries=False))
+
+
+def one_chunk_image(entries) -> bytearray:
+    image = bytearray(pack(entries, PackOptions(max_chunk_decompressed=1 << 20, sort_entries=False)))
+    assert len(open_view(bytes(image)).chunks) == 1
+    return image
+
+
+class TestPrefixReads:
+    """A read decodes its chunk up to its file's end and resumes from there;
+    no chunk decodes twice, and a view holds at most one unfinished decode."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.permutations(range(len(SPREAD))))
+    def test_shuffled_reads_decode_each_chunk_once(self, order):
+        view = open_view(SPREAD_IMAGE)
+        with recorded_decoders() as built:
+            for i in order:
+                assert read_file(view, i) == SPREAD[i][1]
+                assert len(view._held) <= 1
+        chunks = [view.compressed_chunk(k) for k in range(len(view.chunks))]
+        assert sorted(chunks.index((chunk, size)) for chunk, size, _ in built) == list(range(len(chunks)))
+        assert all(counter.produced <= size for _, size, counter in built)
+
+    def test_first_file_decodes_to_its_end_plus_at_most_one_piece(self):
+        entries, image = large_chunk_image()
+        view = open_view(image)
+        with recorded_decoders() as built:
+            for i in (0, 1, 2, 20):
+                end = view.files[i].offset_in_chunk + view.files[i].file_size
+                assert read_file(view, i) == entries[i][1]
+                assert end <= built[0][2].produced <= end + codec._PIECE
+        assert len(built) == 1 and list(view._held) == [0] and view._cache == {}
+
+    def test_read_inside_a_short_stream_then_past_its_end(self):
+        # The last file and its chunk declare 10 bytes more than the stream holds.
+        entries = [("a.txt", b"a" * 300), ("b.txt", b"b" * 200), ("c.txt", b"c" * 100)]
+        image = one_chunk_image(entries)
+        layout = open_view(bytes(image)).layout
+        for at in (layout.files_start + 2 * 20 + 16, layout.chunk_table_start + 8):
+            image[at:at + 4] = (int.from_bytes(image[at:at + 4], "big") + 10).to_bytes(4, "big")
+        view = open_view(bytes(image))
+        with pytest.raises(SizeMismatch) as today:
+            ref_decompress_chunk(*view.compressed_chunk(0))
+        for _ in range(2):
+            assert read_file(view, 0) == entries[0][1]
+            assert read_file(view, "b.txt") == entries[1][1]
+            for selector in (2, "c.txt"):
+                with pytest.raises(SizeMismatch) as raised:
+                    read_file(view, selector)
+                assert str(raised.value) == str(today.value) == "decompressed to 600 bytes, expected 610"
+        assert view._held == {} and view._cache == {}
+
+    def test_file_before_a_flipped_byte_reads_and_one_past_it_fails_as_before(self):
+        entries = [(f"f{i}.txt", b"".join(b"record %d of %d\n" % (j, i) for j in range(200)))
+                   for i in range(6)]
+        clean = one_chunk_image(entries)
+        view = open_view(bytes(clean))
+        start = view.layout.data_start + view.chunks[0].data_offset
+        compressed, size = view.compressed_chunk(0)
+        for back in range(1, len(compressed) - codec.STREAM_HEADER_SIZE):  # the last byte that breaks it
+            damaged = bytearray(compressed)
+            damaged[-back] ^= 0xFF
+            try:
+                ref_decompress_chunk(bytes(damaged), size)
+            except MiniFsError as exc:
+                today = type(exc), str(exc)
+                break
+        else:
+            pytest.fail("no flipped byte breaks the chunk")
+        image = bytearray(clean)
+        image[start:start + len(damaged)] = damaged
+        for first in (0, 5):  # either order
+            view = open_view(bytes(image))
+            for i in (first, 5 - first, 0):
+                if i == 5:
+                    with pytest.raises(MiniFsError) as raised:
+                        read_file(view, i)
+                    assert (type(raised.value), str(raised.value)) == today
+                else:
+                    assert read_file(view, i) == entries[i][1]
+            with pytest.raises(type(raised.value)):
+                view.chunk_data(0)
+        assert len(compressed) - back > len(compressed) * 3 // 4  # near the end
 
 
 class TestOneIndexPerView:
