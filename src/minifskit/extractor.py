@@ -13,9 +13,15 @@ instead decodes each chunk whole, once, writes its files and drops it,
 outside that cache, and ``minifs verify`` decodes the same way.  Such
 decodes run on one thread per available CPU, never more threads than
 chunks, with at most 64 MiB of declared chunk bytes in flight plus each
-running decoder's dictionary.  Paths are joined once per view, on the
-first listing or extraction; a lookup by path reads the decoded strings
-instead and joins no path.
+running decoder's dictionary.
+
+Opening a view keeps both tables as arrays (:class:`structs.RecordTable`)
+and validates them with array operations, building no per-record
+object.  Paths are joined once per view, on the first listing or
+extraction.  A lookup by path joins no path: the view's first one builds
+a :class:`structs.PathIndex` from the arrays, and each one hashes the
+path, compares the bytes of the records with its key and applies the
+path rule, once per path that some record matches.
 
 Whether to go on past table violations is decided once, when the view
 is opened (``force``); after that each damaged record fails alone, in a
@@ -64,8 +70,8 @@ class MiniFsView:
     header: structs.MiniFsHeader
     layout: structs.FsLayout
     names: structs.NameTable
-    files: list[structs.FileRecord]
-    chunks: list[structs.ChunkRecord]
+    files: structs.RecordTable
+    chunks: structs.RecordTable
     violations: list[structs.Violation] = field(default_factory=list)
     _cache: dict[int, bytes] = field(default_factory=dict, repr=False)
     _held: dict[int, codec.ChunkDecoder] = field(default_factory=dict, repr=False, compare=False)
@@ -159,21 +165,9 @@ class MiniFsView:
         return paths
 
     @cached_property
-    def _indices_by_pair(self) -> dict[tuple, list[int]]:
-        """(directory string, file name) → record indices, from the strings validation decoded."""
-        return structs._index_pairs(self.names, self.files)
-
-    def _indices_at(self, path: str) -> list[int]:
-        """Indices of the records whose names join to ``path``, as in :attr:`_paths`."""
-        directory, sep, name = path.rpartition("/")
-        matches = self._indices_by_pair.get((directory, name))
-        if not matches or (sep and not directory):  # "/name" is no record's join
-            return []
-        try:
-            structs._check_pair(self.names, directory, name)  # their strings: all pass or none
-        except MiniFsError:
-            return []
-        return matches
+    def _index(self) -> structs.PathIndex:
+        """The lookup by path, built on the first one."""
+        return structs.PathIndex(self.names, self.files)
 
 
 @dataclass(frozen=True)
@@ -223,11 +217,9 @@ def open_view(dump: structs.Dump, base: int = 0, *, force: bool = False) -> Mini
     )
 
 
-def _entry(view: MiniFsView, index: int) -> FileEntry:
-    path = view._paths[index]
+def _entry(index: int, path: str | MiniFsError, rec: structs.FileRecord) -> FileEntry:
     if isinstance(path, MiniFsError):
         raise type(path)(f"file record {index}: {path}") from path
-    rec = view.files[index]
     return FileEntry(index, path, rec.chunk_index, rec.offset_in_chunk, rec.file_size)
 
 
@@ -237,7 +229,7 @@ def list_files(view: MiniFsView) -> list[FileEntry]:
     Naming failures are re-raised with the offending record index
     prepended, so damaged tables are easy to pinpoint.
     """
-    return [_entry(view, i) for i in range(len(view.files))]
+    return [_entry(i, path, rec) for i, (path, rec) in enumerate(zip(view._paths, view.files))]
 
 
 def _slice_entry(
@@ -274,7 +266,7 @@ def read_file(view: MiniFsView, selector: int | str) -> bytes:
             raise NotFound(f"no file record {selector} (table holds {len(view.files)})")
         index = selector
     else:
-        matches = view._indices_at(selector)
+        matches = view._index.find(selector)
         if not matches:
             raise NotFound(f"no file named {selector!r}")
         if len(matches) > 1:
@@ -452,17 +444,16 @@ def extract_all(view: MiniFsView, out_dir: str | os.PathLike) -> ExtractReport:
     warnings: list[str] = []
     results: dict[int, FileResult] = {}
     entries: list[FileEntry] = []
-    for i, path in enumerate(view._paths):
+    for i, (path, rec) in enumerate(zip(view._paths, view.files)):
         if isinstance(path, MiniFsError):
             _log.debug("file record %d failed: its name does not join: %s", i, path)
-            rec = view.files[i]
             results[i] = FileResult(
                 index=i, path="", size=rec.file_size,
                 chunk_index=rec.chunk_index, status="failed",
                 error=f"{type(path).__name__}: {path}",
             )
         else:
-            entries.append(_entry(view, i))
+            entries.append(_entry(i, path, rec))
     groups: dict[int, list[FileEntry]] = {}  # chunk index -> its entries, in write order
     for entry in sorted(entries, key=lambda e: (e.chunk_index, e.offset_in_chunk, e.index)):
         groups.setdefault(entry.chunk_index, []).append(entry)

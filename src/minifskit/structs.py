@@ -15,23 +15,27 @@ verbatim so that decode/encode round-trips are byte-exact.  The format
 stores no chunk count: it is the last file record's chunk index plus one.
 
 :func:`parse_instance` is the one decoder: it bounds every region by the
-dump and unpacks the header and both tables.  :func:`validate_layout`
-cross-checks what it returns; :func:`screen_instance` finds some of those
-violations in O(1) with the decoder's own header checks and region
-arithmetic.
+dump, unpacks the header and reads each table as one array of 32-bit
+words (:class:`RecordTable`).  :func:`validate_layout` cross-checks what
+it returns with array operations, copying no string;
+:func:`screen_instance` finds some of those violations in O(1) with the
+decoder's own header checks and region arithmetic.  A
+:class:`PathIndex`, built the same way, finds the records that join to
+a path.
 
 Everything in this module is a pure function over immutable inputs; a
-:class:`NameTable` only remembers what it has already decoded.  A dump
-is ``bytes`` or a read-only ``mmap`` of a dump file (:data:`Dump`).
+:class:`NameTable` only remembers the strings and directory checks that
+path joins have already done.  A dump is ``bytes`` or a read-only
+``mmap`` of a dump file (:data:`Dump`).
 """
 
 from __future__ import annotations
 
 import mmap
 import struct
-from contextlib import suppress
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -68,7 +72,16 @@ _U32_MAX = 0xFFFF_FFFF
 
 # Deleting these from a name leaves only the bytes it may not contain.
 _PRINTABLE = bytes(range(0x20, 0x7F))
-_PRINTABLE_OR_NUL = b"\x00" + _PRINTABLE
+
+# What name_at refuses in the string at an offset, in the order it checks.
+_GOOD, _OUTSIDE, _UNTERMINATED, _UNPRINTABLE = range(4)
+
+# A path's lookup key is its polynomial hash in base 256 modulo the
+# Mersenne prime 2**31 - 1, which is int.from_bytes(path, "little")
+# modulo it.  There 256**k is 2**(8k mod 31), and every product of two
+# reduced values fits a uint64.
+_PRIME = (1 << 31) - 1
+_POWERS = np.array([1 << (8 * j % 31) for j in range(31)], np.uint32)  # 256**j, by j mod 31
 
 # Byte positions of one header word, for gathering it at many bases.
 _WORD_BYTES = np.arange(4)
@@ -114,9 +127,9 @@ class MiniFsHeader:
 class NameTable:
     """NUL-delimited ASCII string pool, addressed by byte offset.
 
-    Records share strings, so the table remembers the decoded string
-    per offset and the directory check per directory string
-    (:func:`_check_pair`).
+    Records share strings, so path joins remember the decoded string per
+    offset and the directory check per directory string
+    (:func:`full_path`).
     """
 
     pool: bytes
@@ -153,6 +166,44 @@ class ChunkRecord(NamedTuple):
 
     def encode(self) -> bytes:
         return _CHUNK_RECORD.pack(*map(_check_u32, self, self._fields))
+
+
+class RecordTable(Sequence):
+    """A file or chunk table, read-only: ``array`` holds its big-endian
+    32-bit words, one row per record, over the table's own bytes ``raw``.
+
+    Indexing builds the ``record`` tuple of one row; iterating builds all.
+    """
+
+    __slots__ = ("record", "raw", "array", "_row", "_count")
+
+    def __init__(self, record: type[FileRecord] | type[ChunkRecord], raw: bytes) -> None:
+        self.record, self.raw = record, raw
+        self.array = np.frombuffer(raw, ">u4").reshape(-1, len(record._fields))
+        self._row = struct.Struct(">" + "I" * len(record._fields))
+        self._count = len(self.array)  # a read by index or path then makes no NumPy call
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int):
+        if not -self._count <= index < self._count:
+            raise IndexError(f"record {index} outside a table of {self._count}")
+        row = self._row.unpack_from(self.raw, self._row.size * (index % self._count))
+        return tuple.__new__(self.record, row)  # as record._make does, without its Python frame
+
+    def __iter__(self):
+        return map(self.record._make, self.array.tolist())
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.array if dtype is None else self.array.astype(dtype)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecordTable):
+            return NotImplemented
+        return self.record is other.record and self.raw == other.raw
+
+    __hash__ = None
 
 
 class FsLayout(NamedTuple):
@@ -208,12 +259,38 @@ def name_at(table: NameTable, offset: int) -> str:
         raise OffsetOutOfRange(f"name offset {offset} outside pool of {len(pool)} bytes")
     end = pool.find(b"\x00", offset)
     if end < 0:
-        raise UnterminatedString(f"no NUL terminator after offset {offset}")
+        raise _unterminated(offset)
     raw = pool[offset:end]
     if raw.translate(None, _PRINTABLE):
-        i, b = next((i, b) for i, b in enumerate(raw) if b < 0x20 or b >= 0x7F)
-        raise NonAsciiName(f"byte {b:#04x} at pool offset {offset + i} is not printable ASCII")
+        raise _unprintable(pool, offset + next(i for i, b in enumerate(raw) if not 0x20 <= b < 0x7F))
     return raw.decode("ascii")
+
+
+def _unterminated(offset: int) -> UnterminatedString:
+    return UnterminatedString(f"no NUL terminator after offset {offset}")
+
+
+def _unprintable(pool: bytes, at: int) -> NonAsciiName:
+    return NonAsciiName(f"byte {pool[at]:#04x} at pool offset {at} is not printable ASCII")
+
+
+def _string_faults(pool: bytes, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What :func:`name_at` refuses in the string at each offset (int64), and the byte it names.
+
+    The byte is the first one at or after the offset that is neither
+    printable ASCII nor NUL; it is refused (``_UNPRINTABLE``) when no NUL
+    comes before it.  Array operations only; no string is copied.
+    """
+    data = np.frombuffer(pool, np.uint8)
+    unprintable = np.flatnonzero((data < 0x20) & (data != 0) | (data > 0x7E))
+    nuls = np.flatnonzero(data == 0)
+    # Per such byte, the NUL before it (-1: none); a string starting after that NUL holds the byte.
+    nul_before = np.append(-1, nuls)[np.searchsorted(nuls, unprintable)]
+    at = np.searchsorted(unprintable, offsets)
+    fault = np.select([offsets >= len(data), offsets > pool.rfind(b"\x00"),
+                       np.append(nul_before, len(data))[at] < offsets],
+                      [_OUTSIDE, _UNTERMINATED, _UNPRINTABLE], _GOOD)
+    return np.append(unprintable, len(data))[at], fault
 
 
 def check_name(name: str) -> None:
@@ -273,36 +350,6 @@ def _string_at(table: NameTable, offset: int) -> str:
     return _remembered(table._strings, offset, name_at, table, offset)
 
 
-def _decode_strings(table: NameTable, offsets: set[int]) -> dict:
-    """Remember the string at each in-pool offset of ``offsets``; return the memo.
-
-    A pool of printable ASCII and NULs is checked in one pass; any other
-    string goes through :func:`name_at`, and a refusal is remembered.
-    """
-    memo, pool = table._strings, table.pool
-    text = "" if pool.translate(None, _PRINTABLE_OR_NUL) else pool.decode("ascii")
-    for offset in offsets - memo.keys():
-        end = text.find("\0", offset)
-        if end >= 0:
-            memo[offset] = text[offset:end]
-        elif offset < len(pool):
-            with suppress(MiniFsError):
-                _string_at(table, offset)
-    return memo
-
-
-def _index_pairs(table: NameTable, records: list[FileRecord]) -> dict[tuple, list[int]]:
-    """(directory string, file name) → record indices, read from what
-    :func:`validate_layout` left in the memo.  A refusal (a tuple) or an
-    offset outside the pool (None) in a key matches no pair of strings."""
-    strings = table._strings
-    by_pair: dict[tuple, list[int]] = {}
-    for index, rec in enumerate(records):
-        key = strings.get(rec.path_offset), strings.get(rec.name_offset)
-        by_pair.setdefault(key, []).append(index)
-    return by_pair
-
-
 def _check_pair(table: NameTable, directory: str, name: str) -> None:
     """The whole path rule for a directory string and a file name; each
     directory string is checked once per table, refusals remembered."""
@@ -324,6 +371,82 @@ def full_path(table: NameTable, record: FileRecord) -> str:
     return f"{directory}/{name}" if directory else name
 
 
+def _string_key(text: bytes) -> int:
+    return int.from_bytes(text, "little") % _PRIME
+
+
+def _path_keys(pool: bytes, offsets: np.ndarray) -> np.ndarray:
+    """Per record, :func:`_string_key` of the path :func:`full_path` would join.
+
+    ``offsets`` holds each record's directory-string and file-name
+    offsets (int64); each string runs to the next NUL or the pool's end.
+    One prefix sum over the pool gives every string's key, and the two
+    combine as the bytes of ``directory/name`` (the name alone at the
+    root) would.
+    """
+    data = np.frombuffer(pool, np.uint8)
+    nuls = np.append(np.flatnonzero(data == 0), len(data))
+    starts = np.minimum(offsets, len(data))
+    ends = np.stack([nuls[np.searchsorted(nuls, column)] for column in starts.T], axis=-1)
+    prefix = np.zeros(len(data) + 1, np.uint64)  # in place: each pool-length buffer costs its page faults
+    terms = prefix[1:]
+    np.multiply(data, np.tile(_POWERS, len(data) // 31 + 1)[:len(data)], out=terms, dtype=np.uint64)
+    terms %= _PRIME  # so that the sum stays below 2**64 for any pool under 4 GiB
+    np.cumsum(terms, out=terms)
+    directory, name = ((prefix[ends] - prefix[starts]) % _PRIME * _POWERS[-starts % 31] % _PRIME).T
+    length = (ends - starts)[:, 0]
+    joined = (directory + _POWERS[length % 31] * ((ord("/") + 256 * name) % _PRIME)) % _PRIME
+    return np.where(length > 0, joined, name).astype(np.int64)
+
+
+class PathIndex:
+    """The records whose directory string and file name join to a path.
+
+    Built with array operations: the records ordered by the key
+    (:func:`_string_key`) of the path each would join.  A lookup hashes
+    the path, keeps the records with its key whose two strings' bytes
+    match its halves, and applies the path rule to that pair.  A path
+    that some record matches remembers its answer, so the rule runs once
+    per path.
+    """
+
+    def __init__(self, names: NameTable, files: Sequence[FileRecord]) -> None:
+        offsets = np.asarray(files, np.int64).reshape(-1, 5)[:, :2]
+        keys = _path_keys(names.pool, offsets)
+        order = np.argsort(keys, kind="stable")  # equal keys keep table order
+        self._names = names
+        # Memoryviews over the sorted columns: a lookup makes no NumPy call.
+        self._keys, self._records, self._path_offsets, self._name_offsets = (
+            memoryview(np.ascontiguousarray(column))
+            for column in (keys[order], order, *offsets[order].T))
+        self._found: dict[str, list[int]] = {}  # path -> its matches, once some record's bytes match
+
+    def find(self, path: str) -> list[int]:
+        """Indices, in table order, of the records that join to ``path`` as :func:`full_path` does."""
+        found = self._found.get(path)
+        if found is not None:
+            return found
+        directory, sep, name = path.rpartition("/")
+        if (sep and not directory) or not path.isascii():
+            return []  # "/name" is no record's join; the rule refuses other non-ASCII paths
+        keys, key = self._keys, _string_key(path.encode())
+        pool, wanted_directory, wanted_name = (
+            self._names.pool, directory.encode() + b"\x00", name.encode() + b"\x00")
+        found, k = [], bisect_left(keys, key)
+        while k < len(keys) and keys[k] == key:
+            if (pool.startswith(wanted_directory, self._path_offsets[k])
+                    and pool.startswith(wanted_name, self._name_offsets[k])):
+                found.append(self._records[k])
+            k += 1
+        if found:
+            try:
+                _check_pair(self._names, directory, name)
+            except MiniFsError:
+                found = []
+            self._found[path] = found
+        return found
+
+
 def tables_end(data: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Where the name pool and file table of the header at each base end.
 
@@ -343,7 +466,7 @@ def tables_end(data: np.ndarray, bases: np.ndarray) -> np.ndarray:
 
 def parse_instance(
     dump: Dump, base: int = 0
-) -> tuple[MiniFsHeader, FsLayout, NameTable, list[FileRecord], list[ChunkRecord]]:
+) -> tuple[MiniFsHeader, FsLayout, NameTable, RecordTable, RecordTable]:
     """Parse the header, name pool and both tables of the instance at ``base``.
 
     Checks only that every region lies inside ``dump``; the cross-checks
@@ -353,11 +476,9 @@ def parse_instance(
     """
     header = _header_at(dump, base)
     layout = _layout_at(dump, header, base)
-    names = NameTable(dump[layout.names_start:layout.files_start])
-    files = _FILE_RECORD.iter_unpack(dump[layout.files_start:layout.chunk_table_start])
-    chunks = _CHUNK_RECORD.iter_unpack(dump[layout.chunk_table_start:layout.data_start])
-    return (header, layout, names, list(map(FileRecord._make, files)),
-            list(map(ChunkRecord._make, chunks)))
+    return (header, layout, NameTable(dump[layout.names_start:layout.files_start]),
+            RecordTable(FileRecord, dump[layout.files_start:layout.chunk_table_start]),
+            RecordTable(ChunkRecord, dump[layout.chunk_table_start:layout.data_start]))
 
 
 def _layout_at(dump: Dump, header: MiniFsHeader, base: int) -> FsLayout:
@@ -443,8 +564,8 @@ def _chunk_violations(
 def validate_layout(
     layout: FsLayout,
     names: NameTable,
-    records: list[FileRecord],
-    chunks: list[ChunkRecord],
+    records: Sequence[FileRecord],
+    chunks: Sequence[ChunkRecord],
     image_length: int,
 ) -> list[Violation]:
     """Cross-check parsed structures and report every broken invariant.
@@ -453,46 +574,51 @@ def validate_layout(
     for a dump of ``image_length`` bytes, so the regions up to
     ``layout.data_start`` already lie inside the dump and ``chunks``
     holds ``layout.chunk_count`` records; those bounds are not checked
-    again here.
+    again here.  Lists of records are accepted as well as tables.
 
     Returns an empty list for a well-formed instance.  Violations are
     data, not failures: callers decide whether to stop (default) or to
-    continue best-effort (force mode).  Each distinct in-pool offset the
-    records name is decoded into ``names`` first, and the result is
-    remembered, refusals included, for the lookups and path joins that
-    follow; path *safety* is checked when paths are joined
-    (:func:`full_path`).
+    continue best-effort (force mode).  Every check runs over whole
+    columns, and a :class:`Violation` is built only for a flagged record
+    or chunk, in table order.  No string is decoded; path *safety* is
+    checked when paths are joined (:func:`full_path`).
     """
+    files = np.asarray(records, np.int64).reshape(-1, 5)
+    table = np.asarray(chunks, np.int64).reshape(-1, 3)
+    pool, count = names.pool, len(table)
+    stop, fault = _string_faults(pool, files[:, :2])
+    chunk_index = files[:, 2]
+    missing = chunk_index >= count
+    overrun = ~missing & (files[:, 3] + files[:, 4]
+                          > np.append(table[:, 2], 0)[np.minimum(chunk_index, count)])
+
     violations: list[Violation] = []
     add = violations.append
+    for i in np.flatnonzero((fault != _GOOD).any(axis=1) | missing | overrun).tolist():
+        path_offset, name_offset, index, start, size = files[i].tolist()
+        for what, off, code, at in zip(("path", "name"), (path_offset, name_offset),
+                                       fault[i].tolist(), stop[i].tolist()):
+            if code == _OUTSIDE:
+                add(_outside_pool(what, off, len(pool), i))
+            elif code != _GOOD:
+                refusal = _unterminated(off) if code == _UNTERMINATED else _unprintable(pool, at)
+                add(Violation("bad-name", f"{what} string: {refusal}", index=i))
+        if missing[i]:
+            add(_chunk_index(index, count, i))
+        elif overrun[i]:
+            size_limit = int(table[index, 2])
+            add(Violation("file-span", f"offset {start} + size {size} exceeds "
+                          f"{size_limit}-byte chunk {index}", index=i))
 
-    pool_size = len(names)
-    offsets = {*map(itemgetter(0), records), *map(itemgetter(1), records)}
-    strings = _decode_strings(names, offsets)
-    bad = {off for off in offsets if type(strings.get(off)) is not str}
-    for i, (path_offset, name_offset, chunk_index, start, size) in enumerate(records):
-        if path_offset in bad or name_offset in bad:
-            for what, off in (("path", path_offset), ("name", name_offset)):
-                if off >= pool_size:
-                    add(_outside_pool(what, off, pool_size, i))
-                elif off in bad:  # a remembered refusal
-                    add(Violation("bad-name", f"{what} string: {strings[off][1]}", index=i))
-        if chunk_index >= len(chunks):
-            add(_chunk_index(chunk_index, len(chunks), i))
-        elif start + size > chunks[chunk_index].decompressed_size:
-            add(Violation(
-                "file-span",
-                f"offset {start} + size {size} exceeds "
-                f"{chunks[chunk_index].decompressed_size}-byte chunk {chunk_index}",
-                index=i,
-            ))
+    ends = layout.data_start + table[:, 0] + table[:, 1]
+    flagged = ((table[:, 1] < STREAM_HEADER_SIZE) | (table[:, 2] > DEFAULT_OUTPUT_LIMIT)
+               | (ends > image_length))
+    for i in np.flatnonzero(flagged).tolist():
+        violations.extend(_chunk_violations(ChunkRecord._make(table[i].tolist()),
+                                            layout.data_start, image_length, i))
 
-    for i, chunk in enumerate(chunks):
-        violations.extend(_chunk_violations(chunk, layout.data_start, image_length, i))
-
-    if records:
-        last = records[-1].chunk_index
-        highest = max(rec.chunk_index for rec in records)
+    if len(files):
+        last, highest = int(chunk_index[-1]), int(chunk_index.max())
         if highest != last:
             add(Violation(
                 "chunk-inference",

@@ -4,7 +4,7 @@ import lzma
 import struct
 from dataclasses import dataclass
 
-from minifskit import PackOptions, pack
+from minifskit import PackOptions, compress_chunk, pack
 from minifskit.codec import (
     DEFAULT_OUTPUT_LIMIT,
     STREAM_HEADER_SIZE,
@@ -30,6 +30,7 @@ from minifskit.structs import (
     CHUNK_RECORD_SIZE,
     FILE_RECORD_SIZE,
     HEADER_SIZE,
+    ChunkRecord,
     FileRecord,
     FsLayout,
     MiniFsHeader,
@@ -69,6 +70,24 @@ def overlapping_hit_dump(size: int) -> bytes:
         file_count = (size - 12 - base - HEADER_SIZE) // FILE_RECORD_SIZE
         dump[base:base + HEADER_SIZE] = MiniFsHeader(file_count, 0).encode()
     return bytes(dump)
+
+
+def one_string_pool_dump(pool_size: int = 128 << 10, records: int = 6000) -> bytes:
+    """A clean image whose name pool is one string of ``a`` ending in a NUL.
+
+    Record i's directory string starts at 2i·s and its name at (2i+1)·s
+    in that string (s = pool_size // (2 · records)), and each record is
+    byte 0 of the one 16-byte chunk.  A reader that copies the string at
+    each offset holds about ``records`` × ``pool_size`` bytes: 245 KiB
+    as built by default, but ~1 GiB of strings.
+    """
+    stride = pool_size // (2 * records)
+    pool = b"a" * (pool_size - 1) + b"\x00"
+    chunk = compress_chunk(b"x" * 16)
+    table = b"".join(FileRecord(2 * i * stride, (2 * i + 1) * stride, 0, 0, 1).encode()
+                     for i in range(records))
+    return (MiniFsHeader(records, len(pool)).encode() + pool + table
+            + ChunkRecord(0, len(chunk), 16).encode() + chunk)
 
 
 def region_layout(header: MiniFsHeader, chunk_count: int, base: int = 0) -> FsLayout:

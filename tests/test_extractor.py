@@ -15,6 +15,7 @@ from functools import cache
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,8 +46,15 @@ from minifskit.errors import (
     ValidationFailed,
 )
 from minifskit.cli import EXIT_INVALID, main
+from minifskit.scanner import iter_views
 from minifskit.structs import ChunkRecord, FileRecord
-from helpers import THREE_FILE_ENTRIES, build_three_file_image, read_tree, ref_decompress_chunk
+from helpers import (
+    THREE_FILE_ENTRIES,
+    build_three_file_image,
+    one_string_pool_dump,
+    read_tree,
+    ref_decompress_chunk,
+)
 
 
 def build_image_with_names(dir_bytes: bytes, name_bytes: bytes) -> bytes:
@@ -106,7 +114,7 @@ class TestOpenView:
         image = pack([])
         assert len(image) == 32
         view = open_view(image)
-        assert view.files == [] and view.chunks == []
+        assert list(view.files) == [] and list(view.chunks) == []
         assert list_files(view) == []
 
 
@@ -760,7 +768,66 @@ class TestPrefixReads:
         assert len(compressed) - back > len(compressed) * 3 // 4  # near the end
 
 
+def traced(call):
+    """``call()``'s result, and the traced bytes it left allocated and at its peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return (result, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
+class TestNamePoolMemory:
+    """Opening a view copies no pool string, so its memory is linear in the dump."""
+
+    def test_one_long_string_opens_in_linear_memory(self):
+        dump = one_string_pool_dump()
+        assert len(dump) == 251_141
+        bound = 32 * len(dump) + 256 * 6000
+        view, _, peak = traced(lambda: open_view(dump))
+        assert view.violations == [] and len(view.files) == 6000
+        assert peak <= bound
+        views, _, peak = traced(lambda: list(iter_views(dump)))
+        assert [(offset, len(view.files)) for offset, _, view in views] == [(0, 6000)]
+        assert peak <= bound
+        tail = (128 << 10) - 1 - 2000  # record 100's strings run from 2,000 and 2,010 to the NUL
+        assert read_file(view, "a" * tail + "/" + "a" * (tail - 10)) == b"x"
+
+    def test_open_view_retains_little_per_record(self):
+        records, names = 200_000, 1000
+        pool = b"\x00" + b"".join(b"name%04d\x00" % i for i in range(names))  # "" is the root
+        table = np.zeros((records, 5), ">u4")
+        table[:, 1] = 1 + 9 * (np.arange(records) % names)
+        table[:, 4] = 1
+        chunk = compress_chunk(b"x" * 16)
+        dump = (MiniFsHeader(records, len(pool)).encode() + pool + table.tobytes()
+                + ChunkRecord(0, len(chunk), 16).encode() + chunk)
+        view, retained, _ = traced(lambda: open_view(dump))
+        assert view.violations == [] and len(view.files) == records
+        assert retained <= 64 * records
+        assert view.files[-1] == FileRecord(0, 1 + 9 * 999, 0, 0, 1)
+
+
 class TestOneIndexPerView:
+    def test_path_rule_runs_once_per_path(self, monkeypatch):
+        entries = [(f"dir{i % 10}/file{i}.txt", b"content %d" % i) for i in range(50)]
+        image = pack(entries).replace(b"dir3\x00", b"di/.\x00")  # dir3's files break the rule
+        view = open_view(image)
+        checked = []
+        real = structs.check_name
+
+        def counting(name):
+            checked.append(name)
+            return real(name)
+
+        monkeypatch.setattr(structs, "check_name", counting)
+        for _ in range(100):
+            assert read_file(view, "dir4/file14.txt") == b"content 14"
+            with pytest.raises(NotFound):
+                read_file(view, "di/./file13.txt")
+        assert checked == ["file14.txt", "file13.txt"]
+
     def test_path_reads_join_each_path_once(self, monkeypatch):
         entries = [(f"dir{i % 10}/file{i}.txt", b"content %d" % i) for i in range(200)]
         view = open_view(pack(entries))

@@ -1,11 +1,12 @@
-"""Tuple records, one-loop validation and lookup by decoded name agree with
-the reference reader in ``helpers`` on random, often damaged, images."""
+"""Array tables, array validation and lookup by path key agree with the
+reference reader in ``helpers`` on random, often damaged, images."""
 
 from dataclasses import astuple
 
 from hypothesis import given, settings, strategies as st
 
 from minifskit import MiniFsHeader, compress_chunk, open_view, read_file
+from minifskit.codec import DEFAULT_OUTPUT_LIMIT, STREAM_HEADER_SIZE
 from minifskit.errors import MiniFsError
 from minifskit.structs import ChunkRecord, FileRecord, NameTable, name_at
 from helpers import ref_index, ref_parse_file_table, ref_paths, ref_select, ref_validate_layout
@@ -29,7 +30,10 @@ def mostly(common, *rare):
 def images(draw) -> bytes:
     """An instance whose pool repeats strings at different offsets, may end
     unterminated, and whose records name string starts, mid-string offsets
-    and offsets outside the pool."""
+    and offsets outside the pool.  Chunk records sit on each edge that
+    validation checks: a compressed size at the stream header's size and
+    one below, a decompressed size at the decoder limit and one above, and
+    chunk data ending at the image's end or one byte past it."""
     starts, pool = [], b""
     for word in draw(st.lists(mostly(st.sampled_from(GOOD), st.sampled_from(BAD)),
                               min_size=1, max_size=8)):
@@ -39,18 +43,22 @@ def images(draw) -> bytes:
         pool = pool[:-1]
     offset = mostly(st.sampled_from(starts), st.integers(0, len(pool) + 2), st.just(0xFFFF_FFFF))
     span = mostly(st.integers(0, 24), st.just(0xFFFF_FFFF))
+    count = draw(mostly(st.integers(1, 10), st.integers(11, 64)))
     records = draw(st.lists(st.builds(FileRecord, offset, offset, st.integers(0, 3), span, span),
-                            min_size=1, max_size=10))
+                            min_size=count, max_size=count))
     chunks, data = [], b""
     for k in range(records[-1].chunk_index + 1):
         blob, size = BLOBS[k % 3], len(CONTENTS[k % 3])
-        chunks.append(ChunkRecord(len(data), len(blob), draw(mostly(st.just(size), st.just(0),
-                                                                     st.just(size + 5)))))
-        data += blob
+        stored = draw(mostly(st.just(len(blob)), st.sampled_from(
+            [STREAM_HEADER_SIZE - 1, STREAM_HEADER_SIZE])))
+        declared = draw(mostly(st.just(size), st.sampled_from(
+            [0, size + 5, DEFAULT_OUTPUT_LIMIT, DEFAULT_OUTPUT_LIMIT + 1])))
+        chunks.append(ChunkRecord(len(data), stored, declared))
+        data += blob[:stored]
     header = MiniFsHeader(file_count=len(records), name_table_size=len(pool))
     image = (header.encode() + pool + b"".join(r.encode() for r in records)
              + b"".join(c.encode() for c in chunks) + data)
-    return image[:len(image) - draw(mostly(st.just(0), st.just(7)))]
+    return image[:len(image) - draw(mostly(st.just(0), st.sampled_from([1, 7])))]
 
 
 selectors = st.lists(st.one_of(

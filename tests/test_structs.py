@@ -13,6 +13,8 @@ from minifskit.structs import (
     FileRecord,
     FsLayout,
     NameTable,
+    _path_keys,
+    _string_key,
     full_path,
     name_at,
     parse_instance,
@@ -87,7 +89,7 @@ class TestHostileHeaders:
         dump, base, expected = HOSTILE_HEADERS[case]
         if isinstance(expected, FsLayout):
             header, layout, names, files, chunks = parse_instance(dump, base)
-            assert (layout, names.pool, files, chunks) == (expected, b"abc\x00", [], [])
+            assert (layout, names.pool, list(files), list(chunks)) == (expected, b"abc\x00", [], [])
             assert header == MiniFsHeader(0, 4)
             view = open_view(dump, base)
             assert (view.layout, view.violations) == (expected, [])
@@ -114,9 +116,9 @@ LAST_RECORD = FileRecord(0, 0, 0, 0, 0).encode()
 
 
 def parse_tables(file_records: bytes, chunk_records: bytes) -> tuple[list, list]:
-    """The file and chunk tables ``parse_instance`` reads from raw records and an empty pool."""
+    """The records of the file and chunk tables ``parse_instance`` reads from raw records and an empty pool."""
     header = MiniFsHeader(len(file_records) // 20, 0).encode()
-    return parse_instance(header + file_records + chunk_records)[3:]
+    return tuple(map(list, parse_instance(header + file_records + chunk_records)[3:]))
 
 
 class TestHeader:
@@ -246,6 +248,19 @@ class TestFullPath:
         assert joined.count("/") == expected
 
 
+class TestPathKeys:
+    @given(pool=st.binary(max_size=300),
+           offsets=st.lists(st.tuples(st.integers(0, 310), st.integers(0, 310)), max_size=20))
+    def test_match_the_key_of_the_joined_bytes(self, pool, offsets):
+        """The array keys equal the integer key of each record's two strings, read up to the next NUL, joined."""
+        def string(offset):
+            return pool[offset:].partition(b"\x00")[0]
+
+        keys = _path_keys(pool, np.array(offsets, np.int64).reshape(-1, 2))
+        assert keys.tolist() == [_string_key(string(d) + b"/" + string(n) if string(d) else string(n))
+                                 for d, n in offsets]
+
+
 class TestFileTable:
     RAW = bytes.fromhex("00000000" "00000007" "00000000" "00000000" "00060700")
 
@@ -284,7 +299,7 @@ class TestChunkTable:
                                   decompressed_size=395008)
 
     def test_empty(self):
-        assert parse_instance(make_header_bytes(name_table_size=4) + b"abc\x00")[4] == []
+        assert list(parse_instance(make_header_bytes(name_table_size=4) + b"abc\x00")[4]) == []
 
     def test_truncated(self):
         # The last record names chunk 1, so the table needs 24 bytes; 20 follow.
