@@ -49,9 +49,12 @@ DEFAULT_OUTPUT_LIMIT = 64 * 1024 * 1024
 
 _MIN_DICT_SIZE = 4096
 
-# Output and input per decoder call: under 1 MiB, the malloc mmap threshold
-# at which each temporary costs page faults.
+# Output per decoder call: under 1 MiB, the malloc mmap threshold at which
+# each temporary costs page faults.
 _PIECE = (1 << 20) - 4096
+# Input per decoder call: the decoder copies what it has not consumed when
+# the output piece fills, so a small feed keeps that copy small.
+_FEED = 1 << 16
 
 
 class Version(enum.Enum):
@@ -119,7 +122,7 @@ class ChunkDecoder:
     header or an invalid properties byte.
     """
 
-    def __init__(self, chunk: bytes, expected_size: int):
+    def __init__(self, chunk: bytes | memoryview, expected_size: int):
         if expected_size < 0:
             raise ValueError(f"expected_size must be non-negative, got {expected_size}")
         if expected_size > DEFAULT_OUTPUT_LIMIT:
@@ -195,7 +198,7 @@ class ChunkDecoder:
             if decoder.needs_input:
                 if self._fed == len(self._input):
                     return
-                data = self._input[self._fed:self._fed + _PIECE]
+                data = self._input[self._fed:self._fed + _FEED]
                 self._fed += len(data)
             try:
                 piece = decoder.decompress(data, max_length=min(_PIECE, limit - len(self._out)))
@@ -209,7 +212,7 @@ class ChunkDecoder:
                 self._out += piece
 
 
-def decompress_chunk(chunk: bytes, expected_size: int) -> bytes:
+def decompress_chunk(chunk: bytes | memoryview, expected_size: int) -> bytes:
     """Decompress one v2 chunk to exactly ``expected_size`` bytes.
 
     One whole :class:`ChunkDecoder` decode, with its checks and errors.

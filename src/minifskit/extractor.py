@@ -2,18 +2,22 @@
 
 The flow mirrors how the format is meant to be consumed: parse the
 header, the name pool and both tables, then pull individual files out of
-their decompressed chunks.  A chunk holds several files, so reads keep
-each decompressed chunk on the view.  A read decodes its chunk only up
-to its file's end, and the view holds that one unfinished decode: a
-later read of the chunk resumes it, and a read of another chunk finishes
-it first.  So a chunk is decoded once per view, unless its decode fails:
-a failed decode is dropped, and the next read starts afresh.  A file
-that ends before its chunk's damage therefore reads.  Extraction
-instead decodes each chunk whole, once, writes its files and drops it,
-outside that cache, and ``minifs verify`` decodes the same way.  Such
-decodes run on one thread per available CPU, never more threads than
-chunks, with at most 64 MiB of declared chunk bytes in flight plus each
-running decoder's dictionary.
+their decompressed chunks.  A chunk holds several files, so a view keeps
+one store of chunk decodes, at most 64 MiB of their declared sizes: when
+a new chunk does not fit, the chunks stored first are dropped until it
+does, and a chunk larger than that is kept alone.  A read decodes only
+its own chunk, and only up to its file's end; a later read of the chunk
+resumes the decode there.  An unfinished entry holds its decoded prefix
+and its LZMA dictionary, which costs about that prefix again, and reads
+its compressed bytes straight from the dump.  So a chunk is decoded once
+per view while the store keeps it, unless its decode fails: a failed
+decode is dropped, and the next read starts afresh.  A file that ends
+before its chunk's damage therefore reads.  Extraction instead decodes
+each chunk whole, once, writes its files and drops it, outside that
+store, and ``minifs verify`` decodes the same way.  Such decodes run on
+one thread per available CPU, never more threads than chunks, with at
+most 64 MiB of declared chunk bytes in flight plus each running
+decoder's dictionary.
 
 Opening a view keeps both tables as arrays (:class:`structs.RecordTable`)
 and validates them with array operations, building no per-record
@@ -62,8 +66,8 @@ class MiniFsView:
 
     ``violations`` is empty unless the view was opened in force mode.
     ``source`` is the whole dump, ``bytes`` or a read-only ``mmap``
-    (:data:`structs.Dump`).  The view never copies chunk data out of
-    ``source`` until a read needs it.
+    (:data:`structs.Dump`).  Decoders read compressed chunks from
+    ``source`` in place; only :meth:`compressed_chunk` copies one out.
     """
 
     source: structs.Dump
@@ -73,8 +77,8 @@ class MiniFsView:
     files: structs.RecordTable
     chunks: structs.RecordTable
     violations: list[structs.Violation] = field(default_factory=list)
-    _cache: dict[int, bytes] = field(default_factory=dict, repr=False)
-    _held: dict[int, codec.ChunkDecoder] = field(default_factory=dict, repr=False, compare=False)
+    _chunks: dict[int, codec.ChunkDecoder] = field(default_factory=dict, repr=False, compare=False)
+    _stored: int = field(default=0, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @property
@@ -82,61 +86,51 @@ class MiniFsView:
         return self.layout.base
 
     def chunk_data(self, index: int) -> bytes:
-        """Decompressed content of chunk ``index``, cached for the view's reads.
+        """Decompressed content of chunk ``index``, from the view's store.
 
-        Finishes the view's held decode of the chunk where a read left
-        one; no chunk is decoded twice while its decode succeeds.
+        Resumes the chunk's stored decode where a read left it; a
+        finished chunk is not decoded again while the store keeps it.
         """
         return self._chunk_bytes(index, 0, None)
 
     def _chunk_bytes(self, index: int, start: int, end: int | None) -> bytes:
         """Bytes ``start``..``end`` of chunk ``index`` (None: its end), decoded no further than ``end``."""
-        chunk = self._chunk(index)
-        if isinstance(chunk, bytes):
-            return chunk[start:end]
+        decoder = self._decoder(index)
         try:
-            data = chunk.decode_to(chunk.expected_size if end is None else end, start)
+            return decoder.decode_to(decoder.expected_size if end is None else end, start)
         except MiniFsError:
-            self._settle(index, chunk)  # dropped: the next read decodes afresh, so no read depends on another
+            with self._lock:  # dropped: the next read decodes afresh, so no read depends on another
+                if self._chunks.get(index) is decoder:
+                    self._stored -= decoder.expected_size
+                    del self._chunks[index]
             raise
-        if chunk.data is not None:
-            self._settle(index, chunk)
-        return data
 
-    def _chunk(self, index: int) -> bytes | codec.ChunkDecoder:
-        """Chunk ``index``'s cached bytes, else its decoder, built on the first read.
+    def _decoder(self, index: int) -> codec.ChunkDecoder:
+        """Chunk ``index``'s stored decoder, built and stored on the first read.
 
-        A view holds at most one unfinished decode: every other one is
-        finished, and cached unless it fails, before the caller decodes.
-        Neither lock is taken while the other is held.
+        The store keeps at most DEFAULT_OUTPUT_LIMIT declared bytes: the
+        entries stored first are dropped until a new chunk fits, and a
+        larger chunk is kept alone.  A thread that holds a dropped
+        decoder still finishes its read.  Neither the view's lock nor a
+        decoder's is taken while the other is held.
         """
         with self._lock:
-            data = self._cache.get(index)
-            if data is not None:
-                return data
-            decoder = self._held.get(index)
+            decoder = self._chunks.get(index)
             if decoder is None:
-                decoder = self._held[index] = codec.ChunkDecoder(*self.compressed_chunk(index))
-            others = [(i, held) for i, held in self._held.items() if i != index]
-        for i, held in others:
-            try:
-                held.decode_to(held.expected_size)
-            except MiniFsError:
-                pass  # dropped below, as a failed read's decode is
-            self._settle(i, held)
-        return decoder
-
-    def _settle(self, index: int, decoder: codec.ChunkDecoder) -> None:
-        """Stop holding ``decoder``, caching its bytes if it finished; once per decoder."""
-        data = decoder.data
-        with self._lock:
-            if self._held.get(index) is decoder:
-                del self._held[index]
-                if data is not None:
-                    self._cache[index] = data
+                decoder = codec.ChunkDecoder(*self._compressed(index))
+                while self._chunks and self._stored + decoder.expected_size > codec.DEFAULT_OUTPUT_LIMIT:
+                    self._stored -= self._chunks.pop(next(iter(self._chunks))).expected_size
+                self._chunks[index] = decoder
+                self._stored += decoder.expected_size
+            return decoder
 
     def compressed_chunk(self, index: int) -> tuple[bytes, int]:
         """Raw compressed bytes of chunk ``index`` plus its expected size."""
+        chunk, size = self._compressed(index)
+        return bytes(chunk), size
+
+    def _compressed(self, index: int) -> tuple[memoryview, int]:
+        """:meth:`compressed_chunk`, as a view of ``source`` instead of a copy."""
         if not 0 <= index < len(self.chunks):
             raise NotFound(f"no chunk {index} (table holds {len(self.chunks)})")
         rec = self.chunks[index]
@@ -146,7 +140,7 @@ class MiniFsView:
             raise TruncatedImage(
                 f"chunk {index} data ends at {end} but dump is {len(self.source)} bytes"
             )
-        return self.source[start:end], rec.decompressed_size
+        return memoryview(self.source)[start:end], rec.decompressed_size
 
     @cached_property
     def version(self) -> Version:
@@ -404,7 +398,7 @@ def _write_file(out_root: Path, parents: dict[str, str], target: str,
 def _decode_chunks(view: MiniFsView, indices: Sequence[int]) -> Iterator[memoryview | MiniFsError]:
     """Per chunk index, in order: its decoded bytes, or the MiniFsError decoding raised.
 
-    Runs outside the view's cache through :func:`codec._map_in_order`, under
+    Runs outside the view's store through :func:`codec._map_in_order`, under
     the module's thread rule; logs one debug record.
     """
     _log.debug("decoding %d chunks on %d threads, at most %d declared bytes ahead",
@@ -412,7 +406,7 @@ def _decode_chunks(view: MiniFsView, indices: Sequence[int]) -> Iterator[memoryv
 
     def decode(index: int) -> memoryview | MiniFsError:
         try:
-            return memoryview(decompress_chunk(*view.compressed_chunk(_record_chunk(view, index))))
+            return memoryview(decompress_chunk(*view._compressed(_record_chunk(view, index))))
         except MiniFsError as exc:
             return exc
 
@@ -424,7 +418,7 @@ def _decode_chunks(view: MiniFsView, indices: Sequence[int]) -> Iterator[memoryv
 def extract_all(view: MiniFsView, out_dir: str | os.PathLike) -> ExtractReport:
     """Write every file of the instance under ``out_dir``.
 
-    One in-order pass, outside the view's cache, decompresses each chunk
+    One in-order pass, outside the view's store, decompresses each chunk
     once, writes its files and drops it once the next is decoded; threads
     decode ahead under the module's rule while writes stay ordered, so
     about one chunk per thread plus one is held.  Per-file problems are recorded

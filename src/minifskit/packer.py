@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .codec import DEFAULT_OUTPUT_LIMIT, _map_in_order, compress_chunk
 from .errors import ArithmeticOverflow, FileTooLarge, NamePoolTooLarge, UnsafePath
-from .structs import ChunkRecord, FileRecord, MiniFsHeader, check_directory, check_name
+from .structs import ChunkRecord, FileRecord, MiniFsHeader, check_directory, check_joined, check_name
 
 DEFAULT_CHUNK_CAP = 0x60000
 
@@ -91,6 +91,7 @@ def build_name_pool(
         if directory not in directories:
             check_directory(directory)
             directories[directory] = intern(directory)
+        check_joined(directory, name)
         pending.append((directories[directory], name))
     pairs = [(path_offset, intern(name)) for path_offset, name in pending]
     return b"".join(pieces), pairs

@@ -70,6 +70,10 @@ _NAME_TABLE_SIZE_OFFSET = 0x1C
 
 _U32_MAX = 0xFFFF_FFFF
 
+# Linux's limits on one file name and on a path: extraction could not create longer ones.
+NAME_MAX = 255
+PATH_MAX = 4096
+
 # Deleting these from a name leaves only the bytes it may not contain.
 _PRINTABLE = bytes(range(0x20, 0x7F))
 
@@ -296,8 +300,9 @@ def _string_faults(pool: bytes, offsets: np.ndarray) -> tuple[np.ndarray, np.nda
 def check_name(name: str) -> None:
     """The file-name half of the one path rule, shared by reading and packing.
 
-    The name must be printable ASCII, non-empty, hold no separator, and
-    not be ``.`` or ``..``.  Raises UnsafePath, or NonAsciiName.
+    The name must be printable ASCII, non-empty, at most NAME_MAX
+    bytes, hold no separator, and not be ``.`` or ``..``.  Raises
+    UnsafePath, or NonAsciiName.
     """
     if not name:
         raise UnsafePath("empty file name")
@@ -306,12 +311,23 @@ def check_name(name: str) -> None:
     if name in (".", ".."):
         raise UnsafePath(f"file name is {name!r}")
     _check_printable("file name", name)
+    if len(name) > NAME_MAX:
+        raise UnsafePath(f"file name of {len(name)} bytes is longer than NAME_MAX ({NAME_MAX})")
+
+
+def check_joined(directory: str, name: str) -> None:
+    """The path-length half of the rule: ``directory/name`` (``name``
+    at the root) is at most PATH_MAX bytes.  Raises UnsafePath."""
+    length = len(directory) + 1 + len(name) if directory else len(name)
+    if length > PATH_MAX:
+        raise UnsafePath(f"joined path of {length} bytes is longer than PATH_MAX ({PATH_MAX})")
 
 
 def check_directory(directory: str) -> None:
     """The directory half of the path rule: printable ASCII, not absolute,
-    no empty, ``.`` or ``..`` component; the empty string is the root.
-    An empty or ``.`` component would let two joined paths name one file."""
+    no empty, ``.`` or ``..`` component, none longer than NAME_MAX; the
+    empty string is the root.  An empty or ``.`` component would let two
+    joined paths name one file."""
     if directory.startswith("/"):
         raise UnsafePath(f"absolute directory path {directory!r}")
     if directory:
@@ -323,6 +339,9 @@ def check_directory(directory: str) -> None:
         if "" in parts:
             raise UnsafePath(f"directory path {directory!r} has an empty component")
     _check_printable("directory", directory)
+    longest = max(map(len, directory.split("/")))
+    if longest > NAME_MAX:
+        raise UnsafePath(f"directory component of {longest} bytes is longer than NAME_MAX ({NAME_MAX})")
 
 
 def _check_printable(what: str, text: str) -> None:
@@ -355,6 +374,7 @@ def _check_pair(table: NameTable, directory: str, name: str) -> None:
     directory string is checked once per table, refusals remembered."""
     check_name(name)
     _remembered(table._directories, directory, check_directory, directory)
+    check_joined(directory, name)
 
 
 def full_path(table: NameTable, record: FileRecord) -> str:

@@ -1,5 +1,6 @@
 """Builders shared across test modules, and a reference reader, encoder and decoder."""
 
+import functools
 import lzma
 import struct
 from dataclasses import dataclass
@@ -88,6 +89,13 @@ def one_string_pool_dump(pool_size: int = 128 << 10, records: int = 6000) -> byt
                      for i in range(records))
     return (MiniFsHeader(records, len(pool)).encode() + pool + table
             + ChunkRecord(0, len(chunk), 16).encode() + chunk)
+
+
+@functools.cache
+def chunk_bomb() -> bytes:
+    """Ten 16 MiB zero files, one to a chunk: about 25 KB of image, 160 MiB decoded."""
+    zero = bytes(16 << 20)
+    return pack([(f"zero{i}", zero) for i in range(10)], PackOptions(max_chunk_decompressed=16 << 20))
 
 
 def region_layout(header: MiniFsHeader, chunk_count: int, base: int = 0) -> FsLayout:

@@ -51,6 +51,7 @@ from minifskit.structs import ChunkRecord, FileRecord
 from helpers import (
     THREE_FILE_ENTRIES,
     build_three_file_image,
+    chunk_bomb,
     one_string_pool_dump,
     read_tree,
     ref_decompress_chunk,
@@ -478,7 +479,7 @@ class TestBoundedExtraction:
         assert len(view.chunks) == 8
         assert self.traced_peak(view, tmp_path / "serial", monkeypatch, 1) <= one + 1.5 * self.CHUNK
         assert self.traced_peak(view, tmp_path / "two", monkeypatch, 2) <= one + (2 + 1.5) * self.CHUNK
-        assert view._cache == {}  # extraction leaves the read cache alone
+        assert view._chunks == {}  # extraction leaves the read store alone
         assert read_file(view, "zero3") == bytes(self.CHUNK)
 
     @staticmethod
@@ -571,17 +572,20 @@ def test_available_cpus_within_cgroup_quota(monkeypatch, tmp_path, v2, v1_quota,
     assert codec._available_cpus() == expected
 
 
+# 40 files of distinct sizes, packed a few to a chunk.
+MANY = [(f"d{i % 5}/f{i}.bin", bytes([i]) * (40 + 11 * i)) for i in range(40)]
+MANY_IMAGE = pack(MANY, PackOptions(max_chunk_decompressed=600, sort_entries=False))
+
+
 class TestConcurrentReads:
-    def test_threads_read_every_file_by_index_and_path(self):
-        entries = [(f"d{i % 5}/f{i}.bin", bytes([i]) * (40 + 11 * i)) for i in range(40)]
-        image = pack(entries, PackOptions(max_chunk_decompressed=600, sort_entries=False))
-        view = open_view(image)  # fresh view: the threads race on the first index build
-        assert len(view.chunks) > 1
+    @staticmethod
+    def read_on_eight_threads(view) -> None:
+        """Eight threads read every file of MANY by index and by path, three times, half in reverse."""
         start = threading.Barrier(8)
 
         def reader(k: int) -> None:
             start.wait(timeout=60)
-            order = list(enumerate(entries))
+            order = list(enumerate(MANY))
             for _ in range(3):
                 for i, (path, content) in order if k % 2 else reversed(order):
                     assert read_file(view, i) == content
@@ -594,6 +598,21 @@ class TestConcurrentReads:
                 assert list(pool.map(reader, range(8), timeout=120)) == [None] * 8
         finally:
             sys.setswitchinterval(interval)
+
+    def test_threads_read_every_file_by_index_and_path(self):
+        view = open_view(MANY_IMAGE)  # fresh view: the threads race on the first index build
+        assert len(view.chunks) > 1
+        self.read_on_eight_threads(view)
+
+    def test_threads_evict_each_others_chunks(self, monkeypatch):
+        view = open_view(MANY_IMAGE)
+        view._lock = OneLockAtATime()
+        budget = 2 * 600  # about two chunks
+        monkeypatch.setattr(codec, "DEFAULT_OUTPUT_LIMIT", budget)
+        with recorded_decoders() as built:
+            self.read_on_eight_threads(view)
+        assert len(built) > 2 * len(view.chunks)  # chunks were evicted and decoded again
+        assert view._stored == sum(decoder.expected_size for decoder in view._chunks.values()) <= budget
 
     def test_threads_race_on_one_chunks_resume(self):
         entries, image = large_chunk_image()
@@ -614,7 +633,7 @@ class TestConcurrentReads:
                 with recorded_decoders() as built, patch.object(codec, "_PIECE", 1 << 16):
                     with ThreadPoolExecutor(max_workers=8) as pool:
                         assert list(pool.map(reader, range(8), timeout=120)) == [None] * 8
-                assert len(built) == 1 and view._held == {} and list(view._cache) == [0]
+                assert len(built) == 1 and list(view._chunks) == [0] and view._chunks[0].data is not None
         finally:
             sys.setswitchinterval(interval)
 
@@ -692,19 +711,35 @@ def one_chunk_image(entries) -> bytearray:
 
 class TestPrefixReads:
     """A read decodes its chunk up to its file's end and resumes from there;
-    no chunk decodes twice, and a view holds at most one unfinished decode."""
+    no chunk the store keeps decodes twice, and the store keeps its budget."""
 
     @settings(max_examples=60, deadline=None)
     @given(order=st.permutations(range(len(SPREAD))))
     def test_shuffled_reads_decode_each_chunk_once(self, order):
         view = open_view(SPREAD_IMAGE)
-        with recorded_decoders() as built:
+        chunks = [view.compressed_chunk(k) for k in range(len(view.chunks))]
+        furthest = [0] * len(chunks)  # per chunk, the furthest end read so far
+        with recorded_decoders() as built, patch.object(codec, "_PIECE", 256):  # pieces below a chunk
             for i in order:
                 assert read_file(view, i) == SPREAD[i][1]
-                assert len(view._held) <= 1
-        chunks = [view.compressed_chunk(k) for k in range(len(view.chunks))]
+                record = view.files[i]
+                k = record.chunk_index
+                furthest[k] = max(furthest[k], record.offset_in_chunk + record.file_size)
+                counter = next(counter for chunk, size, counter in built if (chunk, size) == chunks[k])
+                assert counter.produced <= furthest[k] + codec._PIECE
         assert sorted(chunks.index((chunk, size)) for chunk, size, _ in built) == list(range(len(chunks)))
         assert all(counter.produced <= size for _, size, counter in built)
+
+    @pytest.mark.parametrize("budget", [4000, 9000])  # the cap SPREAD_IMAGE was packed with, and more
+    def test_store_keeps_its_budget(self, budget, monkeypatch):
+        monkeypatch.setattr(codec, "DEFAULT_OUTPUT_LIMIT", budget)
+        view = open_view(SPREAD_IMAGE)
+        with recorded_decoders() as built:
+            for i in [*range(len(SPREAD)), *reversed(range(len(SPREAD)))]:
+                assert read_file(view, i) == SPREAD[i][1]
+                held = [decoder.expected_size for decoder in view._chunks.values()]
+                assert view._stored == sum(held) <= budget
+        assert len(built) > len(view.chunks)  # evicted chunks decode again
 
     def test_first_file_decodes_to_its_end_plus_at_most_one_piece(self):
         entries, image = large_chunk_image()
@@ -714,7 +749,7 @@ class TestPrefixReads:
                 end = view.files[i].offset_in_chunk + view.files[i].file_size
                 assert read_file(view, i) == entries[i][1]
                 assert end <= built[0][2].produced <= end + codec._PIECE
-        assert len(built) == 1 and list(view._held) == [0] and view._cache == {}
+        assert len(built) == 1 and list(view._chunks) == [0] and view._chunks[0].data is None
 
     def test_read_inside_a_short_stream_then_past_its_end(self):
         # The last file and its chunk declare 10 bytes more than the stream holds.
@@ -733,7 +768,7 @@ class TestPrefixReads:
                 with pytest.raises(SizeMismatch) as raised:
                     read_file(view, selector)
                 assert str(raised.value) == str(today.value) == "decompressed to 600 bytes, expected 610"
-        assert view._held == {} and view._cache == {}
+        assert view._chunks == {}
 
     def test_file_before_a_flipped_byte_reads_and_one_past_it_fails_as_before(self):
         entries = [(f"f{i}.txt", b"".join(b"record %d of %d\n" % (j, i) for j in range(200)))
@@ -768,6 +803,22 @@ class TestPrefixReads:
         assert len(compressed) - back > len(compressed) * 3 // 4  # near the end
 
 
+class TestChunkBomb:
+    def test_reading_every_file_holds_one_budget_and_one_chunk(self):
+        chunk = 16 << 20
+        view = open_view(chunk_bomb())
+        assert len(view.chunks) == 10 and len(view.source) < 32_000
+        zero = bytes(chunk)
+
+        def read_all() -> None:
+            for i in range(10):
+                assert read_file(view, i) == zero
+
+        _, _, peak = traced(read_all)
+        assert peak <= codec.DEFAULT_OUTPUT_LIMIT + 1.5 * chunk
+        assert view._stored == codec.DEFAULT_OUTPUT_LIMIT and list(view._chunks) == [6, 7, 8, 9]
+
+
 def traced(call):
     """``call()``'s result, and the traced bytes it left allocated and at its peak."""
     tracemalloc.start()
@@ -792,7 +843,9 @@ class TestNamePoolMemory:
         assert [(offset, len(view.files)) for offset, _, view in views] == [(0, 6000)]
         assert peak <= bound
         tail = (128 << 10) - 1 - 2000  # record 100's strings run from 2,000 and 2,010 to the NUL
-        assert read_file(view, "a" * tail + "/" + "a" * (tail - 10)) == b"x"
+        with pytest.raises(NotFound):  # the record's name is longer than NAME_MAX
+            read_file(view, "a" * tail + "/" + "a" * (tail - 10))
+        assert read_file(view, 100) == b"x"
 
     def test_open_view_retains_little_per_record(self):
         records, names = 200_000, 1000
@@ -807,6 +860,24 @@ class TestNamePoolMemory:
         assert view.violations == [] and len(view.files) == records
         assert retained <= 64 * records
         assert view.files[-1] == FileRecord(0, 1 + 9 * 999, 0, 0, 1)
+
+    def test_joined_paths_cost_no_copy_of_a_long_directory(self):
+        # 3,000 records share one 64 KiB directory string; each joined path would copy it.
+        directory = "/".join(["d" * 255] * 256).encode()
+        pool = directory + b"\x00" + b"".join(b"f%04d\x00" % i for i in range(3000))
+        table = b"".join(FileRecord(0, len(directory) + 1 + 6 * i, 0, 0, 1).encode() for i in range(3000))
+        chunk = compress_chunk(b"x")
+        view = open_view(MiniFsHeader(3000, len(pool)).encode() + pool + table
+                         + ChunkRecord(0, len(chunk), 1).encode() + chunk)
+
+        def listing() -> str:
+            with pytest.raises(UnsafePath) as raised:
+                list_files(view)
+            return str(raised.value)
+
+        message, _, peak = traced(listing)
+        assert message == "file record 0: joined path of 65541 bytes is longer than PATH_MAX (4096)"
+        assert peak <= 4096 * 3000  # each refusal, with its traceback, costs about 1.5 KiB
 
 
 class TestOneIndexPerView:

@@ -112,6 +112,38 @@ class TestOnePathRule:
         assert accepts(pack, [(path, b"")]) == expected
 
 
+# 15 components of 255 bytes and one of 55: with a 200-byte name, a joined path of 4,096 bytes.
+LONG_DIRECTORY = "/".join(["d" * 255] * 15 + ["d" * 55])
+
+
+class TestLengthRule:
+    """Names and joined paths that Linux could not create are refused alike
+    by reading and packing, with their length and not their text."""
+
+    @pytest.mark.parametrize("directory, name, refusal", [
+        ("", "n" * 255, None),
+        ("", "n" * 256, "file name of 256 bytes is longer than NAME_MAX (255)"),
+        ("d" * 255, "n", None),
+        ("a/" + "d" * 256, "n", "directory component of 256 bytes is longer than NAME_MAX (255)"),
+        (LONG_DIRECTORY, "n" * 200, None),
+        (LONG_DIRECTORY, "n" * 201, "joined path of 4097 bytes is longer than PATH_MAX (4096)"),
+    ])
+    def test_reading_and_packing_agree(self, directory, name, refusal):
+        path = f"{directory}/{name}" if directory else name
+        for call in (lambda: full_path(NameTable(f"{directory}\0{name}\0".encode()),
+                                       FileRecord(0, len(directory) + 1, 0, 0, 0)),
+                     lambda: build_name_pool([(directory, name)]),
+                     lambda: pack([(path, b"")])):
+            if refusal is None:
+                call()
+            else:
+                with pytest.raises(UnsafePath) as raised:
+                    call()
+                assert str(raised.value) == refusal
+        if refusal is None:
+            assert read_file(open_view(pack([(path, b"x")])), path) == b"x"
+
+
 class TestOneCheckPerString:
     def test_pack_checks_each_distinct_string_once(self, monkeypatch):
         checked = {"directory": [], "name": []}
