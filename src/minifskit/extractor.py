@@ -3,21 +3,20 @@
 The flow mirrors how the format is meant to be consumed: parse the
 header, the name pool and both tables, then pull individual files out of
 their decompressed chunks.  A chunk holds several files, so a view keeps
-one store of chunk decodes, at most 64 MiB of their declared sizes: when
-a new chunk does not fit, the chunks stored first are dropped until it
-does, and a chunk larger than that is kept alone.  A read decodes only
-its own chunk, and only up to its file's end; a later read of the chunk
-resumes the decode there.  An unfinished entry holds its decoded prefix
-and its LZMA dictionary, which costs about that prefix again, and reads
-its compressed bytes straight from the dump.  So a chunk is decoded once
-per view while the store keeps it, unless its decode fails: a failed
-decode is dropped, and the next read starts afresh.  A file that ends
-before its chunk's damage therefore reads.  Extraction instead decodes
-each chunk whole, once, writes its files and drops it, outside that
-store, and ``minifs verify`` decodes the same way.  Such decodes run on
-one thread per available CPU, never more threads than chunks, with at
-most 64 MiB of declared chunk bytes in flight plus each running
-decoder's dictionary.
+one store of chunk decodes, at most 64 MiB of their declared sizes, each
+counted as at least 64 KiB; the chunks stored first are dropped until a
+new one fits, and a larger chunk is kept alone.  A read decodes only its
+own chunk, up to its file's end, and a later read resumes there.  An
+unfinished entry holds its decoded prefix, its LZMA dictionary (about
+that prefix again) and ~37 KB of decoder state, and reads its compressed
+bytes straight from the dump.  So a chunk is decoded once per view while
+the store keeps it, unless its decode fails: a failed decode is dropped,
+and the next read starts afresh.  A file that ends before its chunk's
+damage therefore reads.  Extraction instead decodes each chunk whole,
+once, writes its files and drops it, outside that store, and ``minifs
+verify`` decodes the same way.  Such decodes run on one thread per
+available CPU, never more threads than chunks, with at most 64 MiB of
+declared chunk bytes in flight plus each running decoder's dictionary.
 
 Opening a view keeps both tables as arrays (:class:`structs.RecordTable`)
 and validates them with array operations, building no per-record
@@ -58,6 +57,7 @@ from .errors import (
 )
 
 _log = logging.getLogger(__name__)
+_ENTRY_FLOOR = 1 << 16  # the least a stored chunk counts against its view's store
 
 
 @dataclass
@@ -101,15 +101,14 @@ class MiniFsView:
         except MiniFsError:
             with self._lock:  # dropped: the next read decodes afresh, so no read depends on another
                 if self._chunks.get(index) is decoder:
-                    self._stored -= decoder.expected_size
-                    del self._chunks[index]
+                    self._stored -= _charge(self._chunks.pop(index))
             raise
 
     def _decoder(self, index: int) -> codec.ChunkDecoder:
         """Chunk ``index``'s stored decoder, built and stored on the first read.
 
-        The store keeps at most DEFAULT_OUTPUT_LIMIT declared bytes: the
-        entries stored first are dropped until a new chunk fits, and a
+        The store keeps at most DEFAULT_OUTPUT_LIMIT of :func:`_charge`:
+        the entries stored first are dropped until a new chunk fits, and a
         larger chunk is kept alone.  A thread that holds a dropped
         decoder still finishes its read.  Neither the view's lock nor a
         decoder's is taken while the other is held.
@@ -118,10 +117,10 @@ class MiniFsView:
             decoder = self._chunks.get(index)
             if decoder is None:
                 decoder = codec.ChunkDecoder(*self._compressed(index))
-                while self._chunks and self._stored + decoder.expected_size > codec.DEFAULT_OUTPUT_LIMIT:
-                    self._stored -= self._chunks.pop(next(iter(self._chunks))).expected_size
+                while self._chunks and self._stored + _charge(decoder) > codec.DEFAULT_OUTPUT_LIMIT:
+                    self._stored -= _charge(self._chunks.pop(next(iter(self._chunks))))
                 self._chunks[index] = decoder
-                self._stored += decoder.expected_size
+                self._stored += _charge(decoder)
             return decoder
 
     def compressed_chunk(self, index: int) -> tuple[bytes, int]:
@@ -162,6 +161,12 @@ class MiniFsView:
     def _index(self) -> structs.PathIndex:
         """The lookup by path, built on the first one."""
         return structs.PathIndex(self.names, self.files)
+
+
+def _charge(decoder: codec.ChunkDecoder) -> int:
+    """What ``decoder`` counts against its view's store: at least _ENTRY_FLOOR, as an
+    unfinished one holds ~37 KB of liblzma state however few bytes it declares."""
+    return max(decoder.expected_size, _ENTRY_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -365,11 +370,29 @@ def _safe_destination(out_root: Path, relative: str, target: str) -> Path:
 
 # O_NOFOLLOW (POSIX): a final component that is a symlink fails with ELOOP.
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW | os.O_CLOEXEC
+_DIRECTORY_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
 
 
 def _write_file(out_root: Path, parents: dict[str, str], target: str,
                 content: bytes | memoryview) -> str:
-    """Write ``target``; ``parents`` maps each directory checked and created to its path."""
+    """Write ``target``; ``parents`` maps each directory checked and created to its path.
+
+    A target whose absolute path is too long for one system call is
+    reached from ``out_root`` one component at a time instead, so a path
+    that passes the path rule is written under any output directory.
+    """
+    try:
+        return _write_by_path(out_root, parents, target, content)
+    except OSError as exc:
+        dest = os.path.join(out_root, target)
+        if exc.errno != errno.ENAMETOOLONG or len(os.fsencode(dest)) < structs.PATH_MAX:
+            raise
+    _write_all(_open_below(out_root, target), content)
+    return dest
+
+
+def _write_by_path(out_root: Path, parents: dict[str, str], target: str,
+                   content: bytes | memoryview) -> str:
     directory, _, name = target.rpartition("/")
     parent = parents.get(directory)
     if parent is None:  # never cached after a failure: each file retries it
@@ -386,13 +409,36 @@ def _write_file(out_root: Path, parents: dict[str, str], target: str,
         dest.parent.mkdir(parents=True, exist_ok=True)
         dest.write_bytes(content)
         return str(dest)
+    _write_all(fd, content)
+    return parent + name
+
+
+def _open_below(out_root: Path, target: str) -> int:
+    """``target`` opened for writing relative to each parent's descriptor,
+    creating directories on the way; a symlink anywhere fails with an OSError."""
+    *directories, name = target.split("/")
+    fd = os.open(out_root, _DIRECTORY_FLAGS)
+    try:
+        for part in directories:
+            try:
+                os.mkdir(part, dir_fd=fd)
+            except FileExistsError:
+                pass
+            parent, fd = fd, os.open(part, _DIRECTORY_FLAGS, dir_fd=fd)
+            os.close(parent)
+        return os.open(name, _WRITE_FLAGS, 0o666, dir_fd=fd)
+    finally:
+        os.close(fd)
+
+
+def _write_all(fd: int, content: bytes | memoryview) -> None:
+    """Write ``content`` to ``fd`` and close it."""
     try:
         done = 0
         while done < len(content):
             done += os.write(fd, content[done:])
     finally:
         os.close(fd)
-    return parent + name
 
 
 def _decode_chunks(view: MiniFsView, indices: Sequence[int]) -> Iterator[memoryview | MiniFsError]:

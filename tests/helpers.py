@@ -91,6 +91,20 @@ def one_string_pool_dump(pool_size: int = 128 << 10, records: int = 6000) -> byt
             + ChunkRecord(0, len(chunk), 16).encode() + chunk)
 
 
+def shared_stream_dump(records: int) -> bytes:
+    """A clean image of ``records`` one-byte files ``f``, one to a chunk,
+    whose chunk records all point at one stream of the two bytes ``ab``.
+
+    Reading a file decodes its chunk to byte 1 of 2, so the read leaves
+    the chunk's decoder unfinished: 12 bytes of chunk table per decoder.
+    """
+    pool = b"\x00f\x00"
+    stream = compress_chunk(b"ab")
+    return (MiniFsHeader(records, len(pool)).encode() + pool
+            + b"".join(FileRecord(0, 1, i, 0, 1).encode() for i in range(records))
+            + ChunkRecord(0, len(stream), 2).encode() * records + stream)
+
+
 @functools.cache
 def chunk_bomb() -> bytes:
     """Ten 16 MiB zero files, one to a chunk: about 25 KB of image, 160 MiB decoded."""

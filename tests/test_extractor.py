@@ -30,7 +30,7 @@ from minifskit import (
     pack,
     read_file,
 )
-from minifskit import codec, structs
+from minifskit import codec, extractor, structs
 from minifskit.errors import (
     AmbiguousPath,
     BadMagic,
@@ -55,6 +55,7 @@ from helpers import (
     one_string_pool_dump,
     read_tree,
     ref_decompress_chunk,
+    shared_stream_dump,
 )
 
 
@@ -411,6 +412,61 @@ class TestSymlinkGuard:
         assert (out / "ok.txt").read_bytes() == b"ok"
 
 
+def read_below(root, path: str) -> bytes:
+    """The file at ``path`` under ``root``, opened one component at a time."""
+    *directories, name = path.split("/")
+    fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        for part in directories:
+            parent, fd = fd, os.open(part, os.O_RDONLY | os.O_DIRECTORY, dir_fd=fd)
+            os.close(parent)
+        with open(os.open(name, os.O_RDONLY, dir_fd=fd), "rb") as handle:
+            return handle.read()
+    finally:
+        os.close(fd)
+
+
+class TestLongPaths:
+    """A path the path rule takes is written under any output directory,
+    though joined to it the path is longer than one system call accepts."""
+
+    # 15 components of 255 bytes and one of 55: with a 200-byte name, 4,096 bytes.
+    DIRECTORY = "/".join(["d" * 255] * 15 + ["d" * 55])
+    ENTRIES = [(f"{DIRECTORY}/{'n' * 200}", b"deep"), (f"{DIRECTORY}/{'m' * 200}", b"beside it"),
+               ("top.txt", b"top")]
+
+    def test_a_path_of_path_max_bytes_extracts(self, tmp_path):
+        assert len(self.ENTRIES[0][0]) == structs.PATH_MAX
+        report = extract_all(open_view(pack(self.ENTRIES, PackOptions(sort_entries=False))),
+                             tmp_path / "out")
+        assert (report.written, report.failed) == (3, 0)
+        for result, (path, content) in zip(report.results, self.ENTRIES):
+            assert result.written_to == os.path.join(report.out_dir, path)
+            assert read_below(report.out_dir, path) == content
+
+    @pytest.mark.parametrize("depth", [0, 14])  # resolvable by its absolute path, and not
+    def test_a_symlinked_directory_on_a_long_path_is_not_followed(self, tmp_path, depth):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        out = tmp_path / ("o" * 250) / ("o" * 250)
+        out.mkdir(parents=True)
+        fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            for _ in range(depth):
+                os.mkdir("d" * 255, dir_fd=fd)
+                parent, fd = fd, os.open("d" * 255, os.O_RDONLY | os.O_DIRECTORY, dir_fd=fd)
+                os.close(parent)
+            os.symlink(outside, "d" * 255, dir_fd=fd)
+        finally:
+            os.close(fd)
+        report = extract_all(open_view(pack(self.ENTRIES, PackOptions(sort_entries=False))), out)
+        assert [r.status for r in report.results] == ["failed", "failed", "ok"]
+        # Past the resolvable part, opening the link as a directory without following it fails.
+        refusal = ("UnsafePath",) if depth == 0 else ("NotADirectoryError", "OSError: [Errno 40]")
+        assert all(r.error.startswith(refusal) for r in report.results[:2])
+        assert list(outside.iterdir()) == []
+
+
 class TestExtractionLogging:
     @pytest.fixture
     def damaged_path(self, tmp_path):
@@ -609,10 +665,11 @@ class TestConcurrentReads:
         view._lock = OneLockAtATime()
         budget = 2 * 600  # about two chunks
         monkeypatch.setattr(codec, "DEFAULT_OUTPUT_LIMIT", budget)
+        monkeypatch.setattr(extractor, "_ENTRY_FLOOR", 100)  # scaled down with the budget
         with recorded_decoders() as built:
             self.read_on_eight_threads(view)
         assert len(built) > 2 * len(view.chunks)  # chunks were evicted and decoded again
-        assert view._stored == sum(decoder.expected_size for decoder in view._chunks.values()) <= budget
+        assert view._stored == sum(map(extractor._charge, view._chunks.values())) <= budget
 
     def test_threads_race_on_one_chunks_resume(self):
         entries, image = large_chunk_image()
@@ -733,11 +790,13 @@ class TestPrefixReads:
     @pytest.mark.parametrize("budget", [4000, 9000])  # the cap SPREAD_IMAGE was packed with, and more
     def test_store_keeps_its_budget(self, budget, monkeypatch):
         monkeypatch.setattr(codec, "DEFAULT_OUTPUT_LIMIT", budget)
+        floor = 3000  # scaled down with the budget, above the smallest chunk's 2,793 bytes
+        monkeypatch.setattr(extractor, "_ENTRY_FLOOR", floor)
         view = open_view(SPREAD_IMAGE)
         with recorded_decoders() as built:
             for i in [*range(len(SPREAD)), *reversed(range(len(SPREAD)))]:
                 assert read_file(view, i) == SPREAD[i][1]
-                held = [decoder.expected_size for decoder in view._chunks.values()]
+                held = [max(decoder.expected_size, floor) for decoder in view._chunks.values()]
                 assert view._stored == sum(held) <= budget
         assert len(built) > len(view.chunks)  # evicted chunks decode again
 
@@ -817,6 +876,24 @@ class TestChunkBomb:
         _, _, peak = traced(read_all)
         assert peak <= codec.DEFAULT_OUTPUT_LIMIT + 1.5 * chunk
         assert view._stored == codec.DEFAULT_OUTPUT_LIMIT and list(view._chunks) == [6, 7, 8, 9]
+
+    def test_tiny_chunks_count_their_decoders_state(self, monkeypatch):
+        """2,000 chunks of 2 declared bytes, each left unfinished by its read,
+        hold about 37 KB of decoder state apiece: counted at the 64 KiB floor,
+        a 1 MiB budget keeps 16 of them, not 75 MB of decoders."""
+        budget = 1 << 20
+        monkeypatch.setattr(codec, "DEFAULT_OUTPUT_LIMIT", budget)
+        view = open_view(shared_stream_dump(2000))
+        assert not view.violations and len(view.chunks) == 2000
+
+        def read_all() -> None:
+            for i in range(len(view.files)):
+                assert read_file(view, i) == b"a"
+
+        _, _, peak = traced(read_all)
+        assert peak <= budget
+        assert len(view._chunks) == budget // extractor._ENTRY_FLOOR == view._stored // extractor._ENTRY_FLOOR
+        assert all(decoder.data is None for decoder in view._chunks.values())
 
 
 def traced(call):
