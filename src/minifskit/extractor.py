@@ -36,6 +36,7 @@ from __future__ import annotations
 import errno
 import logging
 import os
+import stat
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -147,14 +148,14 @@ class MiniFsView:
         return version_at(self.source, self.layout)
 
     @cached_property
-    def _paths(self) -> list[str | MiniFsError]:
-        """Per record, its joined path or the naming error."""
-        paths: list[str | MiniFsError] = []
+    def _paths(self) -> list[str | tuple[type[MiniFsError], str]]:
+        """Per record, its joined path or its naming error's type and message."""
+        paths: list[str | tuple[type[MiniFsError], str]] = []
         for rec in self.files:
             try:
                 paths.append(structs.full_path(self.names, rec))
             except MiniFsError as exc:
-                paths.append(exc)
+                paths.append((type(exc), str(exc)))
         return paths
 
     @cached_property
@@ -216,9 +217,9 @@ def open_view(dump: structs.Dump, base: int = 0, *, force: bool = False) -> Mini
     )
 
 
-def _entry(index: int, path: str | MiniFsError, rec: structs.FileRecord) -> FileEntry:
-    if isinstance(path, MiniFsError):
-        raise type(path)(f"file record {index}: {path}") from path
+def _entry(index: int, path: str | tuple[type[MiniFsError], str], rec: structs.FileRecord) -> FileEntry:
+    if isinstance(path, tuple):
+        raise path[0](f"file record {index}: {path[1]}")
     return FileEntry(index, path, rec.chunk_index, rec.offset_in_chunk, rec.file_size)
 
 
@@ -356,89 +357,74 @@ def _classify_one(name: str, content: bytes | memoryview) -> str:
     return _EXTENSION_CATEGORIES.get(ext, "binary")
 
 
-def _safe_destination(out_root: Path, relative: str, target: str) -> Path:
-    # full_path() already rejected traversal; this is the belt-and-braces
-    # check that nothing resolves outside the output root anyway.
-    try:
-        dest = (out_root / relative).resolve()
-    except RuntimeError as exc:  # a symlink loop, on Python 3.12 and older
-        raise UnsafePath(f"{target!r} does not resolve: {exc}") from None
-    if not dest.is_relative_to(out_root):
-        raise UnsafePath(f"{target!r} resolves outside the output directory")
-    return dest
-
-
-# O_NOFOLLOW (POSIX): a final component that is a symlink fails with ELOOP.
+# O_NOFOLLOW (POSIX): opening a symlink fails, so no write follows one.
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW | os.O_CLOEXEC
 _DIRECTORY_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
+_OPEN_DIRECTORIES = 64  # directory descriptors an extraction keeps open besides its root's
 
 
-def _write_file(out_root: Path, parents: dict[str, str], target: str,
+def _write_file(root: str, fds: dict[str, int], target: str,
                 content: bytes | memoryview) -> str:
-    """Write ``target``; ``parents`` maps each directory checked and created to its path.
+    """Write ``target`` below ``fds[""]``, the descriptor of the output
+    directory ``root`` (a path ending in "/"), and return the file's path.
 
-    A target whose absolute path is too long for one system call is
-    reached from ``out_root`` one component at a time instead, so a path
-    that passes the path rule is written under any output directory.
+    Each directory is created and opened from its parent's descriptor and
+    the file from its directory's, so the length of ``root`` does not
+    matter and no symlink is followed.  ``fds`` keeps the directories
+    opened; when it holds _OPEN_DIRECTORIES of them, they are all closed.
     """
-    try:
-        return _write_by_path(out_root, parents, target, content)
-    except OSError as exc:
-        dest = os.path.join(out_root, target)
-        if exc.errno != errno.ENAMETOOLONG or len(os.fsencode(dest)) < structs.PATH_MAX:
-            raise
-    _write_all(_open_below(out_root, target), content)
-    return dest
-
-
-def _write_by_path(out_root: Path, parents: dict[str, str], target: str,
-                   content: bytes | memoryview) -> str:
     directory, _, name = target.rpartition("/")
-    parent = parents.get(directory)
-    if parent is None:  # never cached after a failure: each file retries it
-        resolved = _safe_destination(out_root, directory, target)
-        resolved.mkdir(parents=True, exist_ok=True)
-        parent = parents[directory] = os.path.join(resolved, "")
-    try:
-        fd = os.open(parent + name, _WRITE_FLAGS, 0o666)
-    except OSError as exc:
-        if exc.errno != errno.ELOOP:
-            raise
-        # A final symlink: write through it only where it resolves inside.
-        dest = _safe_destination(out_root, target, target)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_bytes(content)
-        return str(dest)
-    _write_all(fd, content)
-    return parent + name
-
-
-def _open_below(out_root: Path, target: str) -> int:
-    """``target`` opened for writing relative to each parent's descriptor,
-    creating directories on the way; a symlink anywhere fails with an OSError."""
-    *directories, name = target.split("/")
-    fd = os.open(out_root, _DIRECTORY_FLAGS)
-    try:
-        for part in directories:
-            try:
-                os.mkdir(part, dir_fd=fd)
-            except FileExistsError:
-                pass
-            parent, fd = fd, os.open(part, _DIRECTORY_FLAGS, dir_fd=fd)
-            os.close(parent)
-        return os.open(name, _WRITE_FLAGS, 0o666, dir_fd=fd)
-    finally:
-        os.close(fd)
-
-
-def _write_all(fd: int, content: bytes | memoryview) -> None:
-    """Write ``content`` to ``fd`` and close it."""
+    fd = fds.get(directory)
+    if fd is None:
+        fd, path = fds[""], ""
+        for part in directory.split("/"):
+            path = f"{path}/{part}" if path else part
+            parent, fd = fd, fds.get(path)
+            if fd is None:
+                fd = _open(root, parent, part, path, target, directory)
+                if len(fds) > _OPEN_DIRECTORIES:
+                    for cached in [key for key in fds if key]:
+                        os.close(fds.pop(cached))
+                fds[path] = fd
+    fd = _open(root, fd, name, target, target)
     try:
         done = 0
         while done < len(content):
             done += os.write(fd, content[done:])
     finally:
         os.close(fd)
+    return root + target
+
+
+def _open(root: str, parent: int, name: str, path: str, target: str,
+          directory: str | None = None) -> int:
+    """``name`` below ``parent`` (``path`` below ``root``) opened for writing or,
+    given the target's ``directory``, created if missing and opened as one.
+
+    A symlink raises UnsafePath; any other error names the path that
+    writing ``target`` by its absolute path would have failed on.
+    """
+    exists = None
+    try:
+        if directory is None:
+            return os.open(name, _WRITE_FLAGS, 0o666, dir_fd=parent)
+        try:
+            os.mkdir(name, dir_fd=parent)
+        except FileExistsError as exc:
+            exists = exc
+        return os.open(name, _DIRECTORY_FLAGS, dir_fd=parent)
+    except OSError as exc:
+        try:
+            link = stat.S_ISLNK(os.stat(name, dir_fd=parent, follow_symlinks=False).st_mode)
+        except OSError:
+            link = False
+        if link:
+            raise UnsafePath(f"{target!r}: {path!r} is a symlink") from None
+        if exists and exc.errno == errno.ENOTDIR:  # a file where a directory must go
+            exc, path = exists if path == directory else NotADirectoryError(
+                errno.ENOTDIR, os.strerror(errno.ENOTDIR)), directory
+        exc.filename = root + path
+        raise exc
 
 
 def _decode_chunks(view: MiniFsView, indices: Sequence[int]) -> Iterator[memoryview | MiniFsError]:
@@ -472,25 +458,27 @@ def extract_all(view: MiniFsView, out_dir: str | os.PathLike) -> ExtractReport:
     directory is fatal.  A record fails alone, with its error, whether its
     name does not join, its chunk does not decode or its file cannot be
     written, however the view was opened; each such record and each chunk
-    that fails to decode logs one debug record.  Each directory is
-    resolved, checked to lie inside ``out_dir`` and created once per call.
+    that fails to decode logs one debug record.  Files are written from
+    their parent directory's descriptor, following no symlink: a file
+    whose path meets an existing symlink under ``out_dir`` fails with
+    UnsafePath (see :func:`_write_file`).
 
     Duplicate joined paths never overwrite each other: later copies get
     the lowest ``.dupN`` suffix that no record's path or earlier copy uses.
     """
-    out_root = Path(out_dir).resolve()
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = str(Path(out_dir).resolve())
+    Path(out_root).mkdir(parents=True, exist_ok=True)
 
     warnings: list[str] = []
     results: dict[int, FileResult] = {}
     entries: list[FileEntry] = []
     for i, (path, rec) in enumerate(zip(view._paths, view.files)):
-        if isinstance(path, MiniFsError):
-            _log.debug("file record %d failed: its name does not join: %s", i, path)
+        if isinstance(path, tuple):
+            _log.debug("file record %d failed: its name does not join: %s", i, path[1])
             results[i] = FileResult(
                 index=i, path="", size=rec.file_size,
                 chunk_index=rec.chunk_index, status="failed",
-                error=f"{type(path).__name__}: {path}",
+                error=f"{path[0].__name__}: {path[1]}",
             )
         else:
             entries.append(_entry(i, path, rec))
@@ -498,42 +486,48 @@ def extract_all(view: MiniFsView, out_dir: str | os.PathLike) -> ExtractReport:
     for entry in sorted(entries, key=lambda e: (e.chunk_index, e.offset_in_chunk, e.index)):
         groups.setdefault(entry.chunk_index, []).append(entry)
 
-    parents = {"": os.path.join(out_root, "")}  # directory -> its resolved, created path + "/"
     last_dup = {e.path: -1 for e in entries}  # path -> last .dupN given; 0: the path itself
     categories: Counter = Counter()
-    for data, (index, group) in zip(_decode_chunks(view, list(groups)), groups.items()):
-        failure = f"{type(data).__name__}: {data}" if isinstance(data, MiniFsError) else None
-        if failure:
-            _log.debug("chunk %d failed to decode, failing its %d files: %s", index, len(group), failure)
-        for entry in group:
-            target = entry.path
-            bump = last_dup[target] + 1
-            while bump and f"{target}.dup{bump}" in last_dup:
-                bump += 1
-            last_dup[target] = bump
-            if bump:
-                target = f"{target}.dup{bump}"
-                warnings.append(f"duplicate path {entry.path!r}; record {entry.index} written as {target!r}")
+    root = os.path.join(out_root, "")
+    fds = {"": os.open(root, _DIRECTORY_FLAGS)}  # directory -> its open descriptor
+    try:
+        for data, (index, group) in zip(_decode_chunks(view, list(groups)), groups.items()):
+            failure = f"{type(data).__name__}: {data}" if isinstance(data, MiniFsError) else None
+            if failure:
+                _log.debug("chunk %d failed to decode, failing its %d files: %s", index, len(group), failure)
+            for entry in group:
+                target = entry.path
+                bump = last_dup[target] + 1
+                while bump and f"{target}.dup{bump}" in last_dup:
+                    bump += 1
+                last_dup[target] = bump
+                if bump:
+                    target = f"{target}.dup{bump}"
+                    warnings.append(
+                        f"duplicate path {entry.path!r}; record {entry.index} written as {target!r}")
 
-            error = failure
-            if error is None:
-                try:
-                    content = _slice_entry(data, entry)
-                    dest = _write_file(out_root, parents, target, content)
-                except (MiniFsError, OSError) as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    _log.debug("file record %d failed to write %r: %s", entry.index, target, error)
-                else:
-                    categories[_classify_one(entry.path, content)] += 1
-            results[entry.index] = FileResult(
-                index=entry.index, path=entry.path, size=entry.file_size,
-                chunk_index=entry.chunk_index, status="failed" if error else "ok",
-                error=error, written_to=None if error else dest,
-            )
+                error = failure
+                if error is None:
+                    try:
+                        content = _slice_entry(data, entry)
+                        dest = _write_file(root, fds, target, content)
+                    except (MiniFsError, OSError) as exc:
+                        error = f"{type(exc).__name__}: {exc}"
+                        _log.debug("file record %d failed to write %r: %s", entry.index, target, error)
+                    else:
+                        categories[_classify_one(entry.path, content)] += 1
+                results[entry.index] = FileResult(
+                    index=entry.index, path=entry.path, size=entry.file_size,
+                    chunk_index=entry.chunk_index, status="failed" if error else "ok",
+                    error=error, written_to=None if error else dest,
+                )
+    finally:
+        for fd in fds.values():
+            os.close(fd)
 
     return ExtractReport(
         results=[results[i] for i in sorted(results)],
-        out_dir=str(out_root),
+        out_dir=out_root,
         chunk_count=len(view.chunks),
         warnings=warnings,
         categories=categories,

@@ -368,19 +368,16 @@ class TestSymlinkGuard:
         (out / "dang.txt").symlink_to("missing.txt")
 
         report = extract_all(open_view(pack(self.ENTRIES, PackOptions(sort_entries=False))), out)
-        outcome = {r.path: (r.status, r.error, r.written_to) for r in report.results}
-        assert outcome == {
-            "d/x.txt": ("failed", "UnsafePath: 'd/x.txt' resolves outside the output directory", None),
-            "y.txt": ("failed", "UnsafePath: 'y.txt' resolves outside the output directory", None),
-            "in.txt": ("ok", None, str(out / "real.txt")),
-            "ind/z.txt": ("ok", None, str(out / "real" / "z.txt")),
-            "dang.txt": ("ok", None, str(out / "missing.txt")),
-        }
+        links = {"d/x.txt": "d", "y.txt": "y.txt", "in.txt": "in.txt", "ind/z.txt": "ind",
+                 "dang.txt": "dang.txt"}
+        assert {r.path: (r.status, r.error, r.written_to) for r in report.results} == {
+            path: ("failed", f"UnsafePath: {path!r}: {link!r} is a symlink", None)
+            for path, link in links.items()}
         assert read_tree(outside) == {"secret.txt": b"keep"}
-        assert all((out / name).is_symlink() for name in ("d", "y.txt", "in.txt", "ind", "dang.txt"))
-        assert (out / "real.txt").read_bytes() == b"via inward file"
-        assert (out / "real" / "z.txt").read_bytes() == b"via inward dir"
-        assert (out / "missing.txt").read_bytes() == b"via dangling"
+        assert all((out / name).is_symlink() for name in links.values())
+        assert (out / "real.txt").read_bytes() == b"old"
+        assert list((out / "real").iterdir()) == []
+        assert not (out / "missing.txt").exists()
 
     def test_symlink_loops_fail_only_their_files(self, tmp_path):
         """A looping directory and a file that links to itself fail their own
@@ -403,13 +400,60 @@ class TestSymlinkGuard:
         assert "Traceback" not in result.stderr
         report = dict(line.split("=", 1) for line in result.stdout.splitlines())
         assert (report["written"], report["failed"]) == ("1", "3")
-        for index, path in enumerate(["a.txt", "loop1/x.txt", "loop1/y.txt"]):
+        for index, (path, link) in enumerate([("a.txt", "a.txt"), ("loop1/x.txt", "loop1"),
+                                              ("loop1/y.txt", "loop1")]):
             assert report[f"file.{index}.path"] == path
             assert report[f"file.{index}.status"] == "failed"
-            if sys.version_info < (3, 13):  # later versions leave the loop to open()
-                assert report[f"file.{index}.error"].startswith(f"UnsafePath: {path!r}")
+            assert report[f"file.{index}.error"] == f"UnsafePath: {path!r}: {link!r} is a symlink"
         assert report["file.3.status"] == "ok"
         assert (out / "ok.txt").read_bytes() == b"ok"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+class TestDescriptors:
+    """Extraction keeps a bounded number of directories open and closes them all."""
+
+    # 150 directories, more than the descriptor cache holds, each met again after the others.
+    ENTRIES = [(f"d{i % 150}/f{i}", b"%d" % i) for i in range(300)]
+
+    @staticmethod
+    def open_descriptors() -> int:
+        return len(os.listdir("/proc/self/fd"))
+
+    def extract(self, out, monkeypatch):
+        """The report, and the most descriptors open beyond the start once one was opened."""
+        peaks, real = [], extractor._open
+        before = self.open_descriptors()
+
+        def counting(*args):
+            fd = real(*args)
+            peaks.append(self.open_descriptors() - before)
+            return fd
+
+        monkeypatch.setattr(extractor, "_open", counting)
+        report = extract_all(open_view(pack(self.ENTRIES, PackOptions(sort_entries=False))), out)
+        assert self.open_descriptors() == before
+        return report, max(peaks)
+
+    def test_more_directories_than_the_cache_holds(self, tmp_path, monkeypatch):
+        report, peak = self.extract(tmp_path / "out", monkeypatch)
+        assert (report.written, report.failed) == (len(self.ENTRIES), 0)
+        assert read_tree(tmp_path / "out") == dict(self.ENTRIES)
+        # The listing of /proc/self/fd, the file and the root, and the cached directories.
+        assert peak <= extractor._OPEN_DIRECTORIES + 3
+
+    def test_failed_writes_close_their_descriptors(self, tmp_path, monkeypatch):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "d7").symlink_to(outside, target_is_directory=True)
+        (out / "d8").write_bytes(b"in the way")
+        report, _ = self.extract(out, monkeypatch)
+        failed = {r.path: r.error.split(":")[0] for r in report.results if r.status == "failed"}
+        assert failed == {**{f"d7/f{i}": "UnsafePath" for i in (7, 157)},
+                          **{f"d8/f{i}": "FileExistsError" for i in (8, 158)}}
+        assert list(outside.iterdir()) == []
 
 
 def read_below(root, path: str) -> bytes:
@@ -461,9 +505,9 @@ class TestLongPaths:
             os.close(fd)
         report = extract_all(open_view(pack(self.ENTRIES, PackOptions(sort_entries=False))), out)
         assert [r.status for r in report.results] == ["failed", "failed", "ok"]
-        # Past the resolvable part, opening the link as a directory without following it fails.
-        refusal = ("UnsafePath",) if depth == 0 else ("NotADirectoryError", "OSError: [Errno 40]")
-        assert all(r.error.startswith(refusal) for r in report.results[:2])
+        link = "/".join(["d" * 255] * (depth + 1))
+        assert [r.error for r in report.results[:2]] == [
+            f"UnsafePath: {path!r}: {link!r} is a symlink" for path, _ in self.ENTRIES[:2]]
         assert list(outside.iterdir()) == []
 
 
@@ -954,7 +998,7 @@ class TestNamePoolMemory:
 
         message, _, peak = traced(listing)
         assert message == "file record 0: joined path of 65541 bytes is longer than PATH_MAX (4096)"
-        assert peak <= 4096 * 3000  # each refusal, with its traceback, costs about 1.5 KiB
+        assert peak <= 640 * 3000  # each refusal kept as its type and message, about 450 bytes
 
 
 class TestOneIndexPerView:
@@ -1013,7 +1057,7 @@ class TestOneIndexPerView:
         entries = [(f"dir{i % dirs}/file{i}.txt", b"content %d" % i) for i in range(files)]
         view = open_view(pack(entries))
         resolved, created = [], []
-        real_realpath, real_mkdir = os.path.realpath, Path.mkdir
+        real_realpath, real_mkdir = os.path.realpath, os.mkdir
 
         def counting_realpath(path, *args, **kwargs):
             resolved.append(path)
@@ -1024,12 +1068,13 @@ class TestOneIndexPerView:
             return real_mkdir(path, *args, **kwargs)
 
         monkeypatch.setattr(os.path, "realpath", counting_realpath)
-        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
-        assert extract_all(view, tmp_path / "out").written == files
+        monkeypatch.setattr(os, "mkdir", counting_mkdir)
+        out = tmp_path / "out"
+        assert extract_all(view, out).written == files
         monkeypatch.undo()
-        assert read_tree(tmp_path / "out") == dict(entries)
-        assert len(resolved) <= dirs + 1  # each directory, plus the output root
-        assert len(created) <= dirs + 1
+        assert read_tree(out) == dict(entries)
+        assert len(resolved) <= 1  # only the output root is resolved by its path
+        assert sorted(map(str, created)) == [str(out)] + [f"dir{i}" for i in range(dirs)]
 
     @pytest.mark.parametrize("damage, error", [
         ("unterminated", UnterminatedString),
@@ -1067,9 +1112,13 @@ class TestOneIndexPerView:
         report = extract_all(view, tmp_path / "out")
         assert report.failed == 50
         assert decoded == [bad]
-        # Each record holds its own error, built fresh from the remembered refusal.
-        assert view._paths[0] is not view._paths[1]
-        assert str(view._paths[0]) == str(view._paths[1])
+        # Each record keeps the remembered refusal's type and message, no exception.
+        assert view._paths[0] == view._paths[1] == (error, view._paths[0][1])
+        with pytest.raises(error) as first:
+            list_files(view)
+        with pytest.raises(error) as second:
+            list_files(view)
+        assert first.value is not second.value and str(first.value) == str(second.value)
 
     def test_extract_never_reads_files_back(self, tmp_path, monkeypatch):
         reads = []

@@ -128,7 +128,7 @@ class TestLengthRule:
         (LONG_DIRECTORY, "n" * 200, None),
         (LONG_DIRECTORY, "n" * 201, "joined path of 4097 bytes is longer than PATH_MAX (4096)"),
     ])
-    def test_reading_and_packing_agree(self, directory, name, refusal):
+    def test_reading_and_packing_agree(self, directory, name, refusal, tmp_path):
         path = f"{directory}/{name}" if directory else name
         for call in (lambda: full_path(NameTable(f"{directory}\0{name}\0".encode()),
                                        FileRecord(0, len(directory) + 1, 0, 0, 0)),
@@ -140,8 +140,10 @@ class TestLengthRule:
                 with pytest.raises(UnsafePath) as raised:
                     call()
                 assert str(raised.value) == refusal
-        if refusal is None:
-            assert read_file(open_view(pack([(path, b"x")])), path) == b"x"
+        if refusal is None:  # and extraction writes what packing took, under any output directory
+            view = open_view(pack([(path, b"x")]))
+            assert read_file(view, path) == b"x"
+            assert extract_all(view, tmp_path / "out").written == 1
 
 
 class TestOneCheckPerString:

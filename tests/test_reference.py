@@ -76,7 +76,8 @@ def outcome(read):
 
 
 def joined(paths):
-    return [p if isinstance(p, str) else (type(p), str(p)) for p in paths]
+    """Paths, with each naming error, raised or kept as a view keeps it, as its type and message."""
+    return [(type(p), str(p)) if isinstance(p, MiniFsError) else p for p in paths]
 
 
 def unchecked_joins(names, records):
