@@ -21,8 +21,9 @@ declared chunk bytes in flight plus each running decoder's dictionary.
 Opening a view keeps both tables as arrays (:class:`structs.RecordTable`)
 and validates them with array operations, building no per-record
 object.  Paths are joined once per view, on the first listing or
-extraction.  A lookup by path joins no path: the view's first one builds
-a :class:`structs.PathIndex` from the arrays, and each one hashes the
+extraction, from the same arrays (:func:`structs.join_paths`).  A lookup
+by path joins no path: the view's first one builds a
+:class:`structs.PathIndex` from the arrays, and each one hashes the
 path, compares the bytes of the records with its key and applies the
 path rule, once per path that some record matches.
 
@@ -150,13 +151,7 @@ class MiniFsView:
     @cached_property
     def _paths(self) -> list[str | tuple[type[MiniFsError], str]]:
         """Per record, its joined path or its naming error's type and message."""
-        paths: list[str | tuple[type[MiniFsError], str]] = []
-        for rec in self.files:
-            try:
-                paths.append(structs.full_path(self.names, rec))
-            except MiniFsError as exc:
-                paths.append((type(exc), str(exc)))
-        return paths
+        return structs.join_paths(self.names, self.files)
 
     @cached_property
     def _index(self) -> structs.PathIndex:
@@ -357,8 +352,9 @@ def _classify_one(name: str, content: bytes | memoryview) -> str:
     return _EXTENSION_CATEGORIES.get(ext, "binary")
 
 
-# O_NOFOLLOW (POSIX): opening a symlink fails, so no write follows one.
-_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW | os.O_CLOEXEC
+# O_NOFOLLOW (POSIX): opening a symlink fails, so no write follows one; with
+# O_NONBLOCK, opening a FIFO never waits for a reader.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC
 _DIRECTORY_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
 _OPEN_DIRECTORIES = 64  # directory descriptors an extraction keeps open besides its root's
 
@@ -401,13 +397,18 @@ def _open(root: str, parent: int, name: str, path: str, target: str,
     """``name`` below ``parent`` (``path`` below ``root``) opened for writing or,
     given the target's ``directory``, created if missing and opened as one.
 
-    A symlink raises UnsafePath; any other error names the path that
-    writing ``target`` by its absolute path would have failed on.
+    A symlink, or a FIFO, socket or device where a file goes, raises
+    UnsafePath; any other error names the path that writing ``target`` by
+    its absolute path would have failed on.
     """
     exists = None
     try:
         if directory is None:
-            return os.open(name, _WRITE_FLAGS, 0o666, dir_fd=parent)
+            fd = os.open(name, _WRITE_FLAGS, 0o666, dir_fd=parent)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                return fd
+            os.close(fd)  # a FIFO that has a reader, or a device: refused below
+            raise OSError(errno.ENXIO, os.strerror(errno.ENXIO))
         try:
             os.mkdir(name, dir_fd=parent)
         except FileExistsError as exc:
@@ -415,11 +416,13 @@ def _open(root: str, parent: int, name: str, path: str, target: str,
         return os.open(name, _DIRECTORY_FLAGS, dir_fd=parent)
     except OSError as exc:
         try:
-            link = stat.S_ISLNK(os.stat(name, dir_fd=parent, follow_symlinks=False).st_mode)
+            mode = os.stat(name, dir_fd=parent, follow_symlinks=False).st_mode
         except OSError:
-            link = False
-        if link:
+            mode = 0
+        if stat.S_ISLNK(mode):
             raise UnsafePath(f"{target!r}: {path!r} is a symlink") from None
+        if directory is None and mode and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise UnsafePath(f"{target!r}: {path!r} is not a regular file") from None
         if exists and exc.errno == errno.ENOTDIR:  # a file where a directory must go
             exc, path = exists if path == directory else NotADirectoryError(
                 errno.ENOTDIR, os.strerror(errno.ENOTDIR)), directory
@@ -460,8 +463,9 @@ def extract_all(view: MiniFsView, out_dir: str | os.PathLike) -> ExtractReport:
     written, however the view was opened; each such record and each chunk
     that fails to decode logs one debug record.  Files are written from
     their parent directory's descriptor, following no symlink: a file
-    whose path meets an existing symlink under ``out_dir`` fails with
-    UnsafePath (see :func:`_write_file`).
+    whose path meets an existing symlink under ``out_dir``, or that finds
+    a FIFO, socket or device at its own path, fails with UnsafePath (see
+    :func:`_write_file`).
 
     Duplicate joined paths never overwrite each other: later copies get
     the lowest ``.dupN`` suffix that no record's path or earlier copy uses.

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .codec import DEFAULT_OUTPUT_LIMIT, _map_in_order, compress_chunk
 from .errors import ArithmeticOverflow, FileTooLarge, NamePoolTooLarge, UnsafePath
-from .structs import ChunkRecord, FileRecord, MiniFsHeader, check_directory, check_joined, check_name
+from .structs import ChunkRecord, FileRecord, MiniFsHeader, check_directory, check_lengths, check_name
 
 DEFAULT_CHUNK_CAP = 0x60000
 
@@ -61,9 +61,9 @@ def build_name_pool(
 
     Each distinct string is stored once: directory strings first in
     first-use order, then file names, matching the layout seen in real
-    images.  Each distinct string is checked once against the path rule
-    extraction enforces, so a packed image can always be extracted.
-    Returns the pool plus per-entry (path_offset, name_offset).
+    images.  Each pair's lengths and each distinct string are checked once
+    against the path rule extraction enforces, so a packed image can always
+    be extracted.  Returns the pool plus per-entry (path_offset, name_offset).
     """
     offsets: dict[str, int] = {}
     pieces: list[bytes] = []
@@ -85,13 +85,13 @@ def build_name_pool(
     names: set[str] = set()
     pending = []
     for directory, name in paths:
+        check_lengths(len(directory), len(name))
         if name not in names:
             check_name(name)
             names.add(name)
         if directory not in directories:
             check_directory(directory)
             directories[directory] = intern(directory)
-        check_joined(directory, name)
         pending.append((directories[directory], name))
     pairs = [(path_offset, intern(name)) for path_offset, name in pending]
     return b"".join(pieces), pairs

@@ -19,14 +19,13 @@ dump, unpacks the header and reads each table as one array of 32-bit
 words (:class:`RecordTable`).  :func:`validate_layout` cross-checks what
 it returns with array operations, copying no string;
 :func:`screen_instance` finds some of those violations in O(1) with the
-decoder's own header checks and region arithmetic.  A
-:class:`PathIndex`, built the same way, finds the records that join to
-a path.
+decoder's own header checks and region arithmetic.  :func:`join_paths`
+names the records from the same arrays, and a :class:`PathIndex`, built
+the same way, finds the records that join to a path.
 
-Everything in this module is a pure function over immutable inputs; a
-:class:`NameTable` only remembers the strings and directory checks that
-path joins have already done.  A dump is ``bytes`` or a read-only
-``mmap`` of a dump file (:data:`Dump`).
+Everything in this module is a pure function over immutable inputs; only
+a :class:`PathIndex` remembers the records it found for a path.  A dump
+is ``bytes`` or a read-only ``mmap`` of a dump file (:data:`Dump`).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import mmap
 import struct
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -74,10 +73,7 @@ _U32_MAX = 0xFFFF_FFFF
 NAME_MAX = 255
 PATH_MAX = 4096
 
-# Deleting these from a name leaves only the bytes it may not contain.
-_PRINTABLE = bytes(range(0x20, 0x7F))
-
-# What name_at refuses in the string at an offset, in the order it checks.
+# What decoding refuses in the string at an offset, in the order it is checked.
 _GOOD, _OUTSIDE, _UNTERMINATED, _UNPRINTABLE = range(4)
 
 # A path's lookup key is its polynomial hash in base 256 modulo the
@@ -129,16 +125,9 @@ class MiniFsHeader:
 
 @dataclass(frozen=True)
 class NameTable:
-    """NUL-delimited ASCII string pool, addressed by byte offset.
-
-    Records share strings, so path joins remember the decoded string per
-    offset and the directory check per directory string
-    (:func:`full_path`).
-    """
+    """NUL-delimited ASCII string pool, addressed by byte offset."""
 
     pool: bytes
-    _strings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _directories: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.pool)
@@ -252,34 +241,24 @@ def _header_at(dump: Dump, base: int) -> MiniFsHeader:
     return MiniFsHeader(file_count, name_table_size, unknown_a, unknown_b, reserved)
 
 
-def name_at(table: NameTable, offset: int) -> str:
-    """Return the NUL-terminated ASCII string starting at ``offset``.
-
-    The empty string (a NUL at ``offset``) is valid: it is the path of
-    files living in the file-system root.
-    """
-    pool = table.pool
-    if not 0 <= offset < len(pool):
-        raise OffsetOutOfRange(f"name offset {offset} outside pool of {len(pool)} bytes")
-    end = pool.find(b"\x00", offset)
-    if end < 0:
-        raise _unterminated(offset)
-    raw = pool[offset:end]
-    if raw.translate(None, _PRINTABLE):
-        raise _unprintable(pool, offset + next(i for i, b in enumerate(raw) if not 0x20 <= b < 0x7F))
-    return raw.decode("ascii")
+def _string_error(pool: bytes, offset: int, stop: int, fault: int) -> MiniFsError:
+    """What decoding raises for the string at ``offset``; ``stop`` is its unprintable byte."""
+    if fault == _OUTSIDE:
+        return OffsetOutOfRange(f"name offset {offset} outside pool of {len(pool)} bytes")
+    if fault == _UNTERMINATED:
+        return UnterminatedString(f"no NUL terminator after offset {offset}")
+    return NonAsciiName(f"byte {pool[stop]:#04x} at pool offset {stop} is not printable ASCII")
 
 
-def _unterminated(offset: int) -> UnterminatedString:
-    return UnterminatedString(f"no NUL terminator after offset {offset}")
-
-
-def _unprintable(pool: bytes, at: int) -> NonAsciiName:
-    return NonAsciiName(f"byte {pool[at]:#04x} at pool offset {at} is not printable ASCII")
+def _string_ends(data: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Where the string at each start (int64, at most ``len(data)``) ends: at its NUL, else
+    at the pool's end.  Each column is searched alone: in table order, that is faster."""
+    nuls = np.append(np.flatnonzero(data == 0), len(data))
+    return np.stack([nuls[np.searchsorted(nuls, column)] for column in starts.T], axis=-1)
 
 
 def _string_faults(pool: bytes, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What :func:`name_at` refuses in the string at each offset (int64), and the byte it names.
+    """What decoding refuses in the string at each offset (int64), and the byte it names.
 
     The byte is the first one at or after the offset that is neither
     printable ASCII nor NUL; it is refused (``_UNPRINTABLE``) when no NUL
@@ -297,13 +276,19 @@ def _string_faults(pool: bytes, offsets: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.append(unprintable, len(data))[at], fault
 
 
-def check_name(name: str) -> None:
-    """The file-name half of the one path rule, shared by reading and packing.
+def check_lengths(directory_length: int, name_length: int) -> None:
+    """The path rule's first part: a name of at most NAME_MAX bytes, then
+    ``directory/name`` of at most PATH_MAX.  Raises UnsafePath."""
+    if name_length > NAME_MAX:
+        raise UnsafePath(f"file name of {name_length} bytes is longer than NAME_MAX ({NAME_MAX})")
+    length = directory_length + 1 + name_length if directory_length else name_length
+    if length > PATH_MAX:
+        raise UnsafePath(f"joined path of {length} bytes is longer than PATH_MAX ({PATH_MAX})")
 
-    The name must be printable ASCII, non-empty, at most NAME_MAX
-    bytes, hold no separator, and not be ``.`` or ``..``.  Raises
-    UnsafePath, or NonAsciiName.
-    """
+
+def check_name(name: str) -> None:
+    """The file-name part of the path rule: non-empty, no separator, not
+    ``.`` or ``..``, printable ASCII.  Raises UnsafePath, or NonAsciiName."""
     if not name:
         raise UnsafePath("empty file name")
     if "/" in name:
@@ -311,20 +296,10 @@ def check_name(name: str) -> None:
     if name in (".", ".."):
         raise UnsafePath(f"file name is {name!r}")
     _check_printable("file name", name)
-    if len(name) > NAME_MAX:
-        raise UnsafePath(f"file name of {len(name)} bytes is longer than NAME_MAX ({NAME_MAX})")
-
-
-def check_joined(directory: str, name: str) -> None:
-    """The path-length half of the rule: ``directory/name`` (``name``
-    at the root) is at most PATH_MAX bytes.  Raises UnsafePath."""
-    length = len(directory) + 1 + len(name) if directory else len(name)
-    if length > PATH_MAX:
-        raise UnsafePath(f"joined path of {length} bytes is longer than PATH_MAX ({PATH_MAX})")
 
 
 def check_directory(directory: str) -> None:
-    """The directory half of the path rule: printable ASCII, not absolute,
+    """The directory part of the path rule: printable ASCII, not absolute,
     no empty, ``.`` or ``..`` component, none longer than NAME_MAX; the
     empty string is the root.  An empty or ``.`` component would let two
     joined paths name one file."""
@@ -344,51 +319,74 @@ def check_directory(directory: str) -> None:
         raise UnsafePath(f"directory component of {longest} bytes is longer than NAME_MAX ({NAME_MAX})")
 
 
+def check_path(directory: str, name: str) -> None:
+    """The one path rule of reading and packing, lengths first, so no refusal quotes a long string."""
+    check_lengths(len(directory), len(name))
+    check_name(name)
+    check_directory(directory)
+
+
 def _check_printable(what: str, text: str) -> None:
     if not (text.isascii() and text.isprintable()):
         ch = next(ch for ch in text if not " " <= ch <= "~")
         raise NonAsciiName(f"{what} {text!r} contains non-printable byte {ord(ch):#04x}")
 
 
-def _remembered(memo: dict, key: int, compute, *args):
-    """``compute(*args)``, run once per ``key``; a refusal is remembered as
-    its type and message and raised afresh on each lookup, so threads never
-    share one exception.  Threads that miss together store equal results."""
-    if key not in memo:
-        try:
-            memo[key] = compute(*args)
-        except MiniFsError as exc:
-            memo[key] = (type(exc), str(exc))
-    found = memo[key]
-    if type(found) is tuple:
-        raise found[0](found[1])
-    return found
+def _refusal(check, *args) -> tuple[type[MiniFsError], str] | None:
+    """None if ``check(*args)`` passes, else the type and message of its refusal."""
+    try:
+        check(*args)
+    except MiniFsError as exc:
+        return type(exc), str(exc)
+    return None
 
 
-def _string_at(table: NameTable, offset: int) -> str:
-    return _remembered(table._strings, offset, name_at, table, offset)
+def join_paths(names: NameTable, files: Sequence[FileRecord]) -> list[str | tuple[type[MiniFsError], str]]:
+    """Per record, its directory string and file name joined into one path
+    (the name alone at the root), or its refusal's type and message.
 
+    Decoding refuses first, the directory string before the name, then
+    the path rule (:func:`check_path`), whose lengths are read from the
+    string ends before any string is copied.  Each distinct string that
+    passes is decoded once and each distinct directory checked once.
+    """
+    pool = names.pool
+    offsets = np.asarray(files, np.int64).reshape(-1, 5)[:, :2]
+    stops, faults = _string_faults(pool, offsets)
+    data = np.frombuffer(pool, np.uint8)
+    ends = _string_ends(data, np.minimum(offsets, len(data)))
+    lengths = ends - offsets  # directory string, file name
+    refused = ((faults != _GOOD).any(axis=1) | (lengths[:, 1] > NAME_MAX)
+               | (lengths.sum(axis=1) + (lengths[:, 0] > 0) > PATH_MAX))
+    refusals = {}
+    for i in np.flatnonzero(refused).tolist():
+        bad = [(offset, stop, fault) for offset, stop, fault
+               in zip(offsets[i].tolist(), stops[i].tolist(), faults[i].tolist()) if fault != _GOOD]
+        error = _string_error(pool, *bad[0]) if bad else None
+        refusals[i] = (type(error), str(error)) if error else _refusal(check_lengths, *lengths[i].tolist())
+    kept = ~refused
+    spans = dict(zip(offsets[kept].ravel().tolist(), ends[kept].ravel().tolist()))
+    strings = {start: pool[start:end].decode("ascii") for start, end in spans.items()}
 
-def _check_pair(table: NameTable, directory: str, name: str) -> None:
-    """The whole path rule for a directory string and a file name; each
-    directory string is checked once per table, refusals remembered."""
-    check_name(name)
-    _remembered(table._directories, directory, check_directory, directory)
-    check_joined(directory, name)
+    checked: dict[str, tuple[type[MiniFsError], str] | None] = {}  # directory -> its refusal
+    paths: list[str | tuple[type[MiniFsError], str]] = []
+    for i, (path_offset, name_offset) in enumerate(offsets.tolist()):
+        refusal = refusals.get(i)
+        if refusal is None:
+            directory, name = strings[path_offset], strings[name_offset]
+            refusal = _refusal(check_name, name)
+            if refusal is None and directory not in checked:
+                checked[directory] = _refusal(check_directory, directory)
+        paths.append(refusal or checked[directory] or (f"{directory}/{name}" if directory else name))
+    return paths
 
 
 def full_path(table: NameTable, record: FileRecord) -> str:
-    """Join a record's directory string and file name into one path.
-
-    An empty directory string means the file sits in the root and the
-    name is returned alone.  The pair must pass the path rule, so nothing
-    joined here can climb out of an extraction root.  Each offset is
-    decoded, and each directory checked, once per table.
-    """
-    directory = _string_at(table, record.path_offset)
-    name = _string_at(table, record.name_offset)
-    _check_pair(table, directory, name)
-    return f"{directory}/{name}" if directory else name
+    """One record's :func:`join_paths`: its joined path, or its refusal raised."""
+    path = join_paths(table, [record])[0]
+    if isinstance(path, tuple):
+        raise path[0](path[1])
+    return path
 
 
 def _string_key(text: bytes) -> int:
@@ -396,7 +394,7 @@ def _string_key(text: bytes) -> int:
 
 
 def _path_keys(pool: bytes, offsets: np.ndarray) -> np.ndarray:
-    """Per record, :func:`_string_key` of the path :func:`full_path` would join.
+    """Per record, :func:`_string_key` of the path :func:`join_paths` would join.
 
     ``offsets`` holds each record's directory-string and file-name
     offsets (int64); each string runs to the next NUL or the pool's end.
@@ -405,9 +403,8 @@ def _path_keys(pool: bytes, offsets: np.ndarray) -> np.ndarray:
     root) would.
     """
     data = np.frombuffer(pool, np.uint8)
-    nuls = np.append(np.flatnonzero(data == 0), len(data))
     starts = np.minimum(offsets, len(data))
-    ends = np.stack([nuls[np.searchsorted(nuls, column)] for column in starts.T], axis=-1)
+    ends = _string_ends(data, starts)
     prefix = np.zeros(len(data) + 1, np.uint64)  # in place: each pool-length buffer costs its page faults
     terms = prefix[1:]
     np.multiply(data, np.tile(_POWERS, len(data) // 31 + 1)[:len(data)], out=terms, dtype=np.uint64)
@@ -442,7 +439,7 @@ class PathIndex:
         self._found: dict[str, list[int]] = {}  # path -> its matches, once some record's bytes match
 
     def find(self, path: str) -> list[int]:
-        """Indices, in table order, of the records that join to ``path`` as :func:`full_path` does."""
+        """Indices, in table order, of the records that join to ``path`` as :func:`join_paths` does."""
         found = self._found.get(path)
         if found is not None:
             return found
@@ -460,7 +457,7 @@ class PathIndex:
             k += 1
         if found:
             try:
-                _check_pair(self._names, directory, name)
+                check_path(directory, name)
             except MiniFsError:
                 found = []
             self._found[path] = found
@@ -601,7 +598,7 @@ def validate_layout(
     continue best-effort (force mode).  Every check runs over whole
     columns, and a :class:`Violation` is built only for a flagged record
     or chunk, in table order.  No string is decoded; path *safety* is
-    checked when paths are joined (:func:`full_path`).
+    checked when paths are joined (:func:`join_paths`).
     """
     files = np.asarray(records, np.int64).reshape(-1, 5)
     table = np.asarray(chunks, np.int64).reshape(-1, 3)
@@ -621,8 +618,7 @@ def validate_layout(
             if code == _OUTSIDE:
                 add(_outside_pool(what, off, len(pool), i))
             elif code != _GOOD:
-                refusal = _unterminated(off) if code == _UNTERMINATED else _unprintable(pool, at)
-                add(Violation("bad-name", f"{what} string: {refusal}", index=i))
+                add(Violation("bad-name", f"{what} string: {_string_error(pool, off, at, code)}", index=i))
         if missing[i]:
             add(_chunk_index(index, count, i))
         elif overrun[i]:

@@ -22,6 +22,7 @@ from minifskit.errors import (
     MiniFsError,
     NonAsciiName,
     NotFound,
+    OffsetOutOfRange,
     SizeMismatch,
     TruncatedTable,
     UnknownConfigWord,
@@ -36,9 +37,7 @@ from minifskit.structs import (
     FsLayout,
     MiniFsHeader,
     Violation,
-    check_directory,
-    check_name,
-    name_at,
+    check_path,
 )
 
 # Three files across two chunks: the middle-of-the-road instance most
@@ -155,7 +154,24 @@ def read_tree(root) -> dict[str, bytes]:
 # --- Reference reader: the dataclass records, per-record validation and
 # one-join-per-record path index that the columnless reader replaced.  The
 # equivalence tests hold the current code to it.  It decodes every string
-# with ``name_at`` and remembers nothing.
+# with its own scalar ``name_at`` and remembers nothing.
+
+def name_at(names, offset: int) -> str:
+    """The string at ``offset`` of ``names.pool``, up to its NUL, checked one byte at a time.
+
+    The empty string (a NUL at ``offset``) is the path of the root.
+    """
+    pool = names.pool
+    if not 0 <= offset < len(pool):
+        raise OffsetOutOfRange(f"name offset {offset} outside pool of {len(pool)} bytes")
+    end = pool.find(b"\x00", offset)
+    if end < 0:
+        raise UnterminatedString(f"no NUL terminator after offset {offset}")
+    for at in range(offset, end):
+        if not 0x20 <= pool[at] < 0x7F:
+            raise NonAsciiName(f"byte {pool[at]:#04x} at pool offset {at} is not printable ASCII")
+    return pool[offset:end].decode("ascii")
+
 
 @dataclass(frozen=True)
 class RefFileRecord:
@@ -250,8 +266,7 @@ def ref_validate_layout(layout, names, records, chunks, image_length) -> list[Vi
 def ref_full_path(names, record) -> str:
     directory = name_at(names, record.path_offset)
     name = name_at(names, record.name_offset)
-    check_name(name)
-    check_directory(directory)
+    check_path(directory, name)
     return f"{directory}/{name}" if directory else name
 
 

@@ -41,7 +41,7 @@ from minifskit.structs import (
     FileRecord,
     NameTable,
     full_path,
-    name_at,
+    join_paths,
     parse_instance,
 )
 from minifskit.cli import EXIT_INVALID, main
@@ -82,8 +82,7 @@ def test_criterion_03_record_decoding():
 
 def test_criterion_04_name_join():
     table = NameTable(b"fw/mtk\x00base.css\x00")
-    assert name_at(table, 0) == "fw/mtk"
-    assert name_at(table, 7) == "base.css"
+    assert join_paths(table, [FileRecord(0, 7, 0, 0, 0)]) == ["fw/mtk/base.css"]
     assert full_path(table, FileRecord(0, 7, 0, 0, 0)) == "fw/mtk/base.css"
     ok(4, 'pool offsets (0,7) join to "fw/mtk/base.css"')
 

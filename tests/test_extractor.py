@@ -4,6 +4,7 @@ import logging
 import lzma
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -57,6 +58,12 @@ from helpers import (
     ref_decompress_chunk,
     shared_stream_dump,
 )
+
+
+def source_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for a child Python."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def build_image_with_names(dir_bytes: bytes, name_bytes: bytes) -> bytes:
@@ -389,12 +396,10 @@ class TestSymlinkGuard:
         out.mkdir()
         (out / "loop1").symlink_to("loop1")
         (out / "a.txt").symlink_to("a.txt")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-m", "minifskit.cli", "extract", "--format", "machine",
              str(image), str(out)],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=source_env(), timeout=60,
         )
         assert result.returncode == EXIT_INVALID
         assert "Traceback" not in result.stderr
@@ -407,6 +412,36 @@ class TestSymlinkGuard:
             assert report[f"file.{index}.error"] == f"UnsafePath: {path!r}: {link!r} is a symlink"
         assert report["file.3.status"] == "ok"
         assert (out / "ok.txt").read_bytes() == b"ok"
+
+
+class TestSpecialFiles:
+    @pytest.mark.parametrize("reader", [False, True])
+    def test_a_fifo_at_a_records_path_fails_that_record(self, tmp_path, reader):
+        """Opening a FIFO to write waits for a reader unless it is opened
+        non-blocking; with or without one, its record fails alone."""
+        image = tmp_path / "img"
+        image.write_bytes(pack([("a.txt", b"x"), ("b.txt", b"y")]))
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / "a.txt")
+        held = os.open(out / "a.txt", os.O_RDONLY | os.O_NONBLOCK) if reader else None
+        script = ("import sys; from minifskit import extract_all, open_view; "
+                  "print(extract_all(open_view(open(sys.argv[1], 'rb').read()), sys.argv[2])"
+                  ".to_machine(), end='')")
+        try:
+            result = subprocess.run([sys.executable, "-c", script, str(image), str(out)],
+                                    capture_output=True, text=True, env=source_env(), timeout=60)
+            if reader:
+                assert os.read(held, 16) == b""  # nothing was written into it
+        finally:
+            if held is not None:
+                os.close(held)
+        assert result.returncode == 0, result.stderr
+        report = dict(line.split("=", 1) for line in result.stdout.splitlines())
+        assert (report["written"], report["failed"]) == ("1", "1")
+        assert report["file.0.error"] == "UnsafePath: 'a.txt': 'a.txt' is not a regular file"
+        assert (out / "b.txt").read_bytes() == b"y"
+        assert stat.S_ISFIFO(os.lstat(out / "a.txt").st_mode)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
@@ -968,6 +1003,23 @@ class TestNamePoolMemory:
             read_file(view, "a" * tail + "/" + "a" * (tail - 10))
         assert read_file(view, 100) == b"x"
 
+    def test_listing_and_extraction_cost_memory_linear_in_the_dump(self, tmp_path):
+        dump = one_string_pool_dump()
+        bound = 16 * len(dump) + 512 * 6000  # per record: its refusal's type and message, its result
+        listed, extracted = open_view(dump), open_view(dump)
+
+        def listing() -> str:
+            with pytest.raises(UnsafePath) as raised:
+                list_files(listed)
+            return str(raised.value)
+
+        message, _, peak = traced(listing)
+        assert message == "file record 0: file name of 131061 bytes is longer than NAME_MAX (255)"
+        assert peak <= bound
+        report, _, peak = traced(lambda: extract_all(extracted, tmp_path / "out"))
+        assert report.failed == 6000
+        assert peak <= bound
+
     def test_open_view_retains_little_per_record(self):
         records, names = 200_000, 1000
         pool = b"\x00" + b"".join(b"name%04d\x00" % i for i in range(names))  # "" is the root
@@ -1024,16 +1076,19 @@ class TestOneIndexPerView:
         entries = [(f"dir{i % 10}/file{i}.txt", b"content %d" % i) for i in range(200)]
         view = open_view(pack(entries))
         calls = []
-        real = structs.full_path
+        real = structs.join_paths
 
-        def counting(names, record):
-            calls.append(record)
-            return real(names, record)
+        def counting(names, files):
+            calls.append(len(files))
+            return real(names, files)
 
-        monkeypatch.setattr(structs, "full_path", counting)
+        monkeypatch.setattr(structs, "join_paths", counting)
         for path, content in entries[::4]:
             assert read_file(view, path) == content
-        assert len(calls) <= 200
+        assert calls == []  # a lookup joins no path
+        list_files(view)
+        list_files(view)
+        assert calls == [200]  # a view's listings join each path once
 
     def test_listing_checks_each_directory_once(self, tmp_path, monkeypatch):
         entries = [(f"dir{i % 10}/file{i}.txt", b"content %d" % i) for i in range(200)]
@@ -1047,10 +1102,9 @@ class TestOneIndexPerView:
 
         monkeypatch.setattr(structs, "check_directory", counting)
         list_files(view)
-        for path, content in entries[::4]:
-            assert read_file(view, path) == content
-        assert extract_all(view, tmp_path / "out").written == 200
         assert sorted(checked) == [f"dir{i}" for i in range(10)]
+        assert extract_all(view, tmp_path / "out").written == 200  # on the listing's joins
+        assert len(checked) == 10
 
     def test_extract_resolves_and_creates_each_directory_once(self, tmp_path, monkeypatch):
         files, dirs = 120, 6
@@ -1081,7 +1135,7 @@ class TestOneIndexPerView:
         ("outside", OffsetOutOfRange),
         ("non-ascii", NonAsciiName),
     ])
-    def test_shared_bad_offset_decoded_once(self, tmp_path, monkeypatch, damage, error):
+    def test_shared_bad_offset_decoded_once(self, tmp_path, damage, error):
         image = bytearray(pack([(f"d/f{i}", b"x") for i in range(50)]))
         layout = open_view(bytes(image)).layout
         pool = image[layout.names_start:layout.files_start]
@@ -1096,14 +1150,6 @@ class TestOneIndexPerView:
         for i in range(50):  # every record's directory and name point at it
             at = layout.files_start + 20 * i
             image[at:at + 8] = bad.to_bytes(4, "big") * 2
-        decoded = []
-        real = structs.name_at
-
-        def counting(table, offset):
-            decoded.append(offset)
-            return real(table, offset)
-
-        monkeypatch.setattr(structs, "name_at", counting)
         view = open_view(bytes(image), force=True)
         with pytest.raises(error):
             list_files(view)
@@ -1111,8 +1157,7 @@ class TestOneIndexPerView:
             read_file(view, "d/f0")
         report = extract_all(view, tmp_path / "out")
         assert report.failed == 50
-        assert decoded == [bad]
-        # Each record keeps the remembered refusal's type and message, no exception.
+        # Each record keeps the refusal's type and message, no exception.
         assert view._paths[0] == view._paths[1] == (error, view._paths[0][1])
         with pytest.raises(error) as first:
             list_files(view)

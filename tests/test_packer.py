@@ -25,9 +25,8 @@ from minifskit.structs import (
     FileRecord,
     NameTable,
     full_path,
-    name_at,
 )
-from helpers import THREE_FILE_ENTRIES, read_tree, region_layout, write_tree
+from helpers import THREE_FILE_ENTRIES, name_at, read_tree, region_layout, write_tree
 
 
 class TestBuildNamePool:
@@ -127,6 +126,8 @@ class TestLengthRule:
         ("a/" + "d" * 256, "n", "directory component of 256 bytes is longer than NAME_MAX (255)"),
         (LONG_DIRECTORY, "n" * 200, None),
         (LONG_DIRECTORY, "n" * 201, "joined path of 4097 bytes is longer than PATH_MAX (4096)"),
+        # Lengths come first: this directory's ".." is not reached.
+        ("../" + LONG_DIRECTORY[3:], "n" * 201, "joined path of 4097 bytes is longer than PATH_MAX (4096)"),
     ])
     def test_reading_and_packing_agree(self, directory, name, refusal, tmp_path):
         path = f"{directory}/{name}" if directory else name

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from minifskit import MiniFsHeader, compress_chunk, open_view, read_file
 from minifskit.codec import DEFAULT_OUTPUT_LIMIT, STREAM_HEADER_SIZE
 from minifskit.errors import MiniFsError
-from minifskit.structs import ChunkRecord, FileRecord, NameTable, name_at
-from helpers import ref_index, ref_parse_file_table, ref_paths, ref_select, ref_validate_layout
+from minifskit.structs import ChunkRecord, FileRecord, NameTable
+from helpers import (
+    name_at, ref_index, ref_parse_file_table, ref_paths, ref_select, ref_validate_layout)
 
 CONTENTS = [bytes([0x41 + k]) * (24 + 8 * k) for k in range(3)]
 BLOBS = [compress_chunk(content) for content in CONTENTS]

@@ -16,7 +16,6 @@ from minifskit.structs import (
     _path_keys,
     _string_key,
     full_path,
-    name_at,
     parse_instance,
     screen_instance,
     tables_end,
@@ -32,7 +31,7 @@ from minifskit.errors import (
     UnsafePath,
     UnterminatedString,
 )
-from helpers import build_three_file_image, observed_instance, region_layout
+from helpers import build_three_file_image, name_at, observed_instance, region_layout
 
 u32 = st.integers(min_value=0, max_value=0xFFFF_FFFF)
 
@@ -166,6 +165,8 @@ class TestHeader:
 
 
 class TestNameTable:
+    """The reference reader's scalar decoder, which ``test_reference`` holds ``join_paths`` to."""
+
     POOL = NameTable(b"fw/mtk\x00base.css\x00")
 
     def test_path_string(self):
