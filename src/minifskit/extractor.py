@@ -18,14 +18,17 @@ verify`` decodes the same way.  Such decodes run on one thread per
 available CPU, never more threads than chunks, with at most 64 MiB of
 declared chunk bytes in flight plus each running decoder's dictionary.
 
-Opening a view keeps both tables as arrays (:class:`structs.RecordTable`)
-and validates them with array operations, building no per-record
-object.  Paths are joined once per view, on the first listing or
-extraction, from the same arrays (:func:`structs.join_paths`).  A lookup
-by path joins no path: the view's first one builds a
-:class:`structs.PathIndex` from the arrays, and each one hashes the
-path, compares the bytes of the records with its key and applies the
-path rule, once per path that some record matches.
+Opening a view keeps the name pool as ``bytes`` and both tables as
+arrays (:class:`structs.RecordTable`), and validates them with array
+operations, building no per-record object.  Paths are joined once per
+view, on the first listing or extraction, from the same arrays
+(:func:`structs.join_paths`).  Extraction orders its writes by chunk,
+then by offset in the chunk, with one stable ``np.lexsort`` of the
+table's columns, so records that tie keep table order.  A lookup by path
+joins no path: the view's first one builds a :class:`structs.PathIndex`
+from the arrays, and each one hashes the path, compares the bytes of the
+records with its key and applies the path rule, once per path that some
+record matches.
 
 Whether to go on past table violations is decided once, when the view
 is opened (``force``); after that each damaged record fails alone, in a
@@ -42,8 +45,11 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import codec, structs
 from .codec import Version, _map_in_order, check_config_word, decompress_chunk
@@ -67,15 +73,16 @@ class MiniFsView:
     """A parsed instance inside (or equal to) a dump.
 
     ``violations`` is empty unless the view was opened in force mode.
-    ``source`` is the whole dump, ``bytes`` or a read-only ``mmap``
-    (:data:`structs.Dump`).  Decoders read compressed chunks from
-    ``source`` in place; only :meth:`compressed_chunk` copies one out.
+    ``names`` is the name pool's bytes.  ``source`` is the whole dump,
+    ``bytes`` or a read-only ``mmap`` (:data:`structs.Dump`).  Decoders
+    read compressed chunks from ``source`` in place; only
+    :meth:`compressed_chunk` copies one out.
     """
 
     source: structs.Dump
     header: structs.MiniFsHeader
     layout: structs.FsLayout
-    names: structs.NameTable
+    names: bytes
     files: structs.RecordTable
     chunks: structs.RecordTable
     violations: list[structs.Violation] = field(default_factory=list)
@@ -227,16 +234,12 @@ def list_files(view: MiniFsView) -> list[FileEntry]:
     return [_entry(i, path, rec) for i, (path, rec) in enumerate(zip(view._paths, view.files))]
 
 
-def _slice_entry(
-    data: bytes | memoryview, entry: FileEntry | structs.FileRecord
-) -> bytes | memoryview:
-    end = entry.offset_in_chunk + entry.file_size
+def _span(data: bytes | memoryview, start: int, size: int) -> bytes | memoryview:
+    """The ``size`` bytes of decoded chunk ``data`` from ``start``; OffsetOutOfRange past its end."""
+    end = start + size
     if end > len(data):
-        raise OffsetOutOfRange(
-            f"file spans bytes {entry.offset_in_chunk}..{end} of a "
-            f"{len(data)}-byte chunk"
-        )
-    return data[entry.offset_in_chunk:end]
+        raise OffsetOutOfRange(f"file spans bytes {start}..{end} of a {len(data)}-byte chunk")
+    return data[start:end]
 
 
 def _record_chunk(view: MiniFsView, index: int) -> int:
@@ -274,7 +277,8 @@ def read_file(view: MiniFsView, selector: int | str) -> bytes:
     end = record.offset_in_chunk + record.file_size
     if end <= view.chunks[chunk].decompressed_size:
         return view._chunk_bytes(chunk, record.offset_in_chunk, end)
-    return _slice_entry(view.chunk_data(chunk), record)  # the chunk's error, else OffsetOutOfRange
+    # Raises the chunk's error, else OffsetOutOfRange.
+    return _span(view.chunk_data(chunk), record.offset_in_chunk, record.file_size)
 
 
 @dataclass
@@ -353,9 +357,10 @@ def _classify_one(name: str, content: bytes | memoryview) -> str:
 
 
 # O_NOFOLLOW (POSIX): opening a symlink fails, so no write follows one; with
-# O_NONBLOCK, opening a FIFO never waits for a reader.
+# O_NONBLOCK, opening a FIFO never waits for a reader.  O_PATH (Linux) opens a
+# directory without read permission; with O_DIRECTORY it still refuses a symlink.
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC
-_DIRECTORY_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
+_DIRECTORY_FLAGS = getattr(os, "O_PATH", os.O_RDONLY) | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
 _OPEN_DIRECTORIES = 64  # directory descriptors an extraction keeps open besides its root's
 
 
@@ -474,23 +479,20 @@ def extract_all(view: MiniFsView, out_dir: str | os.PathLike) -> ExtractReport:
     Path(out_root).mkdir(parents=True, exist_ok=True)
 
     warnings: list[str] = []
-    results: dict[int, FileResult] = {}
-    entries: list[FileEntry] = []
-    for i, (path, rec) in enumerate(zip(view._paths, view.files)):
+    paths = view._paths
+    table = view.files.array
+    chunk_of, start_of, size_of = (table[:, column].tolist() for column in (2, 3, 4))
+    results: list[FileResult | None] = [None] * len(paths)
+    for i, path in enumerate(paths):
         if isinstance(path, tuple):
             _log.debug("file record %d failed: its name does not join: %s", i, path[1])
-            results[i] = FileResult(
-                index=i, path="", size=rec.file_size,
-                chunk_index=rec.chunk_index, status="failed",
-                error=f"{path[0].__name__}: {path[1]}",
-            )
-        else:
-            entries.append(_entry(i, path, rec))
-    groups: dict[int, list[FileEntry]] = {}  # chunk index -> its entries, in write order
-    for entry in sorted(entries, key=lambda e: (e.chunk_index, e.offset_in_chunk, e.index)):
-        groups.setdefault(entry.chunk_index, []).append(entry)
+            results[i] = FileResult(index=i, path="", size=size_of[i], chunk_index=chunk_of[i],
+                                    status="failed", error=f"{path[0].__name__}: {path[1]}")
+    # Write order: by chunk, then by offset in it; lexsort is stable, so ties keep table order.
+    kept = [i for i in np.lexsort((table[:, 3], table[:, 2])).tolist() if results[i] is None]
+    groups = {chunk: list(group) for chunk, group in groupby(kept, chunk_of.__getitem__)}
 
-    last_dup = {e.path: -1 for e in entries}  # path -> last .dupN given; 0: the path itself
+    last_dup = {paths[i]: -1 for i in kept}  # path -> last .dupN given; 0: the path itself
     categories: Counter = Counter()
     root = os.path.join(out_root, "")
     fds = {"": os.open(root, _DIRECTORY_FLAGS)}  # directory -> its open descriptor
@@ -499,38 +501,36 @@ def extract_all(view: MiniFsView, out_dir: str | os.PathLike) -> ExtractReport:
             failure = f"{type(data).__name__}: {data}" if isinstance(data, MiniFsError) else None
             if failure:
                 _log.debug("chunk %d failed to decode, failing its %d files: %s", index, len(group), failure)
-            for entry in group:
-                target = entry.path
-                bump = last_dup[target] + 1
-                while bump and f"{target}.dup{bump}" in last_dup:
+            for i in group:
+                path = target = paths[i]
+                bump = last_dup[path] + 1
+                while bump and f"{path}.dup{bump}" in last_dup:
                     bump += 1
-                last_dup[target] = bump
+                last_dup[path] = bump
                 if bump:
-                    target = f"{target}.dup{bump}"
-                    warnings.append(
-                        f"duplicate path {entry.path!r}; record {entry.index} written as {target!r}")
+                    target = f"{path}.dup{bump}"
+                    warnings.append(f"duplicate path {path!r}; record {i} written as {target!r}")
 
                 error = failure
                 if error is None:
                     try:
-                        content = _slice_entry(data, entry)
+                        content = _span(data, start_of[i], size_of[i])
                         dest = _write_file(root, fds, target, content)
                     except (MiniFsError, OSError) as exc:
                         error = f"{type(exc).__name__}: {exc}"
-                        _log.debug("file record %d failed to write %r: %s", entry.index, target, error)
+                        _log.debug("file record %d failed to write %r: %s", i, target, error)
                     else:
-                        categories[_classify_one(entry.path, content)] += 1
-                results[entry.index] = FileResult(
-                    index=entry.index, path=entry.path, size=entry.file_size,
-                    chunk_index=entry.chunk_index, status="failed" if error else "ok",
-                    error=error, written_to=None if error else dest,
+                        categories[_classify_one(path, content)] += 1
+                results[i] = FileResult(
+                    index=i, path=path, size=size_of[i], chunk_index=index,
+                    status="failed" if error else "ok", error=error, written_to=None if error else dest,
                 )
     finally:
         for fd in fds.values():
             os.close(fd)
 
     return ExtractReport(
-        results=[results[i] for i in sorted(results)],
+        results=results,
         out_dir=out_root,
         chunk_count=len(view.chunks),
         warnings=warnings,

@@ -15,13 +15,15 @@ verbatim so that decode/encode round-trips are byte-exact.  The format
 stores no chunk count: it is the last file record's chunk index plus one.
 
 :func:`parse_instance` is the one decoder: it bounds every region by the
-dump, unpacks the header and reads each table as one array of 32-bit
-words (:class:`RecordTable`).  :func:`validate_layout` cross-checks what
-it returns with array operations, copying no string;
-:func:`screen_instance` finds some of those violations in O(1) with the
-decoder's own header checks and region arithmetic.  :func:`join_paths`
-names the records from the same arrays, and a :class:`PathIndex`, built
-the same way, finds the records that join to a path.
+dump, unpacks the header, keeps the name pool as ``bytes`` and reads
+each table as one array of 32-bit words (:class:`RecordTable`).
+:func:`validate_layout` cross-checks what it returns with array
+operations, copying no string; :func:`screen_instance` finds some of
+those violations in O(1) with the decoder's own header checks and region
+arithmetic.  :func:`join_paths` names the records from the same arrays,
+and a :class:`PathIndex`, built the same way, finds the records that
+join to a path.  All three read the strings at the records' offsets
+with one scan of the pool (:func:`_strings`).
 
 Everything in this module is a pure function over immutable inputs; only
 a :class:`PathIndex` remembers the records it found for a path.  A dump
@@ -121,16 +123,6 @@ class MiniFsHeader:
             _check_u32(self.unknown_b, "unknown_b"),
             _check_u32(self.name_table_size, "name_table_size"),
         )
-
-
-@dataclass(frozen=True)
-class NameTable:
-    """NUL-delimited ASCII string pool, addressed by byte offset."""
-
-    pool: bytes
-
-    def __len__(self) -> int:
-        return len(self.pool)
 
 
 class FileRecord(NamedTuple):
@@ -250,30 +242,29 @@ def _string_error(pool: bytes, offset: int, stop: int, fault: int) -> MiniFsErro
     return NonAsciiName(f"byte {pool[stop]:#04x} at pool offset {stop} is not printable ASCII")
 
 
-def _string_ends(data: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Where the string at each start (int64, at most ``len(data)``) ends: at its NUL, else
-    at the pool's end.  Each column is searched alone: in table order, that is faster."""
-    nuls = np.append(np.flatnonzero(data == 0), len(data))
-    return np.stack([nuls[np.searchsorted(nuls, column)] for column in starts.T], axis=-1)
+def _strings(pool: bytes, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per offset (int64, any shape): where its string ends, its stop, and
+    what decoding refuses in it (``_GOOD``: nothing).
 
-
-def _string_faults(pool: bytes, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What decoding refuses in the string at each offset (int64), and the byte it names.
-
-    The byte is the first one at or after the offset that is neither
-    printable ASCII nor NUL; it is refused (``_UNPRINTABLE``) when no NUL
-    comes before it.  Array operations only; no string is copied.
+    The end is the first NUL at or after the offset, the stop the first
+    byte there that is NUL or not printable ASCII; each is the pool's
+    length when there is none.  Refused, in this order: an offset outside
+    the pool, a string that ends at the pool's end, a stop before the end
+    (the byte decoding names).  One scan finds those bytes, and the
+    distinct offsets are searched among them in ascending order; no
+    string is copied.
     """
     data = np.frombuffer(pool, np.uint8)
-    unprintable = np.flatnonzero((data < 0x20) & (data != 0) | (data > 0x7E))
-    nuls = np.flatnonzero(data == 0)
-    # Per such byte, the NUL before it (-1: none); a string starting after that NUL holds the byte.
-    nul_before = np.append(-1, nuls)[np.searchsorted(nuls, unprintable)]
-    at = np.searchsorted(unprintable, offsets)
-    fault = np.select([offsets >= len(data), offsets > pool.rfind(b"\x00"),
-                       np.append(nul_before, len(data))[at] < offsets],
-                      [_OUTSIDE, _UNTERMINATED, _UNPRINTABLE], _GOOD)
-    return np.append(unprintable, len(data))[at], fault
+    special = np.append(np.flatnonzero((data < 0x20) | (data > 0x7E)), len(data))
+    nul = np.append(data[special[:-1]] == 0, True)  # the pool's end ends a string too
+    next_nul = special[nul][np.cumsum(nul) - nul]  # per such byte, the first NUL at or after it
+    distinct, inverse = np.unique(offsets, return_inverse=True)
+    first = np.searchsorted(special, np.minimum(distinct, len(data)))
+    ends, stops = next_nul[first], special[first]
+    faults = np.select([(distinct < 0) | (distinct >= len(data)), ends == len(data), stops < ends],
+                       [_OUTSIDE, _UNTERMINATED, _UNPRINTABLE], _GOOD)
+    inverse = inverse.reshape(np.shape(offsets))
+    return ends[inverse], stops[inverse], faults[inverse]
 
 
 def check_lengths(directory_length: int, name_length: int) -> None:
@@ -341,7 +332,7 @@ def _refusal(check, *args) -> tuple[type[MiniFsError], str] | None:
     return None
 
 
-def join_paths(names: NameTable, files: Sequence[FileRecord]) -> list[str | tuple[type[MiniFsError], str]]:
+def join_paths(pool: bytes, files: Sequence[FileRecord]) -> list[str | tuple[type[MiniFsError], str]]:
     """Per record, its directory string and file name joined into one path
     (the name alone at the root), or its refusal's type and message.
 
@@ -350,11 +341,8 @@ def join_paths(names: NameTable, files: Sequence[FileRecord]) -> list[str | tupl
     string ends before any string is copied.  Each distinct string that
     passes is decoded once and each distinct directory checked once.
     """
-    pool = names.pool
     offsets = np.asarray(files, np.int64).reshape(-1, 5)[:, :2]
-    stops, faults = _string_faults(pool, offsets)
-    data = np.frombuffer(pool, np.uint8)
-    ends = _string_ends(data, np.minimum(offsets, len(data)))
+    ends, stops, faults = _strings(pool, offsets)
     lengths = ends - offsets  # directory string, file name
     refused = ((faults != _GOOD).any(axis=1) | (lengths[:, 1] > NAME_MAX)
                | (lengths.sum(axis=1) + (lengths[:, 0] > 0) > PATH_MAX))
@@ -381,14 +369,6 @@ def join_paths(names: NameTable, files: Sequence[FileRecord]) -> list[str | tupl
     return paths
 
 
-def full_path(table: NameTable, record: FileRecord) -> str:
-    """One record's :func:`join_paths`: its joined path, or its refusal raised."""
-    path = join_paths(table, [record])[0]
-    if isinstance(path, tuple):
-        raise path[0](path[1])
-    return path
-
-
 def _string_key(text: bytes) -> int:
     return int.from_bytes(text, "little") % _PRIME
 
@@ -404,7 +384,7 @@ def _path_keys(pool: bytes, offsets: np.ndarray) -> np.ndarray:
     """
     data = np.frombuffer(pool, np.uint8)
     starts = np.minimum(offsets, len(data))
-    ends = _string_ends(data, starts)
+    ends = _strings(pool, offsets)[0]
     prefix = np.zeros(len(data) + 1, np.uint64)  # in place: each pool-length buffer costs its page faults
     terms = prefix[1:]
     np.multiply(data, np.tile(_POWERS, len(data) // 31 + 1)[:len(data)], out=terms, dtype=np.uint64)
@@ -427,11 +407,11 @@ class PathIndex:
     per path.
     """
 
-    def __init__(self, names: NameTable, files: Sequence[FileRecord]) -> None:
+    def __init__(self, pool: bytes, files: Sequence[FileRecord]) -> None:
         offsets = np.asarray(files, np.int64).reshape(-1, 5)[:, :2]
-        keys = _path_keys(names.pool, offsets)
+        keys = _path_keys(pool, offsets)
         order = np.argsort(keys, kind="stable")  # equal keys keep table order
-        self._names = names
+        self._pool = pool
         # Memoryviews over the sorted columns: a lookup makes no NumPy call.
         self._keys, self._records, self._path_offsets, self._name_offsets = (
             memoryview(np.ascontiguousarray(column))
@@ -448,7 +428,7 @@ class PathIndex:
             return []  # "/name" is no record's join; the rule refuses other non-ASCII paths
         keys, key = self._keys, _string_key(path.encode())
         pool, wanted_directory, wanted_name = (
-            self._names.pool, directory.encode() + b"\x00", name.encode() + b"\x00")
+            self._pool, directory.encode() + b"\x00", name.encode() + b"\x00")
         found, k = [], bisect_left(keys, key)
         while k < len(keys) and keys[k] == key:
             if (pool.startswith(wanted_directory, self._path_offsets[k])
@@ -483,8 +463,8 @@ def tables_end(data: np.ndarray, bases: np.ndarray) -> np.ndarray:
 
 def parse_instance(
     dump: Dump, base: int = 0
-) -> tuple[MiniFsHeader, FsLayout, NameTable, RecordTable, RecordTable]:
-    """Parse the header, name pool and both tables of the instance at ``base``.
+) -> tuple[MiniFsHeader, FsLayout, bytes, RecordTable, RecordTable]:
+    """Parse the header, name pool (``bytes``) and both tables of the instance at ``base``.
 
     Checks only that every region lies inside ``dump``; the cross-checks
     are :func:`validate_layout`'s job.  Raises BadMagic, TruncatedImage
@@ -493,7 +473,7 @@ def parse_instance(
     """
     header = _header_at(dump, base)
     layout = _layout_at(dump, header, base)
-    return (header, layout, NameTable(dump[layout.names_start:layout.files_start]),
+    return (header, layout, dump[layout.names_start:layout.files_start],
             RecordTable(FileRecord, dump[layout.files_start:layout.chunk_table_start]),
             RecordTable(ChunkRecord, dump[layout.chunk_table_start:layout.data_start]))
 
@@ -580,7 +560,7 @@ def _chunk_violations(
 
 def validate_layout(
     layout: FsLayout,
-    names: NameTable,
+    pool: bytes,
     records: Sequence[FileRecord],
     chunks: Sequence[ChunkRecord],
     image_length: int,
@@ -602,8 +582,8 @@ def validate_layout(
     """
     files = np.asarray(records, np.int64).reshape(-1, 5)
     table = np.asarray(chunks, np.int64).reshape(-1, 3)
-    pool, count = names.pool, len(table)
-    stop, fault = _string_faults(pool, files[:, :2])
+    count = len(table)
+    _, stop, fault = _strings(pool, files[:, :2])
     chunk_index = files[:, 2]
     missing = chunk_index >= count
     overrun = ~missing & (files[:, 3] + files[:, 4]

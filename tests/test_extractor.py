@@ -354,6 +354,88 @@ class TestWriteErrorText:
             "d/x": b"1", "d/x.dup2": b"22", "d/x.dup1": b"333", "d/x.dup3": b"4444"}
 
 
+class TestWriteOrder:
+    """Extraction writes by chunk, then by offset, ties in table order; the
+    copies of a path take their suffixes in that order, not in table order."""
+
+    def test_suffixes_follow_the_write_order(self, tmp_path):
+        pool = b"d\x00a.txt\x00a.txt.dup1\x00"  # "d" 0, "a.txt" 2, "" 7, "a.txt.dup1" 8, "" 18
+        records = [FileRecord(0, 2, 1, 4, 2),    # d/a.txt, chunk 1 before chunk 0
+                   FileRecord(0, 2, 0, 0, 3),    # d/a.txt, written first
+                   FileRecord(0, 8, 1, 0, 4),    # d/a.txt.dup1, a record's own path
+                   FileRecord(0, 2, 1, 0, 4),    # d/a.txt, the same (chunk, offset) as record 2
+                   FileRecord(0, 2, 0, 0, 3),    # d/a.txt, the same (chunk, offset) as record 1
+                   FileRecord(0, 7, 0, 5, 1),    # an empty name: fails, in its table place
+                   FileRecord(0, 2, 0, 6, 2),    # d/a.txt, written before record 0
+                   FileRecord(18, 2, 1, 8, 2)]   # a.txt at the root; the last record sets 2 chunks
+        contents = [b"0123456789", b"abcdefghij"]
+        streams = [compress_chunk(content) for content in contents]
+        image = (MiniFsHeader(len(records), len(pool)).encode() + pool
+                 + b"".join(record.encode() for record in records)
+                 + ChunkRecord(0, len(streams[0]), 10).encode()
+                 + ChunkRecord(len(streams[0]), len(streams[1]), 10).encode() + b"".join(streams))
+        report = extract_all(open_view(image), tmp_path / "out")
+        assert [(r.index, r.path, r.status, r.written_to and r.written_to[len(report.out_dir) + 1:])
+                for r in report.results] == [
+            (0, "d/a.txt", "ok", "d/a.txt.dup5"), (1, "d/a.txt", "ok", "d/a.txt"),
+            (2, "d/a.txt.dup1", "ok", "d/a.txt.dup1"), (3, "d/a.txt", "ok", "d/a.txt.dup4"),
+            (4, "d/a.txt", "ok", "d/a.txt.dup2"), (5, "", "failed", None),
+            (6, "d/a.txt", "ok", "d/a.txt.dup3"), (7, "a.txt", "ok", "a.txt")]
+        assert report.results[5].error == "UnsafePath: empty file name"
+        assert report.to_machine().splitlines()[-4:] == [
+            "warning.0=duplicate path 'd/a.txt'; record 4 written as 'd/a.txt.dup2'",
+            "warning.1=duplicate path 'd/a.txt'; record 6 written as 'd/a.txt.dup3'",
+            "warning.2=duplicate path 'd/a.txt'; record 3 written as 'd/a.txt.dup4'",
+            "warning.3=duplicate path 'd/a.txt'; record 0 written as 'd/a.txt.dup5'"]
+        assert read_tree(tmp_path / "out") == {
+            "d/a.txt": b"012", "d/a.txt.dup2": b"012", "d/a.txt.dup3": b"67",
+            "d/a.txt.dup1": b"abcd", "d/a.txt.dup4": b"abcd", "d/a.txt.dup5": b"ef", "a.txt": b"ij"}
+
+
+# Extracts argv[1] under argv[2] and prints the report; exits 77 where an existing
+# directory without read permission can still be listed.  Root passes every permission
+# check, so as root the script first clears its capabilities with capset(2).
+UNREADABLE_DIRECTORY_SCRIPT = """
+import ctypes, os, sys
+if os.geteuid() == 0:
+    header = (ctypes.c_uint32 * 2)(0x20080522, 0)  # _LINUX_CAPABILITY_VERSION_3, this thread
+    if ctypes.CDLL(None, use_errno=True).capset(header, (ctypes.c_uint32 * 6)()):
+        sys.exit(77)
+try:
+    os.listdir(os.path.join(sys.argv[2], "sub"))
+    sys.exit(77)
+except PermissionError:
+    pass
+from minifskit import extract_all, open_view
+print(extract_all(open_view(open(sys.argv[1], "rb").read()), sys.argv[2]).to_machine(), end="")
+"""
+
+
+class TestUnreadableDirectory:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="clears capabilities with capset(2)")
+    def test_files_under_an_existing_unreadable_directory_extract(self, tmp_path):
+        """A directory that may be written and searched but not read still takes files."""
+        entries = [("sub/a.txt", b"a"), ("sub/deeper/b.txt", b"b"), ("top.txt", b"t")]
+        image = tmp_path / "img"
+        image.write_bytes(pack(entries, PackOptions(sort_entries=False)))
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        (out / "sub").chmod(0o300)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", UNREADABLE_DIRECTORY_SCRIPT, str(image), str(out)],
+                capture_output=True, text=True, env=source_env(), timeout=60)
+        finally:
+            (out / "sub").chmod(0o700)
+        if result.returncode == 77:
+            pytest.skip("read permission on a directory is not enforced here")
+        assert result.returncode == 0, result.stderr
+        report = dict(line.split("=", 1) for line in result.stdout.splitlines())
+        assert (report["written"], report["failed"]) == ("3", "0"), result.stdout
+        assert read_tree(out) == dict(entries)
+
+
 class TestSymlinkGuard:
     """An output directory that already holds symlinks, inward, outward and dangling."""
 
@@ -1240,7 +1322,7 @@ def unsafe_images(draw):
                for i, (d, n) in enumerate(pairs)]
     image = bytearray(pack(entries, PackOptions(max_chunk_decompressed=120, sort_entries=False)))
     view = open_view(bytes(image))
-    strings = [(m.start(), m.group()) for m in re.finditer(rb"[^\x00]+", view.names.pool)]
+    strings = [(m.start(), m.group()) for m in re.finditer(rb"[^\x00]+", view.names)]
     for offset, text in strings:
         unsafe = draw(st.sampled_from([None, *unsafe_variants(text.decode())]))
         if unsafe is not None:
@@ -1259,7 +1341,7 @@ class TestUnsafeNamesFailAlone:
         image, entries, broken = case
         for force in (False, True):
             view = open_view(image, force=force)
-            pool = view.names.pool
+            pool = view.names
             strings = [pool[off:pool.index(b"\x00", off)].decode() for off in range(len(pool))]
             with tempfile.TemporaryDirectory() as tmp:
                 out = Path(tmp) / "deep" / "out"

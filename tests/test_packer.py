@@ -21,12 +21,8 @@ from minifskit.errors import (
     UnsafePath,
 )
 from minifskit.packer import build_name_pool, plan_chunks
-from minifskit.structs import (
-    FileRecord,
-    NameTable,
-    full_path,
-)
-from helpers import THREE_FILE_ENTRIES, name_at, read_tree, region_layout, write_tree
+from minifskit.structs import FileRecord, join_paths
+from helpers import THREE_FILE_ENTRIES, join_one, name_at, read_tree, region_layout, write_tree
 
 
 class TestBuildNamePool:
@@ -39,7 +35,7 @@ class TestBuildNamePool:
         pool, offsets = build_name_pool([("", "root.bin")])
         assert pool == b"\x00root.bin\x00"
         assert offsets == [(0, 1)]
-        assert name_at(NameTable(pool), 0) == ""
+        assert name_at(pool, 0) == ""
 
     def test_duplicate_entries_share_offsets(self):
         pool, offsets = build_name_pool([("d", "f.txt"), ("d", "f.txt")])
@@ -54,10 +50,9 @@ class TestBuildNamePool:
     def test_offsets_resolve_back(self):
         entries = [("a/b", "x.css"), ("a/b", "y.js"), ("", "z"), ("c", "x.css")]
         pool, offsets = build_name_pool(entries)
-        table = NameTable(pool)
         for (directory, name), (path_off, name_off) in zip(entries, offsets):
-            assert name_at(table, path_off) == directory
-            assert name_at(table, name_off) == name
+            assert name_at(pool, path_off) == directory
+            assert name_at(pool, name_off) == name
 
     def test_non_ascii_rejected(self):
         with pytest.raises(NonAsciiName):
@@ -87,9 +82,9 @@ def accepts(fn, *args) -> bool:
 
 
 def reader_accepts(directory: str, name: str) -> bool:
-    """Whether ``full_path`` joins the pair from a pool holding both strings."""
-    pool = NameTable(b"".join(text.encode("latin-1") + b"\x00" for text in (directory, name)))
-    return accepts(full_path, pool, FileRecord(0, len(directory) + 1, 0, 0, 0))
+    """Whether ``join_paths`` joins the pair from a pool holding both strings."""
+    pool = b"".join(text.encode("latin-1") + b"\x00" for text in (directory, name))
+    return isinstance(join_paths(pool, [FileRecord(0, len(directory) + 1, 0, 0, 0)])[0], str)
 
 
 # "\x01" is a control byte and "\xe9" a non-ASCII character; neither is NUL,
@@ -131,8 +126,8 @@ class TestLengthRule:
     ])
     def test_reading_and_packing_agree(self, directory, name, refusal, tmp_path):
         path = f"{directory}/{name}" if directory else name
-        for call in (lambda: full_path(NameTable(f"{directory}\0{name}\0".encode()),
-                                       FileRecord(0, len(directory) + 1, 0, 0, 0)),
+        for call in (lambda: join_one(f"{directory}\0{name}\0".encode(),
+                                      FileRecord(0, len(directory) + 1, 0, 0, 0)),
                      lambda: build_name_pool([(directory, name)]),
                      lambda: pack([(path, b"")])):
             if refusal is None:

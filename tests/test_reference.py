@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from minifskit import MiniFsHeader, compress_chunk, open_view, read_file
 from minifskit.codec import DEFAULT_OUTPUT_LIMIT, STREAM_HEADER_SIZE
 from minifskit.errors import MiniFsError
-from minifskit.structs import ChunkRecord, FileRecord, NameTable
+from minifskit.structs import ChunkRecord, FileRecord
 from helpers import (
     name_at, ref_index, ref_parse_file_table, ref_paths, ref_select, ref_validate_layout)
 
@@ -101,7 +101,7 @@ def test_open_list_and_read_agree_with_reference(image, extra, lookups_first):
     records = ref_parse_file_table(image[layout.files_start:layout.chunk_table_start],
                                    view.header.file_count)
     assert [tuple(rec) for rec in view.files] == [astuple(rec) for rec in records]
-    names = NameTable(view.names.pool)
+    names = view.names
     assert view.violations == ref_validate_layout(layout, names, records, view.chunks, len(image))
 
     paths = ref_paths(names, records)

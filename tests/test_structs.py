@@ -8,14 +8,13 @@ from minifskit import (
     MiniFsHeader,
     open_view,
 )
+from minifskit import structs
 from minifskit.structs import (
     ChunkRecord,
     FileRecord,
     FsLayout,
-    NameTable,
     _path_keys,
     _string_key,
-    full_path,
     parse_instance,
     screen_instance,
     tables_end,
@@ -31,7 +30,7 @@ from minifskit.errors import (
     UnsafePath,
     UnterminatedString,
 )
-from helpers import build_three_file_image, name_at, observed_instance, region_layout
+from helpers import build_three_file_image, join_one, name_at, observed_instance, region_layout
 
 u32 = st.integers(min_value=0, max_value=0xFFFF_FFFF)
 
@@ -44,7 +43,7 @@ def validate_tables(header, records, chunks, image_length, names=None):
     """
     layout = region_layout(header, len(chunks))
     if names is None:
-        names = NameTable(b"\x00" * header.name_table_size)
+        names = b"\x00" * header.name_table_size
     return validate_layout(layout, names, records, chunks, image_length)
 
 
@@ -88,7 +87,7 @@ class TestHostileHeaders:
         dump, base, expected = HOSTILE_HEADERS[case]
         if isinstance(expected, FsLayout):
             header, layout, names, files, chunks = parse_instance(dump, base)
-            assert (layout, names.pool, list(files), list(chunks)) == (expected, b"abc\x00", [], [])
+            assert (layout, names, list(files), list(chunks)) == (expected, b"abc\x00", [], [])
             assert header == MiniFsHeader(0, 4)
             view = open_view(dump, base)
             assert (view.layout, view.violations) == (expected, [])
@@ -167,7 +166,7 @@ class TestHeader:
 class TestNameTable:
     """The reference reader's scalar decoder, which ``test_reference`` holds ``join_paths`` to."""
 
-    POOL = NameTable(b"fw/mtk\x00base.css\x00")
+    POOL = b"fw/mtk\x00base.css\x00"
 
     def test_path_string(self):
         assert name_at(self.POOL, 0) == "fw/mtk"
@@ -176,65 +175,66 @@ class TestNameTable:
         assert name_at(self.POOL, 7) == "base.css"
 
     def test_empty_string_for_root_files(self):
-        assert name_at(NameTable(b"\x00"), 0) == ""
+        assert name_at(b"\x00", 0) == ""
 
     def test_offset_out_of_range(self):
         with pytest.raises(OffsetOutOfRange):
-            name_at(self.POOL, len(self.POOL.pool))
+            name_at(self.POOL, len(self.POOL))
         with pytest.raises(OffsetOutOfRange):
             name_at(self.POOL, -1)
 
     def test_unterminated(self):
         with pytest.raises(UnterminatedString):
-            name_at(NameTable(b"abc"), 0)
+            name_at(b"abc", 0)
 
     def test_non_ascii(self):
         for bad in (b"\x1fx\x00", b"\x7fx\x00", b"\x80x\x00"):
             with pytest.raises(NonAsciiName):
-                name_at(NameTable(bad), 0)
+                name_at(bad, 0)
 
     @given(st.binary(max_size=64), st.integers(min_value=0, max_value=63))
     def test_result_never_contains_nul(self, pool, offset):
-        table = NameTable(pool)
         try:
-            result = name_at(table, offset)
+            result = name_at(pool, offset)
         except (OffsetOutOfRange, UnterminatedString, NonAsciiName):
             return
         assert "\x00" not in result
 
 
 class TestFullPath:
-    POOL = NameTable(b"fw/mtk\x00base.css\x00boot.bin\x00\x00")
+    """One record's ``join_paths``, its refusal raised (``helpers.join_one``)."""
+
+    POOL = b"fw/mtk\x00base.css\x00boot.bin\x00\x00"
 
     @staticmethod
     def rec(path_offset, name_offset):
         return FileRecord(path_offset, name_offset, 0, 0, 0)
 
     def test_join(self):
-        assert full_path(self.POOL, self.rec(0, 7)) == "fw/mtk/base.css"
+        assert join_one(self.POOL, self.rec(0, 7)) == "fw/mtk/base.css"
 
     def test_root_file_has_no_leading_slash(self):
-        assert full_path(self.POOL, self.rec(25, 16)) == "boot.bin"
+        assert join_one(self.POOL, self.rec(25, 16)) == "boot.bin"
 
     def test_traversal_rejected(self):
-        pool = NameTable(b"a/../..\x00x\x00")
+        pool = b"a/../..\x00x\x00"
         with pytest.raises(UnsafePath):
-            full_path(pool, self.rec(0, 8))
+            join_one(pool, self.rec(0, 8))
 
     def test_separator_inside_name_rejected(self):
-        pool = NameTable(b"\x00a/b\x00")
+        pool = b"\x00a/b\x00"
         with pytest.raises(UnsafePath):
-            full_path(pool, self.rec(0, 1))
+            join_one(pool, self.rec(0, 1))
 
     def test_absolute_path_rejected(self):
-        pool = NameTable(b"/etc\x00passwd\x00")
+        pool = b"/etc\x00passwd\x00"
         with pytest.raises(UnsafePath):
-            full_path(pool, self.rec(0, 5))
+            join_one(pool, self.rec(0, 5))
 
     def test_empty_name_rejected(self):
-        pool = NameTable(b"a\x00\x00")
+        pool = b"a\x00\x00"
         with pytest.raises(UnsafePath):
-            full_path(pool, self.rec(0, 2))
+            join_one(pool, self.rec(0, 2))
 
     @given(
         path=st.lists(st.text(alphabet="abcdef", min_size=1, max_size=4),
@@ -243,10 +243,40 @@ class TestFullPath:
         .filter(lambda n: n not in (".", "..")),
     )
     def test_separator_count(self, path, name):
-        pool = NameTable(path.encode() + b"\x00" + name.encode() + b"\x00")
-        joined = full_path(pool, self.rec(0, len(path) + 1))
+        pool = path.encode() + b"\x00" + name.encode() + b"\x00"
+        joined = join_one(pool, self.rec(0, len(path) + 1))
         expected = path.count("/") + name.count("/") + (1 if path else 0)
         assert joined.count("/") == expected
+
+
+# Pools with and without NULs, with bytes that are not printable ASCII before and after them.
+POOL_BYTES = [b"\x00", b"a", b" ", b"~", b"\x01", b"\x1f", b"\x7f", b"\x80", b"\xff"]
+pools = st.lists(st.sampled_from(POOL_BYTES), max_size=40).map(b"".join)
+
+
+class TestStrings:
+    """``_strings``, offset by offset, against the scalar reader ``name_at``."""
+
+    @given(pool=pools, data=st.data())
+    def test_agree_with_name_at(self, pool, data):
+        offset = st.integers(-1, len(pool) + 2)
+        offsets = np.array(data.draw(st.lists(st.tuples(offset, offset), max_size=20)), np.int64)
+        ends, stops, faults = structs._strings(pool, offsets.reshape(-1, 2))
+        codes = {OffsetOutOfRange: structs._OUTSIDE, UnterminatedString: structs._UNTERMINATED,
+                 NonAsciiName: structs._UNPRINTABLE}
+        columns = (column.ravel().tolist() for column in (offsets, ends, stops, faults))
+        for offset, end, stop, fault in zip(*columns):
+            try:
+                name_at(pool, offset)
+            except (OffsetOutOfRange, UnterminatedString, NonAsciiName) as exc:
+                assert fault == codes[type(exc)]
+                error = structs._string_error(pool, offset, stop, fault)  # names the stop byte
+                assert (type(error), str(error)) == (type(exc), str(exc))
+            else:
+                assert fault == structs._GOOD
+            if offset >= 0:
+                nul = pool.find(b"\x00", offset)
+                assert end == (nul if nul >= 0 else len(pool))
 
 
 class TestPathKeys:
@@ -495,7 +525,7 @@ class TestValidateLayout:
         header = MiniFsHeader(file_count=1, name_table_size=4)
         records = [FileRecord(0, 0, 0, 0, 0)]
         chunks = [ChunkRecord(0, 5, 0)]
-        names = NameTable(b"abcd")  # no terminator anywhere
+        names = b"abcd"  # no terminator anywhere
         violations = validate_tables(header, records, chunks, 1 << 20, names=names)
         assert any(v.kind == "bad-name" for v in violations)
 
