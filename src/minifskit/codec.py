@@ -270,8 +270,11 @@ def _available_cpus() -> int:
 
 
 def _threads(count: int) -> int:
-    """The threads a map of ``count`` items runs on: every available CPU, at most ``count``, at least 1."""
-    return max(1, min(_available_cpus(), count))
+    """The threads a map of ``count`` items runs on: every available CPU, at most ``count``, at least 1.
+
+    Fewer than two items read no affinity set and no cgroup file.
+    """
+    return min(_available_cpus(), count) if count > 1 else 1
 
 
 def _map_in_order(fn: Callable, items: Sequence, size: Callable[..., int]) -> Iterator:

@@ -6,8 +6,11 @@ import logging
 import math
 import operator
 import random
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import reduce
 
 import numpy as np
@@ -21,7 +24,7 @@ from minifskit import (
     find_magic,
     segment_sections,
 )
-from minifskit import scanner, structs
+from minifskit import codec, scanner, structs
 from minifskit.cli import main
 from minifskit.errors import EmptyInput, MiniFsError
 from minifskit.extractor import open_view
@@ -73,6 +76,40 @@ def sections_reference(dump: bytes, block_size: int, high_threshold: float, empt
         sections.append((at * block_size, end, label, float.hex(reduce(operator.add, run) / len(run))))
         at += len(run)
     return sections
+
+
+def assert_profile_matches_reference(dump: bytes, block_size: int) -> None:
+    entropies, constants = entropy_reference(dump, block_size)
+    profile = entropy_profile(dump, block_size)
+    # float.hex also tells -0.0 from 0.0, which print differently.
+    assert list(map(float.hex, profile.entropies.tolist())) == list(map(float.hex, entropies))
+    assert profile.constant_bytes.tolist() == [-1 if c is None else c for c in constants]
+
+
+def assert_sections_match_reference(dump: bytes, block_size: int, threshold: float,
+                                    empty_byte: int) -> None:
+    profile = segment_sections(entropy_profile(dump, block_size), threshold, empty_byte)
+    assert [(s.start, s.end, s.label, float.hex(s.mean_entropy)) for s in profile.sections] \
+        == sections_reference(dump, block_size, threshold, empty_byte)
+    assert all(type(s.start) is type(s.end) is int and type(s.mean_entropy) is float
+               for s in profile.sections)
+
+
+@contextmanager
+def spans(span_bytes: int, cpus: int, batch_bytes: int = scanner._BATCH_BYTES):
+    """``entropy_profile`` with spans of ``span_bytes`` and batches of ``batch_bytes`` on ``cpus`` CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scanner, "_SPAN_BYTES", span_bytes)
+        patch.setattr(scanner, "_BATCH_BYTES", batch_bytes)
+        patch.setattr(codec, "_available_cpus", lambda: cpus)
+        yield
+
+
+def mixed_dump(seed: int, tail: int) -> bytes:
+    """Random, erased (0xFF) and text bytes, about 52 KB, ending in ``tail`` random bytes."""
+    rng = random.Random(seed)
+    return (rng.randbytes(20_000) + b"\xff" * 9_000 + b"<p>router firmware text</p>\n" * 700
+            + rng.randbytes(3_000) + bytes(1_000) + rng.randbytes(tail))
 
 
 @st.composite
@@ -137,12 +174,62 @@ class TestEntropyProfile:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(profiled_dumps())
     def test_bit_identical_to_per_block_reference(self, case):
+        assert_profile_matches_reference(*case)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(profiled_dumps(), st.integers(1, 5), st.integers(1, 3), st.sampled_from([1, 4]))
+    def test_spans_bit_identical_to_per_block_reference(self, case, span_blocks, batch_blocks,
+                                                         cpus):
+        # Spans of a few blocks, with batches that end inside a span or at its end.
         dump, block_size = case
-        entropies, constants = entropy_reference(dump, block_size)
-        profile = entropy_profile(dump, block_size)
-        # float.hex also tells -0.0 from 0.0, which print differently.
-        assert list(map(float.hex, profile.entropies.tolist())) == list(map(float.hex, entropies))
-        assert profile.constant_bytes.tolist() == [-1 if c is None else c for c in constants]
+        with spans(span_blocks * block_size, cpus, batch_blocks * block_size):
+            assert_profile_matches_reference(dump, block_size)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("block_size", [16, 1024])
+    @pytest.mark.parametrize("tail", [0, 1, 700])
+    def test_4_kib_spans_bit_identical_to_per_block_reference(self, block_size, cpus, tail):
+        dump = mixed_dump(block_size, tail)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave between nearly every bytecode
+        try:
+            with spans(4096, cpus):
+                assert_profile_matches_reference(dump, block_size)
+                for threshold, empty_byte in ((7.5, 0xFF), (3.0, 0x00), (1.0, -1)):
+                    assert_sections_match_reference(dump, block_size, threshold, empty_byte)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_dump_under_two_spans_starts_no_pool(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(codec, "ThreadPoolExecutor",
+                            lambda **kwargs: started.append(kwargs) or ThreadPoolExecutor(**kwargs))
+        asked = []
+        monkeypatch.setattr(codec, "_available_cpus", lambda: asked.append(8) or 8)
+        one_span = random.Random(5).randbytes(scanner._SPAN_BYTES)
+        entropy_profile(one_span + bytes(1023), 1024)  # the partial tail is no span
+        entropy_profile(one_span, 16)
+        assert started == asked == []  # nor reads the affinity set or a cgroup file
+        assert_profile_matches_reference(one_span[:-1024] + mixed_dump(5, 700), 1024)
+        assert started == [{"max_workers": 2}]
+        monkeypatch.setattr(codec, "_available_cpus", lambda: 1)
+        entropy_profile(one_span * 3, 1024)
+        assert started == [{"max_workers": 2}]
+
+    def test_logs_its_block_span_and_thread_counts(self, tmp_path, capsys, caplog):
+        path = tmp_path / "flash.bin"
+        path.write_bytes(mixed_dump(6, 700))
+        argv = ["scan", str(path), "--format", "machine"]
+        for cpus, threads in ((1, 1), (4, 4)):
+            with spans(4096, cpus):
+                code = main(argv)
+                quiet = capsys.readouterr()
+                caplog.clear()
+                with caplog.at_level(logging.DEBUG, logger="minifskit.scanner"):
+                    assert main(argv) == code
+            assert capsys.readouterr() == quiet
+            assert [r.getMessage() for r in caplog.records if "profiling" in r.getMessage()] == [
+                f"profiling 52 full blocks of 1024 bytes in 13 spans on {threads} threads"]
 
     def test_exact_threshold_block_is_high(self):
         # 128 values x4 and 64 values x8: exactly 4 + 3.5 bits per byte.
@@ -216,12 +303,18 @@ class TestSegmentSections:
     def test_sections_match_per_block_reference(self, case, threshold, empty_byte):
         # The first example is one run of 4,096 blocks, long enough for a
         # pairwise or compensated sum to differ from the left fold.
+        assert_sections_match_reference(*case, threshold, empty_byte)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(profiled_dumps(), st.sampled_from([7.5, 3.0, 1.0]), st.integers(-1, 255),
+           st.integers(1, 5), st.sampled_from([1, 4]))
+    @example(case=(random.Random(3).randbytes(1 << 16), 16), threshold=7.5, empty_byte=0xFF,
+             span_blocks=256, cpus=4)
+    def test_spans_sections_match_per_block_reference(self, case, threshold, empty_byte,
+                                                      span_blocks, cpus):
         dump, block_size = case
-        profile = segment_sections(entropy_profile(dump, block_size), threshold, empty_byte)
-        assert [(s.start, s.end, s.label, float.hex(s.mean_entropy)) for s in profile.sections] \
-            == sections_reference(dump, block_size, threshold, empty_byte)
-        assert all(type(s.start) is type(s.end) is int and type(s.mean_entropy) is float
-                   for s in profile.sections)
+        with spans(span_blocks * block_size, cpus):
+            assert_sections_match_reference(dump, block_size, threshold, empty_byte)
 
     def test_profile_and_sections_memory_per_block(self):
         dump = random.Random(4).randbytes(4 << 20)
@@ -237,6 +330,17 @@ class TestSegmentSections:
             tracemalloc.stop()
         assert profile_peak <= 16 * blocks
         assert sections_peak <= 32 * blocks
+        # Eight spans on four threads: on top of the profile's 10 bytes per
+        # block, each thread holds one 128 KiB batch's intermediates, up to
+        # about 27 bytes per input byte when every byte of a block differs.
+        with spans(len(dump) // 8, 4):
+            tracemalloc.start()
+            try:
+                entropy_profile(dump, 16)
+                threaded_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert threaded_peak <= 10 * blocks + 4 * 28 * (4 * scanner._BATCH_BYTES)
 
     @given(st.binary(min_size=1, max_size=4096))
     def test_sections_tile_the_dump(self, data):
@@ -448,6 +552,7 @@ class TestIterViews:
         assert "hit.0.offset=64\nhit.0.version=unknown\n" in quiet.out
         assert f"hit.3.offset={len(dump) - 6}\nhit.3.version=unknown\n" in quiet.out
         assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "profiling 0 full blocks of 1024 bytes in 0 spans on 1 threads",
             "MINIFS hit at 64 refused", f"MINIFS hit at {len(dump) - 6} refused",
         ]
 
