@@ -168,7 +168,6 @@ def _make_multi_chunk(spec: FixtureSpec) -> tuple[bytes, FixtureManifest]:
     names = [f"data/f{i}.bin" for i in range(5)]
     sizes = [1000, 900, 800, 700, 600]
     entries = _file_entries(rng, names, sizes)
-    plan = plan_chunks(sizes, cap)
     image = pack(entries, PackOptions(max_chunk_decompressed=cap, sort_entries=False))
     manifest = FixtureManifest(
         shape=spec.shape,
@@ -176,7 +175,7 @@ def _make_multi_chunk(spec: FixtureSpec) -> tuple[bytes, FixtureManifest]:
         length=len(image),
         magic_offset=0,
         files=[(n, s) for n, s in zip(names, sizes)],
-        chunk_count=len(plan.groups),
+        chunk_count=len(plan_chunks(sizes, cap)),
     )
     return image, manifest
 

@@ -15,7 +15,7 @@ near the chunk sizes observed in real images.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -97,22 +97,8 @@ def build_name_pool(
     return b"".join(pieces), pairs
 
 
-@dataclass
-class ChunkPlan:
-    """First-fit grouping of entries into chunks.
-
-    ``groups`` holds entry indices per chunk, ``offsets`` the byte
-    position of each entry inside its chunk (parallel to the input), and
-    ``chunk_sizes`` the decompressed size of each chunk.
-    """
-
-    groups: list[list[int]] = field(default_factory=list)
-    offsets: list[int] = field(default_factory=list)
-    chunk_sizes: list[int] = field(default_factory=list)
-
-
-def plan_chunks(sizes: Sequence[int], max_chunk_decompressed: int) -> ChunkPlan:
-    """Assign entries to chunks, first-fit in order.
+def plan_chunks(sizes: Sequence[int], max_chunk_decompressed: int) -> list[range]:
+    """Group entries into chunks, first-fit in order: one range of entry indices per chunk.
 
     A new chunk starts whenever adding the next file would exceed the
     cap, so the last entry always lands in the highest-numbered chunk —
@@ -120,26 +106,20 @@ def plan_chunks(sizes: Sequence[int], max_chunk_decompressed: int) -> ChunkPlan:
     """
     if not 0 < max_chunk_decompressed <= DEFAULT_OUTPUT_LIMIT:
         raise ValueError(f"chunk cap must be 1..{DEFAULT_OUTPUT_LIMIT}, got {max_chunk_decompressed}")
-    plan = ChunkPlan(offsets=[0] * len(sizes))
-    current: list[int] = []
-    filled = 0
+    chunks = []
+    start = filled = 0
     for i, size in enumerate(sizes):
         if size > max_chunk_decompressed:
             raise FileTooLarge(
                 f"entry {i} is {size} bytes, above the {max_chunk_decompressed}-byte chunk cap"
             )
-        if current and filled + size > max_chunk_decompressed:
-            plan.groups.append(current)
-            plan.chunk_sizes.append(filled)
-            current = []
-            filled = 0
-        plan.offsets[i] = filled
-        current.append(i)
+        if i > start and filled + size > max_chunk_decompressed:
+            chunks.append(range(start, i))
+            start, filled = i, 0
         filled += size
-    if current:
-        plan.groups.append(current)
-        plan.chunk_sizes.append(filled)
-    return plan
+    if sizes:
+        chunks.append(range(start, len(sizes)))
+    return chunks
 
 
 def _collect_tree(tree: str | os.PathLike) -> list[tuple[str, bytes]]:
@@ -162,8 +142,10 @@ def pack(
     Entries are ordered lexicographically by path unless
     ``options.sort_entries`` is off.  The result satisfies ``open_view``
     with zero violations; an empty tree packs to the bare 32-byte
-    header.  Chunks compress on :func:`codec._map_in_order`'s threads;
-    the image does not depend on their count.
+    header.  Each chunk's files are joined where it is compressed, on
+    :func:`codec._map_in_order`'s threads, so beside the entries at most
+    64 MiB of joined chunks (a larger chunk alone) is held at once; the
+    image does not depend on the thread count.
     """
     opts = options or PackOptions()
     if isinstance(tree, (str, os.PathLike)):
@@ -175,28 +157,26 @@ def pack(
 
     # Split lazily, so that entries are refused in order, whichever rule they break.
     pool, name_offsets = build_name_pool(split_entry_path(path) for path, _ in entries)
-    plan = plan_chunks([len(content) for _, content in entries], opts.max_chunk_decompressed)
+    sizes = [len(content) for _, content in entries]
+    chunks = plan_chunks(sizes, opts.max_chunk_decompressed)
 
-    blobs = [
-        b"".join(entries[i][1] for i in group)
-        for group in plan.groups
-    ]
-    compressed = list(_map_in_order(compress_chunk, blobs, size=len))
+    def join_and_compress(chunk: range) -> bytes:
+        return compress_chunk(b"".join(entries[i][1] for i in chunk))
 
-    chunk_records = []
+    compressed = list(_map_in_order(join_and_compress, chunks,
+                                    size=lambda chunk: sum(sizes[i] for i in chunk)))
+
+    file_records, chunk_records = [], []
     data_offset = 0
-    for blob, decompressed in zip(compressed, plan.chunk_sizes):
-        chunk_records.append(ChunkRecord(data_offset, len(blob), decompressed))
+    for index, (chunk, blob) in enumerate(zip(chunks, compressed)):
+        offset = 0
+        for i in chunk:
+            file_records.append(FileRecord(*name_offsets[i], index, offset, sizes[i]))
+            offset += sizes[i]
+        chunk_records.append(ChunkRecord(data_offset, len(blob), offset))
         data_offset += len(blob)
     if data_offset > _U32_MAX:
         raise ArithmeticOverflow(f"chunk data region of {data_offset} bytes exceeds 32-bit offsets")
-
-    # Groups hold consecutive entries, so this walks the entries in order.
-    file_records = [
-        FileRecord(*name_offsets[i], chunk, plan.offsets[i], len(entries[i][1]))
-        for chunk, group in enumerate(plan.groups)
-        for i in group
-    ]
 
     unknown_b = opts.unknown_b
     if unknown_b is None:

@@ -250,21 +250,21 @@ def _strings(pool: bytes, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     byte there that is NUL or not printable ASCII; each is the pool's
     length when there is none.  Refused, in this order: an offset outside
     the pool, a string that ends at the pool's end, a stop before the end
-    (the byte decoding names).  One scan finds those bytes, and the
-    distinct offsets are searched among them in ascending order; no
-    string is copied.
+    (the byte decoding names).  One scan finds those bytes and counts,
+    per pool position, how many lie before it; that count, gathered at
+    each offset, indexes the first one at or after it.  No offset is
+    sorted and no string is copied.
     """
     data = np.frombuffer(pool, np.uint8)
     special = np.append(np.flatnonzero((data < 0x20) | (data > 0x7E)), len(data))
     nul = np.append(data[special[:-1]] == 0, True)  # the pool's end ends a string too
     next_nul = special[nul][np.cumsum(nul) - nul]  # per such byte, the first NUL at or after it
-    distinct, inverse = np.unique(offsets, return_inverse=True)
-    first = np.searchsorted(special, np.minimum(distinct, len(data)))
+    # Per pool position (and the pool's end), how many such bytes lie before it.
+    before = np.repeat(np.arange(len(special), dtype=np.uint32), np.diff(special, prepend=-1))
+    first = before[np.clip(offsets, 0, len(data))]
     ends, stops = next_nul[first], special[first]
-    faults = np.select([(distinct < 0) | (distinct >= len(data)), ends == len(data), stops < ends],
-                       [_OUTSIDE, _UNTERMINATED, _UNPRINTABLE], _GOOD)
-    inverse = inverse.reshape(np.shape(offsets))
-    return ends[inverse], stops[inverse], faults[inverse]
+    return ends, stops, np.select([(offsets < 0) | (offsets >= len(data)), ends == len(data), stops < ends],
+                                  [_OUTSIDE, _UNTERMINATED, _UNPRINTABLE], _GOOD)
 
 
 def check_lengths(directory_length: int, name_length: int) -> None:

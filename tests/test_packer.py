@@ -1,5 +1,8 @@
 """Name pool construction, chunk planning and image emission."""
 
+import tempfile
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,54 +162,86 @@ class TestOneCheckPerString:
         assert sorted(checked["name"]) == sorted(f"file{i}.css" for i in range(100))
 
 
+def packed_tables(sizes, cap):
+    """Per file record of ``pack`` (entries in order): its chunk and offset; then each chunk's declared size."""
+    entries = [(f"f{i:03}", bytes(size)) for i, size in enumerate(sizes)]
+    view = open_view(pack(entries, PackOptions(max_chunk_decompressed=cap, sort_entries=False)))
+    assert view.violations == []
+    return ([(r.chunk_index, r.offset_in_chunk) for r in view.files],
+            [c.decompressed_size for c in view.chunks])
+
+
 class TestPlanChunks:
     def test_first_fit(self):
-        plan = plan_chunks([100, 100, 100], 250)
-        assert plan.groups == [[0, 1], [2]]
-        assert plan.offsets == [0, 100, 0]
-        assert plan.chunk_sizes == [200, 100]
+        assert plan_chunks([100, 100, 100], 250) == [range(0, 2), range(2, 3)]
+        assert packed_tables([100, 100, 100], 250) == ([(0, 0), (0, 100), (1, 0)], [200, 100])
+        assert plan_chunks([100, 150, 1], 250) == [range(0, 2), range(2, 3)]  # a chunk may fill the cap
 
     def test_single_file_at_cap(self):
-        plan = plan_chunks([395008], 395008)
-        assert plan.groups == [[0]]
-        assert plan.chunk_sizes == [395008]
+        assert plan_chunks([395008], 395008) == [range(0, 1)]
+        assert packed_tables([395008], 395008) == ([(0, 0)], [395008])
 
     def test_cap_above_the_decoder_limit(self):
         # The reader refuses a chunk that declares more than 64 MiB.
         with pytest.raises(ValueError):
             plan_chunks([1], codec.DEFAULT_OUTPUT_LIMIT + 1)
-        assert plan_chunks([1], codec.DEFAULT_OUTPUT_LIMIT).chunk_sizes == [1]
+        assert plan_chunks([1], codec.DEFAULT_OUTPUT_LIMIT) == [range(0, 1)]
+        assert packed_tables([1], codec.DEFAULT_OUTPUT_LIMIT) == ([(0, 0)], [1])
 
     def test_file_over_cap(self):
         with pytest.raises(FileTooLarge):
             plan_chunks([251], 250)
 
     def test_no_entries(self):
-        plan = plan_chunks([], 1024)
-        assert plan.groups == [] and plan.chunk_sizes == []
+        assert plan_chunks([], 1024) == []
 
     def test_zero_size_files(self):
-        plan = plan_chunks([0, 0, 0], 16)
-        assert plan.groups == [[0, 1, 2]]
-        assert plan.offsets == [0, 0, 0]
-        assert plan.chunk_sizes == [0]
+        assert plan_chunks([0, 0, 0], 16) == [range(0, 3)]
+        assert packed_tables([0, 0, 0], 16) == ([(0, 0)] * 3, [0])
 
+    @settings(deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=999), max_size=40))
     def test_sizes_are_conserved(self, sizes):
-        plan = plan_chunks(sizes, 1000)
-        assert sum(plan.chunk_sizes) == sum(sizes)
+        chunks = plan_chunks(sizes, 1000)
+        assert [i for chunk in chunks for i in chunk] == list(range(len(sizes)))
+        assert sum(packed_tables(sizes, 1000)[1]) == sum(sizes)
 
+    @settings(deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=999), min_size=1, max_size=40))
     def test_entries_tile_their_chunks(self, sizes):
-        plan = plan_chunks(sizes, 1000)
-        assert plan.groups[-1][-1] == len(sizes) - 1  # last entry in last chunk
-        for ci, group in enumerate(plan.groups):
+        chunks = plan_chunks(sizes, 1000)
+        assert chunks[-1][-1] == len(sizes) - 1  # last entry in last chunk
+        records, chunk_sizes = packed_tables(sizes, 1000)
+        assert [chunk for chunk, _ in records] == [ci for ci, chunk in enumerate(chunks) for _ in chunk]
+        for ci, chunk in enumerate(chunks):
             cursor = 0
-            for i in group:
-                assert plan.offsets[i] == cursor
+            for i in chunk:
+                assert records[i] == (ci, cursor)
                 cursor += sizes[i]
-            assert cursor == plan.chunk_sizes[ci]
+            assert cursor == chunk_sizes[ci]
             assert cursor <= 1000
+
+
+class TestPackMemory:
+    def test_holds_only_the_chunks_in_flight(self, monkeypatch):
+        # 256 files of 16 KiB in 16 chunks of 256 KiB, compressed one at a time.
+        monkeypatch.setattr(codec, "_available_cpus", lambda: 1)
+        chunk = 256 << 10
+        entries = [(f"d/f{i:03}", bytes([i]) * (16 << 10)) for i in range(256)]
+        first = b"".join(content for _, content in entries[:16])
+        tracemalloc.start()
+        try:
+            codec.compress_chunk(first)
+            encoder = tracemalloc.get_traced_memory()[1]
+            del first
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            image = pack(entries, PackOptions(max_chunk_decompressed=chunk))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert len(open_view(image).chunks) == 16
+        assert peak < 2 * chunk + encoder
 
 
 class TestPack:
@@ -289,6 +324,21 @@ class TestPack:
                 pack([(path, b"x")])
 
 
+small_trees = st.dictionaries(
+    keys=st.text(alphabet="abcd/", min_size=1, max_size=12).filter(
+        lambda p: not p.startswith("/") and not p.endswith("/") and "//" not in p
+        and ".." not in p.split("/")
+    ),
+    values=st.binary(max_size=2048),
+    max_size=12,
+)
+
+
+def exists_on_disk(entries) -> bool:
+    """Whether no path is also a directory of another ("a" and "a/b/c")."""
+    return not {p[:i] for p in entries for i, c in enumerate(p) if c == "/"} & set(entries)
+
+
 class TestRoundTrip:
     def test_tree_level(self, tmp_path):
         source = tmp_path / "source"
@@ -309,16 +359,7 @@ class TestRoundTrip:
                [(e.path, e.file_size) for e in list_files(again)]
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        entries=st.dictionaries(
-            keys=st.text(alphabet="abcd/", min_size=1, max_size=12).filter(
-                lambda p: not p.startswith("/") and not p.endswith("/") and "//" not in p
-                and ".." not in p.split("/")
-            ),
-            values=st.binary(max_size=2048),
-            max_size=12,
-        ),
-    )
+    @given(entries=small_trees)
     def test_roundtrip_property(self, entries):
         items = sorted(entries.items())
         # A path may collide with a directory prefix of another ("a" vs
@@ -331,3 +372,22 @@ class TestRoundTrip:
         view = open_view(image)
         assert view.violations == []
         assert {e.path: read_file(view, e.index) for e in list_files(view)} == entries
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        entries=small_trees,
+        options=st.builds(
+            PackOptions,
+            max_chunk_decompressed=st.sampled_from([2048, 3000, 4096, PackOptions.max_chunk_decompressed]),
+            mimic_vendor=st.booleans(),
+            unknown_a=st.integers(0, 0xFFFF_FFFF),
+            unknown_b=st.none() | st.integers(0, 0xFFFF_FFFF),
+        ),
+    )
+    def test_pack_of_its_extraction_is_the_same_image(self, entries, options):
+        if not exists_on_disk(entries):
+            return
+        image = pack(sorted(entries.items()), options)
+        with tempfile.TemporaryDirectory() as out:
+            assert extract_all(open_view(image), out).written == len(entries)
+            assert pack(out, options) == image
