@@ -129,10 +129,10 @@ def iter_views(
     data = np.frombuffer(dump, dtype=np.uint8)
     size = len(data)
     budget = size // structs.FILE_RECORD_SIZE + 1024  # no one instance needs more
-    first_bytes = np.empty(min(size, _WINDOW), dtype=bool)
+    pairs = np.empty((2, -(-min(size, _WINDOW) // 16) * 8), dtype=bool)
     for start in range(0, size, _WINDOW):
         window = data[start:start + _WINDOW + len(structs.MAGIC) - 1]
-        offsets = start + _magic_offsets(window, first_bytes)
+        offsets = start + _magic_offsets(window, pairs)
         whole = offsets[offsets + structs.HEADER_SIZE <= size]
         ends = structs.tables_end(data, whole).tolist()
         # Most hits are refused here, so the log level is asked once per window.
@@ -168,24 +168,38 @@ def iter_views(
 
 # Bytes searched per window of :func:`iter_views`; a window also reads the
 # five bytes after it, so a magic across its edge is found in it.  At
-# 256 KiB the window's bool buffer comes from the heap even where the
-# allocator maps every block of 1 MiB or more afresh (glibc with
-# MALLOC_MMAP_THRESHOLD_=1048576), where the page faults of a fresh
+# 256 KiB the window's two 128 KiB bool buffers come from the heap even
+# where the allocator maps every block of 1 MiB or more afresh (glibc
+# with MALLOC_MMAP_THRESHOLD_=1048576), where the page faults of a fresh
 # 1 MiB buffer cost about as much as searching 1 MiB.  Smaller windows
 # add per-window overhead on large dumps.
 _WINDOW = 1 << 18
 
+# The magic's first two bytes, ``MI``, as one little-endian 16-bit word.
+_MI = int.from_bytes(structs.MAGIC[:2], "little")
 
-def _magic_offsets(window: np.ndarray, first_bytes: np.ndarray) -> np.ndarray:
-    """Ascending offsets where ``MINIFS`` starts in ``window``'s first ``len(first_bytes)`` bytes.
 
-    ``first_bytes`` is a bool buffer that every window of one search
-    reuses, so that no window allocates its own.
+def _magic_offsets(window: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Ascending offsets where ``MINIFS`` starts in ``window``'s first ``_WINDOW`` bytes.
+
+    ``pairs``, a bool buffer of two rows of at least ``ceil(n / 16) * 8`` entries
+    for ``n`` offsets that every window of one search reuses, marks ``MI``
+    at the even and at the odd offset of each byte pair; only the 16-byte
+    stretches (8 pairs, one 64-bit word) with a mark are checked in full.
     """
     magic = structs.MAGIC
-    starts = max(0, min(len(first_bytes), len(window) - len(magic) + 1))
-    found = np.flatnonzero(np.equal(window[:starts], magic[0], out=first_bytes[:starts]))
-    for k in range(1, len(magic)):
+    starts = max(0, min(_WINDOW, len(window) - len(magic) + 1))
+    count = -(-starts // 2)
+    even, odd = pairs[:, :-(-count // 8) * 8]
+    np.equal(window[:2 * count].view("<u2"), _MI, out=even[:count])
+    np.equal(window[1:2 * count + 1].view("<u2"), _MI, out=odd[:count])
+    even[count:] = odd[count:] = False
+    words = np.bitwise_or(even.view(np.uint64), odd.view(np.uint64), out=even.view(np.uint64))
+    # A bool flatnonzero: on the 64-bit words themselves it is much slower.
+    stretches = np.flatnonzero(words != 0)
+    found = (stretches[:, np.newaxis] * 16 + np.arange(16)).ravel()
+    found = found[found < starts]
+    for k in range(len(magic)):
         found = found[window[found + k] == magic[k]]
     return found
 
@@ -221,12 +235,15 @@ def entropy_profile(dump: structs.Dump, block_size: int = DEFAULT_BLOCK_SIZE) ->
     are split into spans of 4 MiB (one block, when blocks are larger)
     that run through :func:`codec._map_in_order`, on one thread per
     available CPU; a dump under two spans, or one CPU, measures them on
-    the calling thread.  A span measures its blocks in batches of about
-    32 KiB on the calling thread and 128 KiB on a pool thread.  Each
-    entropy is bit-identical to ``-(p * np.log2(p)).sum()`` over that
-    block's nonzero byte frequencies ``p`` in ascending byte order,
-    whatever the thread count.  Logs one debug record with the
-    full-block, span and thread counts.
+    the calling thread.  Blocks are measured in batches whose
+    intermediates fill one workspace of at most 864 KiB on the calling
+    thread and twice that on a pool thread (one block's, when blocks are
+    larger), allocated once per call on the calling thread and once per
+    span on a pool thread.  Each entropy is bit-identical to
+    ``-(p * np.log2(p)).sum()`` over that block's nonzero byte
+    frequencies ``p`` in ascending byte order, whatever the thread count.
+    Logs one debug record with the full-block, span and thread counts,
+    the blocks per batch and the bytes of each workspace.
     """
     if len(dump) == 0:
         raise EmptyInput("cannot profile an empty dump")
@@ -241,24 +258,31 @@ def entropy_profile(dump: structs.Dump, block_size: int = DEFAULT_BLOCK_SIZE) ->
     per_span = max(1, _SPAN_BYTES // block_size)
     spans = range(0, len(blocks), per_span)
     threads = codec._threads(len(spans))
-    _log.debug("profiling %d full blocks of %d bytes in %d spans on %d threads",
-               len(blocks), block_size, len(spans), threads)
+    budget = _BATCH_BUDGET if threads == 1 else 2 * _BATCH_BUDGET
+    per_batch = min(max(1, budget // _workspace_bytes(block_size)), len(entropies))
+    # The partial tail block is narrower than a full one, so it fits too.
+    workspace = np.empty(per_batch * _workspace_bytes(min(block_size, len(dump))), dtype=np.uint8)
+    _log.debug("profiling %d full blocks of %d bytes in %d spans on %d threads, "
+               "%d blocks per batch in a workspace of %d bytes per thread", len(blocks),
+               block_size, len(spans), threads, per_batch, workspace.nbytes)
     if full:
         plogp = _plogp_table(block_size)
-        step = max(1, (_BATCH_BYTES if threads == 1 else 4 * _BATCH_BYTES) // block_size)
 
         def profile_span(start: int) -> None:
+            space = workspace if threads == 1 else np.empty_like(workspace)
             end = min(start + per_span, len(blocks))
-            for i in range(start, end, step):
-                rows = blocks[i:min(i + step, end)]
-                _profile_rows(rows, plogp, entropies[i:i + len(rows)], constants[i:i + len(rows)])
+            for i in range(start, end, per_batch):
+                rows = blocks[i:min(i + per_batch, end)]
+                _profile_rows(rows, plogp, entropies[i:i + len(rows)],
+                              constants[i:i + len(rows)], space)
 
         # Each span writes its own slices of the arrays and returns nothing to hold.
         for _ in codec._map_in_order(profile_span, spans, size=lambda start: 0):
             pass
     if full < len(dump):
         tail = data[full:]
-        _profile_rows(tail.reshape(1, -1), _plogp_table(tail.size), entropies[-1:], constants[-1:])
+        _profile_rows(tail.reshape(1, -1), _plogp_table(tail.size), entropies[-1:],
+                      constants[-1:], workspace)
     return SectionProfile(
         block_size=block_size,
         length=len(dump),
@@ -267,19 +291,31 @@ def entropy_profile(dump: structs.Dump, block_size: int = DEFAULT_BLOCK_SIZE) ->
     )
 
 
-# Input bytes per batch on the calling thread.  The intermediates of a
-# batch take up to about 27 bytes per input byte (intp run starts, run
-# lengths and terms when every byte of a block differs), so this keeps
-# them under 1 MiB.  A pool thread takes batches 4 times as large, up to
-# about 3.4 MiB of intermediates per thread: with 32 KiB batches, two
-# threads passing the interpreter lock back and forth every few numpy
-# calls ran slower than one.  A larger block is a batch of its own at
-# about 3 bytes per byte, since it has at most 256 runs.
-_BATCH_BYTES = 32 * 1024
+# Workspace bytes that size a batch of :func:`entropy_profile` on the
+# calling thread: about 45 KiB of input at 16-byte blocks and 123 blocks
+# at 1024-byte blocks.  Under 1 MiB, it comes from the heap even where the
+# allocator maps every block of 1 MiB or more afresh (glibc with
+# MALLOC_MMAP_THRESHOLD_=1048576).  A pool thread's is twice as large:
+# smaller batches pass the interpreter lock between two threads more
+# often, and larger ones raise the peak memory of every threaded profile.
+_BATCH_BUDGET = 864 * 1024
 
 # Input bytes per span of :func:`entropy_profile`: a few dozen batches,
 # enough to amortise handing a span to a thread.
 _SPAN_BYTES = 4 << 20
+
+# Runs, at most, whose starts one ``np.flatnonzero`` of :func:`_profile_rows`
+# finds, so that its result stays within 64 KiB.
+_SLICE_RUNS = 8192
+
+
+def _workspace_bytes(width: int) -> int:
+    """Bytes one row takes in :func:`_profile_rows`' workspace, at most.
+
+    The sorted copy, run mask and permuted mask take a byte per byte, and
+    the run lengths and terms 8 bytes per run; a row has at most 256 runs.
+    """
+    return 3 * width + 16 * min(width, 256)
 
 
 def _plogp_table(n: int) -> np.ndarray:
@@ -294,8 +330,13 @@ def _profile_rows(
     plogp: np.ndarray,
     entropies: np.ndarray,
     constants: np.ndarray,
+    workspace: np.ndarray,
 ) -> None:
     """Write the entropy and constant byte (-1: none) of each row of ``rows``.
+
+    Every intermediate of the batch's size lives in ``workspace``, a
+    uint8 array of at least ``len(rows) * _workspace_bytes(rows.shape[1])``
+    bytes.
 
     A sorted row's run lengths are its nonzero byte counts in ascending
     byte order, the order ``counts[counts > 0]`` has.  Rows are summed in
@@ -303,25 +344,40 @@ def _profile_rows(
     arrays, so numpy adds each row's terms with the same pairwise
     summation as a 1-D ``sum`` of those ``k`` terms.
     """
-    ordered = np.sort(rows, axis=1, kind="stable")
-    flat = ordered.ravel()
-    new_run = np.empty(flat.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
-    new_run[::rows.shape[1]] = True
-    new_run = new_run.reshape(rows.shape)
+    count, width = rows.shape
+    runs = count * min(width, 256)
+    # The 8-byte arrays first, so each view starts aligned.
+    run_lengths = workspace[:8 * runs].view(np.intp)
+    terms = workspace[8 * runs:16 * runs].view(np.float64)
+    arrays = workspace[16 * runs:16 * runs + 3 * rows.size].reshape(3, count, width)
+    ordered, new_run, permuted = arrays[0], arrays[1].view(bool), arrays[2].view(bool)
+    np.copyto(ordered, rows)
+    ordered.sort(axis=1, kind="stable")
+    flat, marks = ordered.ravel(), new_run.ravel()
+    np.not_equal(flat[1:], flat[:-1], out=marks[1:])
+    marks[::width] = True
     distinct = new_run.sum(axis=1, dtype=np.uint16)  # k <= 256
     # Take the rows' runs in ascending k order, so each group is one slice.
     order = np.argsort(distinct, kind="stable")
-    run_starts = np.flatnonzero(new_run[order])
-    run_lengths = np.empty_like(run_starts)
-    np.subtract(run_starts[1:], run_starts[:-1], out=run_lengths[:-1])
-    run_lengths[-1] = flat.size - run_starts[-1]
-    terms = plogp[run_lengths]
+    # mode="raise" would write into a buffer of its own first.
+    np.take(new_run, order, axis=0, out=permuted, mode="clip")
+    # A slice of whole rows starts a run and ends one, so its run lengths
+    # follow from its own run starts.
+    total = 0
+    step = max(1, _SLICE_RUNS // min(width, 256))
+    for first in range(0, count, step):
+        piece = permuted[first:first + step]
+        starts = np.flatnonzero(piece)
+        lengths = run_lengths[total:total + len(starts)]
+        np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+        lengths[-1] = piece.size - starts[-1]
+        total += len(starts)
+        del starts  # before the next slice's are allocated
+    terms = np.take(plogp, run_lengths[:total], out=terms[:total], mode="clip")
 
     widths = distinct[order]
-    edges = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(rows)]
-    sums = np.empty(len(rows))
+    edges = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), count]
+    sums = np.empty(count)
     at = 0
     for a, b in zip(edges, edges[1:]):
         width = int(widths[a])

@@ -96,11 +96,14 @@ def assert_sections_match_reference(dump: bytes, block_size: int, threshold: flo
 
 
 @contextmanager
-def spans(span_bytes: int, cpus: int, batch_bytes: int = scanner._BATCH_BYTES):
-    """``entropy_profile`` with spans of ``span_bytes`` and batches of ``batch_bytes`` on ``cpus`` CPUs."""
+def spans(span_bytes: int, cpus: int, budget: int = scanner._BATCH_BUDGET,
+          slice_runs: int = scanner._SLICE_RUNS):
+    """``entropy_profile`` with spans of ``span_bytes``, a workspace budget of ``budget``
+    bytes and ``np.flatnonzero`` slices of ``slice_runs`` runs on ``cpus`` CPUs."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scanner, "_SPAN_BYTES", span_bytes)
-        patch.setattr(scanner, "_BATCH_BYTES", batch_bytes)
+        patch.setattr(scanner, "_BATCH_BUDGET", budget)
+        patch.setattr(scanner, "_SLICE_RUNS", slice_runs)
         patch.setattr(codec, "_available_cpus", lambda: cpus)
         yield
 
@@ -177,12 +180,15 @@ class TestEntropyProfile:
         assert_profile_matches_reference(*case)
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-    @given(profiled_dumps(), st.integers(1, 5), st.integers(1, 3), st.sampled_from([1, 4]))
+    @given(profiled_dumps(), st.integers(1, 5), st.integers(1, 3), st.sampled_from([1, 4]),
+           st.integers(1, 600))
     def test_spans_bit_identical_to_per_block_reference(self, case, span_blocks, batch_blocks,
-                                                         cpus):
-        # Spans of a few blocks, with batches that end inside a span or at its end.
+                                                         cpus, slice_runs):
+        # Spans of a few blocks, with batches that end inside a span or at its
+        # end, and run-start slices that end inside a batch or at its end.
         dump, block_size = case
-        with spans(span_blocks * block_size, cpus, batch_blocks * block_size):
+        with spans(span_blocks * block_size, cpus,
+                   batch_blocks * scanner._workspace_bytes(block_size), slice_runs):
             assert_profile_matches_reference(dump, block_size)
 
     @pytest.mark.parametrize("cpus", [1, 4])
@@ -216,6 +222,53 @@ class TestEntropyProfile:
         entropy_profile(one_span * 3, 1024)
         assert started == [{"max_workers": 2}]
 
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_each_span_reuses_one_workspace(self, monkeypatch, cpus):
+        # 52 full blocks in spans of 8 and a 700-byte tail; batches of 3
+        # blocks on the calling thread, 6 on a pool thread.
+        calls = []
+        kernel = scanner._profile_rows
+
+        def spy(rows, plogp, entropies, constants, workspace):
+            calls.append((rows.__array_interface__["data"][0], rows.shape[1], workspace))
+            kernel(rows, plogp, entropies, constants, workspace)
+
+        monkeypatch.setattr(scanner, "_profile_rows", spy)
+        dump = mixed_dump(7, 700)
+        data = np.frombuffer(dump, dtype=np.uint8).__array_interface__["data"][0]
+        with spans(8 * 1024, cpus, 3 * scanner._workspace_bytes(1024)):
+            assert_profile_matches_reference(dump, 1024)
+        assert len(calls) == (6 * 3 + 2 if cpus == 1 else 6 * 2 + 1) + 1
+        by_span = {}
+        for at, width, workspace in calls:
+            key = "tail" if width < 1024 else (at - data) // 1024 // 8
+            by_span.setdefault(key, []).append(workspace)
+        assert len(by_span) == 7 + 1
+        assert all(len({id(w) for w in spaces}) == 1 for spaces in by_span.values())
+        workspaces = {id(spaces[0]) for spaces in by_span.values()}
+        # One thread allocates once per call; a pool thread once per span.
+        assert len(workspaces) == (1 if cpus == 1 else 8)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_workspace_memory_at_1024_byte_blocks(self, cpus):
+        # 4 MiB of random blocks in eight spans.  On top of the profile's 10
+        # bytes per block, the calling thread holds one workspace and each
+        # pool thread one more, twice the budget when a pool runs, and a
+        # thread measuring a batch also holds one np.flatnonzero result (8
+        # bytes per run, at most 8,192 runs: 64 KiB) and a few KiB of small
+        # arrays.
+        dump = random.Random(4).randbytes(4 << 20)
+        blocks = len(dump) // 1024
+        with spans(len(dump) // 8, cpus):
+            tracemalloc.start()
+            try:
+                entropy_profile(dump, 1024)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        workspaces = scanner._BATCH_BUDGET if cpus == 1 else (1 + cpus) * 2 * scanner._BATCH_BUDGET
+        assert peak <= 10 * blocks + workspaces + cpus * 96 * 1024
+
     def test_logs_its_block_span_and_thread_counts(self, tmp_path, capsys, caplog):
         path = tmp_path / "flash.bin"
         path.write_bytes(mixed_dump(6, 700))
@@ -229,7 +282,27 @@ class TestEntropyProfile:
                     assert main(argv) == code
             assert capsys.readouterr() == quiet
             assert [r.getMessage() for r in caplog.records if "profiling" in r.getMessage()] == [
-                f"profiling 52 full blocks of 1024 bytes in 13 spans on {threads} threads"]
+                f"profiling 52 full blocks of 1024 bytes in 13 spans on {threads} threads, "
+                "53 blocks per batch in a workspace of 379904 bytes per thread"]
+        # A batch fills the budget, 864 KiB on the calling thread and twice
+        # that on a pool thread, at 304 workspace bytes per 16-byte block and
+        # 7,168 per 1024-byte block, but holds no more blocks than the dump; a
+        # block over the budget is a batch of its own, and one over the dump
+        # is measured over the dump's length.
+        dump = random.Random(6).randbytes(2 << 20) + mixed_dump(6, 700)
+        for block_size, cpus, per_batch, width in ((16, 1, 2910, 16), (1024, 1, 123, 1024),
+                                                   (1024, 2, 246, 1024), (65536, 1, 4, 65536),
+                                                   (1 << 20, 1, 1, 1 << 20),
+                                                   (4 << 20, 1, 1, len(dump))):
+            caplog.clear()
+            with spans(64 * 1024, cpus), caplog.at_level(logging.DEBUG,
+                                                          logger="minifskit.scanner"):
+                entropy_profile(dump, block_size)
+            workspace = per_batch * (3 * width + 16 * min(width, 256))
+            assert caplog.records[-1].getMessage().endswith(
+                f" on {cpus} threads, {per_batch} blocks per batch in a workspace of "
+                f"{workspace} bytes per thread")
+            assert workspace <= scanner._BATCH_BUDGET * (1 if cpus == 1 else 2) or per_batch == 1
 
     def test_exact_threshold_block_is_high(self):
         # 128 values x4 and 64 values x8: exactly 4 + 3.5 bits per byte.
@@ -331,8 +404,8 @@ class TestSegmentSections:
         assert profile_peak <= 16 * blocks
         assert sections_peak <= 32 * blocks
         # Eight spans on four threads: on top of the profile's 10 bytes per
-        # block, each thread holds one 128 KiB batch's intermediates, up to
-        # about 27 bytes per input byte when every byte of a block differs.
+        # block, the calling thread and the four pool threads hold one 1.7 MiB
+        # workspace each, within four times 28 bytes per byte of 128 KiB.
         with spans(len(dump) // 8, 4):
             tracemalloc.start()
             try:
@@ -340,7 +413,7 @@ class TestSegmentSections:
                 threaded_peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert threaded_peak <= 10 * blocks + 4 * 28 * (4 * scanner._BATCH_BYTES)
+        assert threaded_peak <= 10 * blocks + 4 * 28 * (128 * 1024)
 
     @given(st.binary(min_size=1, max_size=4096))
     def test_sections_tile_the_dump(self, data):
@@ -351,6 +424,48 @@ class TestSegmentSections:
         for left, right in zip(sections, sections[1:]):
             assert left.end == right.start
             assert left.label != right.label
+
+
+def find_offsets(dump: bytes) -> list[int]:
+    """Every ``MINIFS`` offset by a ``bytes.find`` loop, the search oracle."""
+    offsets = []
+    at = dump.find(structs.MAGIC)
+    while at >= 0:
+        offsets.append(at)
+        at = dump.find(structs.MAGIC, at + 1)
+    return offsets
+
+
+# Magics that overlap a false start: a repeated M, a repeated MI, an MINI.
+_OVERLAPS = [b"MINIFS", b"MMINIFS", b"MIMINIFS", b"MINIMINIFS", b"MINIFSMINIFS", b"MINIFMINIFS"]
+
+
+@st.composite
+def magic_search_dumps(draw) -> bytes:
+    """Dumps of 0 to 48 bytes, or about one or two search windows.
+
+    The filler is random, or a repeated run of ``M``, ``I``, ``MI``,
+    ``NIFS`` and ``MINIF`` tokens, dense in ``MI`` pairs and in magics
+    that span two tokens.  Magics and overlapping near-magics are planted
+    at any offset, even or odd, and at 6 bytes before to 1 byte after
+    each window edge.
+    """
+    edges = draw(st.integers(0, 2))
+    size = edges * scanner._WINDOW + draw(st.integers(-8 if edges else 0, 48))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dump = bytearray(rng.randbytes(size))
+    else:
+        run = b"".join(rng.choices([b"M", b"I", b"MI", b"NIFS", b"MINIF"], k=rng.randint(1, 9)))
+        dump = bytearray((run * (size // len(run) + 1))[:size])
+    near_edges = st.tuples(st.integers(1, 2), st.integers(-6, 1))
+    anywhere = st.integers(0, max(0, size - 1))
+    for at, planted in draw(st.lists(st.tuples(
+            st.one_of(near_edges.map(lambda t: t[0] * scanner._WINDOW + t[1]), anywhere),
+            st.sampled_from(_OVERLAPS)), max_size=5)):
+        if at + len(planted) <= size:
+            dump[at:at + len(planted)] = planted
+    return bytes(dump)
 
 
 class TestFindMagic:
@@ -386,6 +501,16 @@ class TestFindMagic:
                 dump[pos:pos + 6] = b"MINIFS"
         dump = bytes(dump)
         assert [h.offset for h in find_magic(dump)] == naive_find(dump)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(magic_search_dumps())
+    @example(b"")
+    @example(b"MINIF")
+    @example(b"MINIFS")
+    @example(b"MMINIFS")
+    @example(b"MINIFSM")
+    def test_search_matches_a_find_loop(self, dump):
+        assert [at for at, _, _ in iter_views(dump)] == find_offsets(dump)
 
 
 def views_by_find_loop(dump: bytes) -> list:
@@ -552,7 +677,8 @@ class TestIterViews:
         assert "hit.0.offset=64\nhit.0.version=unknown\n" in quiet.out
         assert f"hit.3.offset={len(dump) - 6}\nhit.3.version=unknown\n" in quiet.out
         assert [r.getMessage().split(":")[0] for r in caplog.records] == [
-            "profiling 0 full blocks of 1024 bytes in 0 spans on 1 threads",
+            f"profiling 0 full blocks of 1024 bytes in 0 spans on 1 threads, 1 blocks per "
+            f"batch in a workspace of {3 * len(dump) + 16 * 256} bytes per thread",
             "MINIFS hit at 64 refused", f"MINIFS hit at {len(dump) - 6} refused",
         ]
 
