@@ -123,16 +123,24 @@ def iter_views(
     of ``len(dump) // 20 + 1024`` file records per pass; a hit that would
     overdraw it yields no layout.  Each hit that yields no view logs one
     debug record with the reason.  The dump is searched in windows of
-    256 KiB, so memory holds one window's offsets and one hit's tables
-    unless the caller keeps them.
+    512 KiB (:func:`_magic_offsets`), so memory holds one window's marks
+    and offsets and one hit's tables unless the caller keeps them; a
+    window without a hit reads no header.  A pass that runs to its end
+    logs one debug record with the bytes and windows searched, the hits,
+    and how many were refused from their header words, refused on
+    reading their tables, screened out, opened and over budget.
     """
     data = np.frombuffer(dump, dtype=np.uint8)
     size = len(data)
     budget = size // structs.FILE_RECORD_SIZE + 1024  # no one instance needs more
-    pairs = np.empty((2, -(-min(size, _WINDOW) // 16) * 8), dtype=bool)
+    rows = np.empty((2, -(-min(size, _WINDOW) // 16) * 8), dtype=bool)
+    header = tables = screened = opened = over = 0
     for start in range(0, size, _WINDOW):
         window = data[start:start + _WINDOW + len(structs.MAGIC) - 1]
-        offsets = start + _magic_offsets(window, pairs)
+        offsets = _magic_offsets(window, rows)
+        if not len(offsets):
+            continue
+        offsets += start
         whole = offsets[offsets + structs.HEADER_SIZE <= size]
         ends = structs.tables_end(data, whole).tolist()
         # Most hits are refused here, so the log level is asked once per window.
@@ -140,10 +148,12 @@ def iter_views(
         for at, end in zip_longest(offsets.tolist(), ends):
             layout = view = None
             if end is None:
+                header += 1
                 if debug:
                     _log.debug("MINIFS hit at %d refused: the %d-byte dump ends inside its "
                                "header", at, size)
             elif end > size:
+                header += 1
                 if debug:
                     _log.debug("MINIFS hit at %d refused: declared tables end at %d, "
                                "past the %d-byte dump", at, end, size)
@@ -151,55 +161,90 @@ def iter_views(
                 try:
                     layout, violation = structs.screen_instance(dump, at)
                 except MiniFsError as exc:
+                    tables += 1
                     _log.debug("MINIFS hit at %d refused: %s", at, exc)
                 else:
                     if violation and not force:
+                        screened += 1
                         _log.debug("MINIFS hit at %d screened out: %s", at, violation)
                     elif layout.file_count > budget:
+                        over += 1
                         _log.debug("MINIFS hit at %d not opened: its %d file records overdraw "
                                    "the %d left of this pass's budget", at, layout.file_count,
                                    budget)
                         layout = None
                     else:
+                        opened += 1
                         budget -= layout.file_count
                         view = open_view(dump, at, force=True)
             yield at, layout, view
+    _log.debug("searched %d bytes in %d windows: %d MINIFS hits, %d refused from their header "
+               "words, %d refused on reading their tables, %d screened out, %d opened, "
+               "%d over budget", size, -(-size // _WINDOW), header + tables + screened + opened + over,
+               header, tables, screened, opened, over)
 
 
 # Bytes searched per window of :func:`iter_views`; a window also reads the
 # five bytes after it, so a magic across its edge is found in it.  At
-# 256 KiB the window's two 128 KiB bool buffers come from the heap even
-# where the allocator maps every block of 1 MiB or more afresh (glibc
-# with MALLOC_MMAP_THRESHOLD_=1048576), where the page faults of a fresh
-# 1 MiB buffer cost about as much as searching 1 MiB.  Smaller windows
-# add per-window overhead on large dumps.
-_WINDOW = 1 << 18
+# 512 KiB the search's two 256 KiB rows of marks, one buffer, and the row
+# a narrowed window adds come from the heap even where the allocator maps
+# every block of 1 MiB or more afresh (glibc with
+# MALLOC_MMAP_THRESHOLD_=1048576), where the page faults of a fresh 1 MiB
+# buffer cost about as much as searching 1 MiB.  Smaller windows add
+# per-window overhead on large dumps.
+_WINDOW = 1 << 19
 
-# The magic's first two bytes, ``MI``, as one little-endian 16-bit word.
-_MI = int.from_bytes(structs.MAGIC[:2], "little")
+# Where ``MINIFS`` can start, read from aligned 16-bit words: a start at
+# byte 2k puts ``NI`` in bytes 2k + 2 and 2k + 3, and a start at byte
+# 2k + 1 puts ``IN`` there.  Per start parity, that word comes first, then
+# the others that make up the magic's six bytes, each as (its byte offset
+# from 2k, its little-endian value).
+_WORDS = tuple(
+    tuple((at, int.from_bytes(text, "little")) for at, text in words)
+    for words in (((2, b"NI"), (0, b"MI"), (4, b"FS")),
+                  ((2, b"IN"), (4, b"IF"), (1, b"MI"), (5, b"FS"))))
+
+# Marked 16-byte stretches, at most, whose offsets :func:`_magic_offsets`
+# checks byte by byte; past that, it first narrows the marks with every word.
+_SPARSE = 1024
 
 
-def _magic_offsets(window: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def _magic_offsets(window: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Ascending offsets where ``MINIFS`` starts in ``window``'s first ``_WINDOW`` bytes.
 
-    ``pairs``, a bool buffer of two rows of at least ``ceil(n / 16) * 8`` entries
-    for ``n`` offsets that every window of one search reuses, marks ``MI``
-    at the even and at the odd offset of each byte pair; only the 16-byte
-    stretches (8 pairs, one 64-bit word) with a mark are checked in full.
+    ``rows``, a bool buffer of two rows of at least ``ceil(n / 16) * 8``
+    entries for ``n`` offsets that every window of one search reuses,
+    marks the starts at even and at odd offsets by the first of their
+    aligned words (:data:`_WORDS`).  Only the 16-byte stretches (8 marks
+    per row, one 64-bit word) with a mark are checked in full.  When more
+    than ``_SPARSE`` stretches are marked, as in a window of one repeated
+    near-magic, the marks are first narrowed by every other word of the
+    magic, through one more row, so that only its starts stay marked and
+    the check stays linear in the window.
     """
     magic = structs.MAGIC
     starts = max(0, min(_WINDOW, len(window) - len(magic) + 1))
-    count = -(-starts // 2)
-    even, odd = pairs[:, :-(-count // 8) * 8]
-    np.equal(window[:2 * count].view("<u2"), _MI, out=even[:count])
-    np.equal(window[1:2 * count + 1].view("<u2"), _MI, out=odd[:count])
-    even[count:] = odd[count:] = False
-    words = np.bitwise_or(even.view(np.uint64), odd.view(np.uint64), out=even.view(np.uint64))
+    counts = (-(-starts // 2), starts // 2)  # the words k where a start 2k, 2k + 1 fits
+    width = -(-counts[0] // 8) * 8
+    marks = rows[:, :width]
+    for row, count, ((at, word), *_) in zip(marks, counts, _WORDS):
+        np.equal(window[at:at + 2 * count].view("<u2"), word, out=row[:count])
+        row[count:] = False
+    marked = np.logical_or(*(marks.view(np.uint64) != 0))
+    if np.count_nonzero(marked) > _SPARSE:
+        spare = np.empty(width, dtype=bool)
+        for row, count, (_, *more) in zip(marks, counts, _WORDS):
+            for at, word in more:
+                row[:count] &= np.equal(window[at:at + 2 * count].view("<u2"), word,
+                                        out=spare[:count])
+        marked = np.logical_or(*(marks.view(np.uint64) != 0))
     # A bool flatnonzero: on the 64-bit words themselves it is much slower.
-    stretches = np.flatnonzero(words != 0)
+    stretches = np.flatnonzero(marked)
     found = (stretches[:, np.newaxis] * 16 + np.arange(16)).ravel()
     found = found[found < starts]
     for k in range(len(magic)):
+        if not len(found):
+            break
         found = found[window[found + k] == magic[k]]
     return found
 

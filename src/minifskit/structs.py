@@ -22,8 +22,10 @@ operations, copying no string; :func:`screen_instance` finds some of
 those violations in O(1) with the decoder's own header checks and region
 arithmetic.  :func:`join_paths` names the records from the same arrays,
 and a :class:`PathIndex`, built the same way, finds the records that
-join to a path.  All three read the strings at the records' offsets
-with one scan of the pool (:func:`_strings`).
+join to a path.  These two read the strings at the records' offsets
+with one scan of the pool (:func:`_strings`); validation needs that
+scan only for a pool holding a byte that is neither NUL nor printable
+ASCII, or one that does not end in a NUL.
 
 Everything in this module is a pure function over immutable inputs; only
 a :class:`PathIndex` remembers the records it found for a path.  A dump
@@ -77,6 +79,9 @@ PATH_MAX = 4096
 
 # What decoding refuses in the string at an offset, in the order it is checked.
 _GOOD, _OUTSIDE, _UNTERMINATED, _UNPRINTABLE = range(4)
+
+# The bytes a name pool holds when decoding refuses no string inside it.
+_NUL_AND_PRINTABLE = bytes([0, *range(0x20, 0x7F)])
 
 # A path's lookup key is its polynomial hash in base 256 modulo the
 # Mersenne prime 2**31 - 1, which is int.from_bytes(path, "little")
@@ -578,12 +583,21 @@ def validate_layout(
     continue best-effort (force mode).  Every check runs over whole
     columns, and a :class:`Violation` is built only for a flagged record
     or chunk, in table order.  No string is decoded; path *safety* is
-    checked when paths are joined (:func:`join_paths`).
+    checked when paths are joined (:func:`join_paths`).  A pool of
+    printable ASCII strings that ends in a NUL can refuse only an offset
+    outside it, so the pool is scanned for each string's fault
+    (:func:`_strings`) only when it holds another byte or ends otherwise.
     """
     files = np.asarray(records, np.int64).reshape(-1, 5)
     table = np.asarray(chunks, np.int64).reshape(-1, 3)
     count = len(table)
-    _, stop, fault = _strings(pool, files[:, :2])
+    offsets = files[:, :2]
+    if pool.endswith(b"\x00") and not pool.translate(None, _NUL_AND_PRINTABLE):
+        # Every string inside such a pool is good, so the pool is not scanned
+        # here, and a view's joined paths or lookup scan it once.
+        fault, stop = np.where(offsets >= len(pool), _OUTSIDE, _GOOD), offsets  # no stop is read
+    else:
+        _, stop, fault = _strings(pool, offsets)
     chunk_index = files[:, 2]
     missing = chunk_index >= count
     overrun = ~missing & (files[:, 3] + files[:, 4]

@@ -516,7 +516,7 @@ class TestBaseSelection:
         dump = bytes(damaged) + b"\xff" * 250 + image + bytes(damaged)
         path = tmp_path / "decoys.bin"
         path.write_bytes(dump)
-        calls = {"parse_instance": 0, "validate_layout": 0}
+        calls = {"parse_instance": 0, "validate_layout": 0, "_strings": 0}
         for name in calls:
             real = getattr(structs, name)
 
@@ -528,12 +528,14 @@ class TestBaseSelection:
         assert main(["cat", str(path), "boot.bin"]) == EXIT_OK
         assert capsys.readouterr().out.encode() == dict(THREE_FILE_ENTRIES)["boot.bin"]
         assert dump.count(b"MINIFS") == 3
-        # Chunk 0's declared size screens the damaged hits out unparsed.
-        assert calls == {"parse_instance": 1, "validate_layout": 1}
+        # Chunk 0's declared size screens the damaged hits out unparsed.  The
+        # pool's strings are scanned once, for the lookup: validation reads a
+        # pool of printable strings without finding each one's end.
+        assert calls == {"parse_instance": 1, "validate_layout": 1, "_strings": 1}
         # --force opens every hit that parses, each once, and finds three candidates.
         assert main(["cat", str(path), "boot.bin", "--force"]) == EXIT_INVALID
         assert "multiple MiniFS instances found" in capsys.readouterr().err
-        assert calls == {"parse_instance": 4, "validate_layout": 4}
+        assert calls == {"parse_instance": 4, "validate_layout": 4, "_strings": 1}
 
     def test_each_unclean_hit_passed_over_logs_why(self, tmp_path, capsys, caplog):
         from minifskit import open_view
@@ -565,6 +567,10 @@ class TestBaseSelection:
             ("minifskit.cli", logging.DEBUG,
              f"MINIFS hit at {len(dump) - len(opened)} passed over: "
              f"{len(violations)} violations, first: {violations[0]}"),
+            ("minifskit.scanner", logging.DEBUG,
+             f"searched {len(dump)} bytes in 1 windows: 3 MINIFS hits, 0 refused from their "
+             f"header words, 0 refused on reading their tables, 1 screened out, 2 opened, "
+             f"0 over budget"),
         ]
         assert str(violations[0]).startswith("name-offset: [1] name offset 65535 outside")
 

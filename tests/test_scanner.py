@@ -436,8 +436,22 @@ def find_offsets(dump: bytes) -> list[int]:
     return offsets
 
 
-# Magics that overlap a false start: a repeated M, a repeated MI, an MINI.
-_OVERLAPS = [b"MINIFS", b"MMINIFS", b"MIMINIFS", b"MINIMINIFS", b"MINIFSMINIFS", b"MINIFMINIFS"]
+def pass_record(size: int, windows: int, *, header: int = 0, tables: int = 0, screened: int = 0,
+                opened: int = 0, over: int = 0) -> str:
+    """The debug record that one :func:`iter_views` pass logs."""
+    return (f"searched {size} bytes in {windows} windows: "
+            f"{header + tables + screened + opened + over} MINIFS hits, {header} refused from "
+            f"their header words, {tables} refused on reading their tables, {screened} screened "
+            f"out, {opened} opened, {over} over budget")
+
+
+# Magics that overlap a false start: a repeated M, a repeated MI, an MINI, a MIN,
+# an INIF.
+_OVERLAPS = [b"MINIFS", b"MMINIFS", b"MIMINIFS", b"MINIMINIFS", b"MINIFSMINIFS", b"MINIFMINIFS",
+             b"MINMINIFS", b"MINIFINIFS"]
+
+
+_TOKENS = [b"M", b"I", b"MI", b"NI", b"IN", b"IF", b"FS", b"MINI", b"INIF", b"NIFS", b"MINIF"]
 
 
 @st.composite
@@ -445,10 +459,11 @@ def magic_search_dumps(draw) -> bytes:
     """Dumps of 0 to 48 bytes, or about one or two search windows.
 
     The filler is random, or a repeated run of ``M``, ``I``, ``MI``,
-    ``NIFS`` and ``MINIF`` tokens, dense in ``MI`` pairs and in magics
-    that span two tokens.  Magics and overlapping near-magics are planted
-    at any offset, even or odd, and at 6 bytes before to 1 byte after
-    each window edge.
+    ``NI``, ``IN``, ``IF``, ``FS``, ``MINI``, ``INIF``, ``NIFS`` and
+    ``MINIF`` tokens, dense in the magic's 16-bit words, at either
+    parity, and in magics that span two tokens.  Magics and overlapping
+    near-magics are planted at any offset, even or odd, and at 6 bytes
+    before to 1 byte after each window edge.
     """
     edges = draw(st.integers(0, 2))
     size = edges * scanner._WINDOW + draw(st.integers(-8 if edges else 0, 48))
@@ -456,7 +471,7 @@ def magic_search_dumps(draw) -> bytes:
     if draw(st.booleans()):
         dump = bytearray(rng.randbytes(size))
     else:
-        run = b"".join(rng.choices([b"M", b"I", b"MI", b"NIFS", b"MINIF"], k=rng.randint(1, 9)))
+        run = b"".join(rng.choices(_TOKENS, k=rng.randint(1, 9)))
         dump = bytearray((run * (size // len(run) + 1))[:size])
     near_edges = st.tuples(st.integers(1, 2), st.integers(-6, 1))
     anywhere = st.integers(0, max(0, size - 1))
@@ -509,8 +524,35 @@ class TestFindMagic:
     @example(b"MINIFS")
     @example(b"MMINIFS")
     @example(b"MINIFSM")
+    @example(b"NI" * (scanner._WINDOW // 2) + b"MINIFS")
+    @example(b"I" + b"NI" * (scanner._WINDOW // 2) + b"MINIFS")
     def test_search_matches_a_find_loop(self, dump):
         assert [at for at, _, _ in iter_views(dump)] == find_offsets(dump)
+
+    # Every window's marks narrowed by every word, and none narrowed.
+    @pytest.mark.parametrize("sparse", [-1, 1 << 20])
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(magic_search_dumps())
+    def test_search_matches_a_find_loop_at_any_sparse_limit(self, sparse, dump):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scanner, "_SPARSE", sparse)
+            assert [at for at, _, _ in iter_views(dump)] == find_offsets(dump)
+
+    @pytest.mark.parametrize("filler", [None, b"NI", b"MINIF"])
+    def test_search_memory_stays_under_1_mib(self, filler):
+        # Three windows and a partial one of random bytes or of a repeated
+        # near-magic, without a hit: the mark rows and every temporary of
+        # a window, narrowed by every word or not, stay under the 1 MiB a
+        # fresh mapping would cost.
+        size = 3 * scanner._WINDOW + 1000
+        dump = random.Random(1).randbytes(size) if filler is None else (filler * size)[:size]
+        tracemalloc.start()
+        try:
+            assert list(iter_views(dump)) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def views_by_find_loop(dump: bytes) -> list:
@@ -654,12 +696,13 @@ class TestIterViews:
         assert [(at, view is None) for at, _, view in views] == [
             (0, False), (100, True), (200, True), (500, True),
         ]
-        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 3
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 4
         assert [r.getMessage() for r in caplog.records] == [
             "MINIFS hit at 100 refused: chunk table extends past the 512-byte dump",
             f"MINIFS hit at 200 refused: declared tables end at "
             f"{200 + 32 + 0xFFFF_FFFF + 20 * 0xFFFF_FFFF}, past the 512-byte dump",
             "MINIFS hit at 500 refused: the 512-byte dump ends inside its header",
+            pass_record(512, 1, header=2, tables=1, opened=1),
         ]
 
     def test_debug_logging_leaves_scan_output_identical(self, tmp_path, capsys, caplog):
@@ -680,7 +723,9 @@ class TestIterViews:
             f"profiling 0 full blocks of 1024 bytes in 0 spans on 1 threads, 1 blocks per "
             f"batch in a workspace of {3 * len(dump) + 16 * 256} bytes per thread",
             "MINIFS hit at 64 refused", f"MINIFS hit at {len(dump) - 6} refused",
+            f"searched {len(dump)} bytes in 1 windows",
         ]
+        assert caplog.records[-1].getMessage() == pass_record(len(dump), 1, header=2, opened=2)
 
 
 _THREE_FILES = build_three_file_image()
@@ -734,6 +779,18 @@ class TestScreen:
             assert violation in open_view(bytes(image), force=True).violations
         assert structs.screen_instance(_THREE_FILES, 0) == (layout, None)
 
+    def test_pass_record_counts_screened_hits(self, caplog):
+        image = bytearray(_THREE_FILES)
+        at = open_view(_THREE_FILES).layout.files_start
+        image[at:at + 4] = (0xFFFF).to_bytes(4, "big")  # first record's path: outside the pool
+        dump = bytes(image) + _THREE_FILES
+        for force, counts in ((False, dict(screened=1, opened=1)), (True, dict(opened=2))):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="minifskit.scanner"):
+                views = list(iter_views(dump, force=force))
+            assert [at for at, _, _ in views] == [0, len(image)]
+            assert caplog.records[-1].getMessage() == pass_record(len(dump), 1, **counts)
+
     def test_record_budget_bounds_hits_that_pass_the_screen(self, monkeypatch, caplog):
         # A header every 4 KiB, each with a 1-20 byte name pool and a file
         # table that ends where one chunk record and its 13 bytes of data
@@ -769,9 +826,12 @@ class TestScreen:
             assert views[0][2] is not None  # the largest hit fits a budget on its own
             refused = [at for at, layout, view in views if layout is None]
             assert refused and all(view is None for _, layout, view in views if layout is None)
-            assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            *logged, last = caplog.records
+            assert [r.getMessage().split(":")[0] for r in logged] == [
                 f"MINIFS hit at {at} not opened" for at in refused]
-            assert all("budget" in r.getMessage() for r in caplog.records)
+            assert all("budget" in r.getMessage() for r in logged)
+            assert last.getMessage() == pass_record(
+                len(dump), 1, opened=len(offsets) - len(refused), over=len(refused))
             opened = [view for _, _, view in views if view is not None]
             assert sum(len(view.files) for view in opened) == sum(records)
 
